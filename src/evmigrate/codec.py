@@ -11,16 +11,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .commands import Command, HAVE_DOG, HAVE_PERSON, KINDS, check_reference_year
-from .editor import EventStore, command_sort_key
+from .commands import SPECS, Command, canonical_order, check_reference_year
+from .editor import EventStore
 from .errors import FormatError
 from .metamodel import InstanceModel, KIND_INT, MetaModel
 
 FORMAT_VERSION = 1
-
-LOG_EXTENSION = ".cmdlog"
-INSTANCE_EXTENSION = ".inst"
-SCHEMA_EXTENSION = ".schema"
 
 
 @dataclass
@@ -52,7 +48,7 @@ def _parse_int(text, lineno, what):
 
 def encode_commands(cmds, reference_year) -> str:
     out = [f"format: {FORMAT_VERSION}", f"referenceYear: {reference_year}", "commands:"]
-    for cmd in sorted(cmds, key=command_sort_key):
+    for cmd in canonical_order(cmds):
         out.append(f"  - command: {cmd.kind}")
         out.append(f"    id: {cmd.id}")
         if cmd.owner_id is not None:
@@ -71,10 +67,6 @@ def encode_log(store: EventStore, reference_year) -> str:
 
 
 _HEADERS = ("format", "referenceYear")
-_FIELDS = {
-    HAVE_PERSON: ("id", "name", "age"),
-    HAVE_DOG: ("id", "ownerId", "name", "age"),
-}
 
 
 def _split_entry(line, lineno):
@@ -85,15 +77,11 @@ def _split_entry(line, lineno):
 
 
 def decode_log(text) -> CommandLogDocument:
-    """Parse a command log; field order inside a block is free, the
-    document is re-canonicalized on encode."""
-    lines = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.rstrip()
-        if line:
-            stripped = line.lstrip()
-            if stripped and stripped[0] != "#":
-                lines.append((lineno, line))
+    """Parse a command log.  Commands come back in wire order; field order
+    inside a block is free, and the document is re-canonicalized on
+    encode (persons first, then by id).  Receivers need no particular
+    order: ``Editor.merge_all`` sorts by (class, id) itself."""
+    lines = list(_significant_lines(text))
     n = len(lines)
     pos = 0
     headers = {}
@@ -125,9 +113,10 @@ def decode_log(text) -> CommandLogDocument:
         key, kind = _split_entry(line[4:], lineno)
         if key != "command":
             raise FormatError(f"command block must start with 'command', got {key!r}", line=lineno)
-        if kind not in KINDS:
+        spec = SPECS.get(kind)
+        if spec is None:
             raise FormatError(f"unknown command kind {kind!r}", line=lineno)
-        allowed = _FIELDS[kind]
+        allowed = spec[1]
         pos += 1
         fields = {}
         field_lines = {}
@@ -162,12 +151,7 @@ def decode_log(text) -> CommandLogDocument:
             Command(kind, obj_id, name=fields.get("name"), age=age,
                     owner_id=fields.get("ownerId"))
         )
-    cmds.sort(key=command_sort_key)
     return CommandLogDocument(FORMAT_VERSION, headers["referenceYear"], cmds)
-
-
-def encode_document(doc: CommandLogDocument) -> str:
-    return encode_commands(doc.commands, doc.reference_year)
 
 
 # -- instance models -----------------------------------------------------

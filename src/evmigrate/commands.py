@@ -19,10 +19,16 @@ if TYPE_CHECKING:
 
 HAVE_PERSON = "HavePerson"
 HAVE_DOG = "HaveDog"
-KINDS = (HAVE_PERSON, HAVE_DOG)
 
-#: class each command kind targets
-TARGET_CLASS = {HAVE_PERSON: "Person", HAVE_DOG: "Dog"}
+#: kind -> (target class, wire fields in canonical order).  Dict order is
+#: the canonical kind order: persons before dogs.
+SPECS = {
+    HAVE_PERSON: ("Person", ("id", "name", "age")),
+    HAVE_DOG: ("Dog", ("id", "ownerId", "name", "age")),
+}
+
+#: canonical command order: kinds in SPECS order, then by id
+_RANK = {kind: rank for rank, kind in enumerate(SPECS)}
 
 DEFAULT_REFERENCE_YEAR = 2020
 
@@ -44,16 +50,17 @@ class Command:
     owner_id: str | None = None  # HaveDog only
 
     def __post_init__(self):
-        if self.kind not in KINDS:
+        spec = SPECS.get(self.kind)
+        if spec is None:
             raise ValueError(f"unknown command kind {self.kind!r}")
         if not self.id:
             raise ValueError("command id must be non-empty")
-        if self.owner_id is not None and self.kind != HAVE_DOG:
-            raise ValueError("ownerId is only valid on HaveDog")
+        if self.owner_id is not None and "ownerId" not in spec[1]:
+            raise ValueError(f"ownerId is not valid on {self.kind}")
 
     @property
     def target_class(self) -> str:
-        return TARGET_CLASS[self.kind]
+        return SPECS[self.kind][0]
 
 
 def have_person(obj_id, name=None, age=None) -> Command:
@@ -68,58 +75,62 @@ def command_equals(a: Command, b: Command) -> bool:
     return a == b
 
 
-def _fill_attributes(editor: Editor, obj, name, age):
-    # Writes are gated twice: on the command field being set and on the
-    # schema declaring the attribute.  When the schema carries ybirth, the
-    # age parameter is stored as referenceYear - age instead of (or in
-    # addition to) a plain age.  Writes go straight to the attribute map;
-    # declaredness is checked here and kinds are pinned by the checks.
-    attrs = editor.schema.cls(obj.class_name).attributes
-    values = obj.attributes
-    if name is not None:
-        adef = attrs.get("name")
-        if adef is not None:
-            if adef.kind != KIND_STRING:
-                raise ModelError(f"{obj.class_name}.name is declared {adef.kind}, cannot hold a string")
-            values["name"] = name
-    if age is not None:
-        adef = attrs.get("age")
-        if adef is not None:
-            if adef.kind != KIND_INT:
-                raise ModelError(f"{obj.class_name}.age is declared {adef.kind}, cannot hold an int")
-            values["age"] = age
-        adef = attrs.get("ybirth")
-        if adef is not None:
-            if adef.kind != KIND_INT:
-                raise ModelError(f"{obj.class_name}.ybirth is declared {adef.kind}, cannot hold an int")
-            values["ybirth"] = editor.reference_year - age
+def canonical_order(cmds) -> list[Command]:
+    return sorted(cmds, key=lambda c: (_RANK[c.kind], c.id))
 
 
-def run_have_person(cmd: Command, editor: Editor) -> str:
-    if not editor.schema.has_class("Person"):
-        raise SchemaError("schema declares no Person class")
-    person = editor.get_or_create("Person", cmd.id)
-    _fill_attributes(editor, person, cmd.name, cmd.age)
-    return cmd.id
+def bind(schema) -> dict:
+    """Resolve, once per schema, what each kind can write.
 
-
-def run_have_dog(cmd: Command, editor: Editor) -> str:
-    if not editor.schema.has_class("Dog"):
-        raise SchemaError("schema declares no Dog class")
-    dog = editor.get_or_create("Dog", cmd.id)
-    _fill_attributes(editor, dog, cmd.name, cmd.age)
-    if cmd.owner_id is not None:
-        ref = editor.schema.cls("Dog").references.get("owner")
-        if ref is not None:
-            # Owner may not exist yet; materialize a stub so dogs can be
-            # executed before their owner's HavePerson arrives.
-            owner = editor.get_or_create(ref.target, cmd.owner_id)
-            editor.model.set_reference(dog, "owner", owner.id)
-    return cmd.id
+    Returns kind -> None when the schema lacks the target class, else
+    ``(class, has name, has age, has ybirth, owner target or None)``.
+    An attribute of the wrong kind is rejected here, before any write.
+    """
+    bindings = {}
+    for kind, (class_name, fields) in SPECS.items():
+        if not schema.has_class(class_name):
+            bindings[kind] = None
+            continue
+        cls = schema.cls(class_name)
+        for attr, want in (("name", KIND_STRING), ("age", KIND_INT), ("ybirth", KIND_INT)):
+            adef = cls.attributes.get(attr)
+            if adef is not None and adef.kind != want:
+                raise ModelError(f"{class_name}.{attr} is declared {adef.kind}, cannot hold {want}")
+        ref = cls.references.get("owner") if "ownerId" in fields else None
+        bindings[kind] = (
+            class_name,
+            "name" in cls.attributes,
+            "age" in cls.attributes,
+            "ybirth" in cls.attributes,
+            ref.target if ref is not None else None,
+        )
+    return bindings
 
 
 def run(cmd: Command, editor: Editor) -> str:
-    """Execute a command against an editor's model (no store update)."""
-    if cmd.kind == HAVE_PERSON:
-        return run_have_person(cmd, editor)
-    return run_have_dog(cmd, editor)
+    """Execute a command against an editor's model (no store update).
+
+    Writes are gated twice: on the command field being set and on the
+    schema declaring the attribute.  When the schema carries ybirth, the
+    age is stored as referenceYear - age instead of (or in addition to) a
+    plain age.  Kinds were checked by ``bind``, so writes go straight to
+    the attribute map."""
+    binding = editor.bindings[cmd.kind]
+    if binding is None:
+        raise SchemaError(f"schema declares no {cmd.target_class} class")
+    class_name, has_name, has_age, has_ybirth, owner_target = binding
+    obj = editor.get_or_create(class_name, cmd.id)
+    values = obj.attributes
+    if cmd.name is not None and has_name:
+        values["name"] = cmd.name
+    if cmd.age is not None:
+        if has_age:
+            values["age"] = cmd.age
+        if has_ybirth:
+            values["ybirth"] = editor.reference_year - cmd.age
+    if cmd.owner_id is not None and owner_target is not None:
+        # Owner may not exist yet; materialize a stub so dogs can be
+        # executed before their owner's HavePerson arrives.
+        owner = editor.get_or_create(owner_target, cmd.owner_id)
+        editor.model.set_reference(obj, "owner", owner.id)
+    return cmd.id

@@ -1,4 +1,4 @@
-"""Editors: schema + instance model + event store + id registries.
+"""Editors: schema + instance model + event store + id registry.
 
 An editor executes commands, merges incoming command sets, and parses a
 bare object model back into the commands that would reproduce it.  The
@@ -10,23 +10,25 @@ from __future__ import annotations
 
 from . import commands as _commands
 from .commands import (
-    HAVE_DOG,
-    HAVE_PERSON,
+    SPECS,
     Command,
+    bind,
+    canonical_order,
     check_reference_year,
     DEFAULT_REFERENCE_YEAR,
-    have_dog,
-    have_person,
 )
 from .errors import MergeError, MigrationError, ModelError
 from .metamodel import DynamicObject, InstanceModel, MetaModel
 
-#: canonical command ordering: persons before dogs, then by id
-_KIND_RANK = {HAVE_PERSON: 0, HAVE_DOG: 1}
+#: class name -> the command kind that targets it
+_KIND_OF_CLASS = {class_name: kind for kind, (class_name, _) in SPECS.items()}
 
 
-def command_sort_key(cmd: Command):
-    return (_KIND_RANK[cmd.kind], cmd.id)
+def _kind_of(obj: DynamicObject) -> str:
+    kind = _KIND_OF_CLASS.get(obj.class_name)
+    if kind is None:
+        raise ModelError(f"cannot parse object {obj.id!r} of class {obj.class_name!r}")
+    return kind
 
 
 class EventStore:
@@ -51,7 +53,7 @@ class EventStore:
 
     def commands(self) -> list[Command]:
         """Snapshot in canonical (kind, id) order."""
-        return sorted(self._entries.values(), key=command_sort_key)
+        return canonical_order(self._entries.values())
 
     def snapshot(self) -> dict[str, Command]:
         return dict(self._entries)
@@ -60,33 +62,29 @@ class EventStore:
 class Editor:
     """One side of a migration: executes, merges, parses.
 
-    Per-class registries map ids to live objects in both directions; they
-    are what makes getOrCreate idempotent and what lets parsing recover
-    the id of an object seen before.
+    The registry maps ids to live objects in both directions; it is what
+    makes getOrCreate idempotent and what lets parsing recover the id of
+    an object seen before.  A registered id need not be the object's model
+    key: an object created directly in the model (say ``new Dog dog9``)
+    keeps the key ``dog9`` but, on first parse, is registered, stored and
+    shipped under a minted id such as ``dog1``.
     """
 
     def __init__(self, schema: MetaModel, reference_year=DEFAULT_REFERENCE_YEAR):
         self.schema = schema
         self.reference_year = check_reference_year(reference_year)
+        self.bindings = bind(schema)
         self.model = InstanceModel(schema)
         self.store = EventStore()
-        self._objects_by_id: dict[str, dict[str, DynamicObject]] = {}
+        self._objects: dict[str, DynamicObject] = {}
         self._id_of_object: dict[DynamicObject, str] = {}
-        self._class_of_id: dict[str, str] = {}
         self._id_counters: dict[str, int] = {}
 
     # -- registry -----------------------------------------------------
 
-    def _register(self, class_name, obj_id, obj):
-        owner = self._class_of_id.get(obj_id)
-        if owner is not None and owner != class_name:
-            raise ModelError(
-                f"id {obj_id!r} already registered for class {owner}, "
-                f"cannot reuse it for {class_name}"
-            )
-        self._objects_by_id.setdefault(class_name, {})[obj_id] = obj
+    def _register(self, obj_id, obj):
+        self._objects[obj_id] = obj
         self._id_of_object[obj] = obj_id
-        self._class_of_id[obj_id] = class_name
 
     def registered_id(self, obj) -> str | None:
         return self._id_of_object.get(obj)
@@ -95,18 +93,16 @@ class Editor:
         """Return the registered object for (class, id), creating a fresh
         all-UNSET object on first sight.  Calling it repeatedly with one
         id always yields the same object."""
-        by_id = self._objects_by_id.get(class_name)
-        if by_id is not None:
-            obj = by_id.get(obj_id)
-            if obj is not None:
-                return obj
-        owner = self._class_of_id.get(obj_id)
-        if owner is not None:
-            raise ModelError(
-                f"id {obj_id!r} already belongs to class {owner}, requested {class_name}"
-            )
+        obj = self._objects.get(obj_id)
+        if obj is not None:
+            if obj.class_name != class_name:
+                raise ModelError(
+                    f"id {obj_id!r} already belongs to class {obj.class_name}, "
+                    f"requested {class_name}"
+                )
+            return obj
         obj = self.model.new_object(class_name, obj_id)
-        self._register(class_name, obj_id, obj)
+        self._register(obj_id, obj)
         return obj
 
     def id_for(self, obj: DynamicObject) -> str:
@@ -123,11 +119,11 @@ class Editor:
         prefix = obj.class_name.lower()
         counter = self._id_counters.get(obj.class_name, 1)
         fresh = f"{prefix}{counter}"
-        while fresh in self._class_of_id or fresh in self.model.objects:
+        while fresh in self._objects or fresh in self.model.objects:
             counter += 1
             fresh = f"{prefix}{counter}"
         self._id_counters[obj.class_name] = counter + 1
-        self._register(obj.class_name, fresh, obj)
+        self._register(fresh, obj)
         return fresh
 
     # -- execution ----------------------------------------------------
@@ -158,7 +154,7 @@ class Editor:
     def adopt_model(self, model: InstanceModel):
         """Take ownership of an externally built model.
 
-        Resets store and registries, validates the objects against this
+        Resets store and registry, validates the objects against this
         editor's schema, and registers every object under its own id."""
         probe = InstanceModel(self.schema)
         probe.objects = model.objects
@@ -166,70 +162,51 @@ class Editor:
         model.schema = self.schema
         self.model = model
         self.store = EventStore()
-        self._objects_by_id = {}
-        self._id_of_object = {}
-        self._class_of_id = {}
+        self._objects = dict(model.objects)
+        self._id_of_object = {obj: obj_id for obj_id, obj in model.objects.items()}
         self._id_counters = {}
-        for obj in model.objects.values():
-            self._register(obj.class_name, obj.id, obj)
 
     # -- parsing ------------------------------------------------------
 
     def parse_model(self) -> list[Command]:
         """Derive and execute the commands that reproduce the current model.
 
-        Visits Persons first, then Dogs (registered objects in registry
-        insertion order, then unregistered ones in model order), executes
-        each derived command, and returns the resulting store contents."""
-        persons: list[DynamicObject] = []
-        dogs: list[DynamicObject] = []
-        for class_name, bucket in (("Person", persons), ("Dog", dogs)):
-            registered = self._objects_by_id.get(class_name, {})
-            bucket.extend(registered.values())
-            for obj in self.model.objects.values():
-                if obj.class_name == class_name and obj not in self._id_of_object:
-                    bucket.append(obj)
-        claimed = len(persons) + len(dogs)
-        if claimed != len(self.model.objects):
-            for obj in self.model.objects.values():
-                if obj.class_name not in ("Person", "Dog"):
-                    raise ModelError(
-                        f"cannot parse object {obj.id!r} of class {obj.class_name!r}"
-                    )
-        for obj in persons:
-            self.execute(self.parse_person(obj))
-        for obj in dogs:
-            self.execute(self.parse_dog(obj))
+        Visits classes in kind order, persons first (registered objects in
+        registry insertion order, then unregistered ones in model order),
+        executes each derived command, and returns the resulting store
+        contents."""
+        buckets: dict[str, list[DynamicObject]] = {kind: [] for kind in SPECS}
+        unregistered = [o for o in self.model.objects.values() if o not in self._id_of_object]
+        for obj in [*self._objects.values(), *unregistered]:
+            buckets[_kind_of(obj)].append(obj)
+        for bucket in buckets.values():
+            for obj in bucket:
+                self.execute(self.parse(obj))
         return self.store.commands()
 
-    def _parse_common(self, obj):
-        attrs = self.schema.cls(obj.class_name).attributes
-        name = obj.attributes.get("name") if "name" in attrs else None
-        age = None
-        if "age" in attrs and obj.attributes.get("age") is not None:
-            age = obj.attributes["age"]
-        elif "ybirth" in attrs and obj.attributes.get("ybirth") is not None:
-            age = self.reference_year - obj.attributes["ybirth"]
-        return name, age
+    def parse(self, obj: DynamicObject) -> Command:
+        """The command that reproduces one object.
 
-    def parse_person(self, obj: DynamicObject) -> Command:
-        name, age = self._parse_common(obj)
-        return have_person(self.id_for(obj), name=name, age=age)
-
-    def parse_dog(self, obj: DynamicObject) -> Command:
-        dog_id = self.id_for(obj)
-        cls = self.schema.cls("Dog")
-        name = obj.attributes.get("name") if "name" in cls.attributes else None
-        if "age" in cls.attributes:
-            age = obj.attributes.get("age")
+        The age comes from ``age``, else from ``referenceYear - ybirth``;
+        when the schema declares neither, it is recovered from the command
+        that produced this object, if there is one."""
+        kind = _kind_of(obj)
+        _, has_name, has_age, has_ybirth, owner_target = self.bindings[kind]
+        obj_id = self.id_for(obj)
+        values = obj.attributes
+        name = values.get("name") if has_name else None
+        if has_age or has_ybirth:
+            age = values.get("age") if has_age else None
+            if age is None and has_ybirth and values.get("ybirth") is not None:
+                age = self.reference_year - values["ybirth"]
         else:
-            # The schema variant dropped the attribute; recover the value
-            # from the command that produced this dog, if there is one.
-            old = self.store.get(dog_id)
-            age = old.age if old is not None and old.kind == HAVE_DOG else None
+            # The schema variant cannot hold an age; recover the value
+            # from the command that produced this object, if there is one.
+            old = self.store.get(obj_id)
+            age = old.age if old is not None and old.kind == kind else None
         owner_id = None
-        if "owner" in cls.references:
+        if owner_target is not None:
             target_id = obj.references.get("owner")
             if target_id is not None:
                 owner_id = self.id_for(self.model.objects[target_id])
-        return have_dog(dog_id, owner_id=owner_id, name=name, age=age)
+        return Command(kind, obj_id, name=name, age=age, owner_id=owner_id)

@@ -25,7 +25,6 @@ class Scenario:
     name: str
     m1_schema: MetaModel
     m2_schema: MetaModel
-    notes: str = ""
 
 
 BASE_SCHEMA_TEXT = """\
@@ -63,23 +62,20 @@ def _base_schema(name="m1"):
 
 
 SCENARIOS: dict[str, Scenario] = {
-    "identity": Scenario(
+    "identity": Scenario(  # both sides use the same schema
         "identity",
         _base_schema(),
         _base_schema("m2"),
-        notes="both sides use the same schema",
     ),
-    "ybirth": Scenario(
+    "ybirth": Scenario(  # target stores year of birth instead of age
         "ybirth",
         _base_schema(),
         load_schema(YBIRTH_SCHEMA_TEXT, name="m2"),
-        notes="target stores year of birth instead of age",
     ),
-    "dog-no-age": Scenario(
+    "dog-no-age": Scenario(  # target drops the dog's age attribute
         "dog-no-age",
         _base_schema(),
         load_schema(DOG_NO_AGE_SCHEMA_TEXT, name="m2"),
-        notes="target drops the dog's age attribute",
     ),
 }
 

@@ -1,0 +1,55 @@
+"""The names the traced benchmark run (perfbench/run.py --trace 1) wraps.
+
+The tracer replaces these attributes for the length of a traced
+operation, so each must exist and be looked up by its callers at call
+time; a rename would otherwise break only the traced benchmark.
+"""
+
+import pytest
+
+import evmigrate
+from evmigrate import commands, sync
+from evmigrate.commands import Command
+from evmigrate.editor import Editor
+from evmigrate.metamodel import InstanceModel
+
+from conftest import data_text
+
+
+@pytest.mark.parametrize(
+    "owner, attr",
+    [
+        (commands, "run"),
+        (sync, "encode_log"),
+        (sync, "decode_log"),
+        (Editor, "adopt_model"),
+        (Editor, "parse_model"),
+        (Editor, "merge_all"),
+        (InstanceModel, "validate"),
+        (Command, "target_class"),
+        (evmigrate.MigrationSession, "create"),
+        (evmigrate, "decode_model"),
+        (evmigrate, "encode_model"),
+        (evmigrate, "migrate_forward"),
+        (evmigrate, "apply_mutations"),
+        (evmigrate, "migrate_backward"),
+    ],
+)
+def test_wrapped_name_exists(owner, attr):
+    assert hasattr(owner, attr)
+
+
+def test_run_is_looked_up_at_call_time(monkeypatch):
+    calls = []
+    original = commands.run
+
+    def counting_run(cmd, editor):
+        calls.append(cmd)
+        return original(cmd, editor)
+
+    monkeypatch.setattr(commands, "run", counting_run)
+    session = evmigrate.MigrationSession.for_scenario("ybirth")
+    model = evmigrate.decode_model(data_text("pets.inst"), session.m1.schema)
+    evmigrate.migrate_forward(session, model)
+    # each side executed every command once: m1 while parsing, m2 while merging
+    assert len(calls) == len(session.m1.store) + len(session.m2.store) == 4

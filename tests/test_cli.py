@@ -142,41 +142,47 @@ class TestCheck:
 
 class TestLawOracleCatchesBrokenImplementations:
     def test_non_overwriting_person_run_detected(self, monkeypatch):
-        original = commands_mod.run_have_person
+        original = commands_mod.run
 
         def appending_run(cmd, editor):
+            if cmd.kind != commands_mod.HAVE_PERSON:
+                return original(cmd, editor)
             person = editor.get_or_create("Person", cmd.id)
             if cmd.name is not None:
                 old = person.attributes.get("name", "")
                 editor.model.set_attribute(person, "name", old + cmd.name)
             return cmd.id
 
-        monkeypatch.setattr(commands_mod, "run_have_person", appending_run)
+        monkeypatch.setattr(commands_mod, "run", appending_run)
         report = check_overwrite(seed=3, cases=60)
         assert report.failures > 0
         assert "replay" in report.first_failure
-        monkeypatch.setattr(commands_mod, "run_have_person", original)
+        monkeypatch.setattr(commands_mod, "run", original)
         assert check_overwrite(seed=3, cases=60).failures == 0
 
     def test_duplicate_creating_dog_run_detected(self, monkeypatch):
+        original = commands_mod.run
+
         def duplicating_run(cmd, editor):
+            if cmd.kind != commands_mod.HAVE_DOG:
+                return original(cmd, editor)
             # ignores the registry: every execution makes a new object
             fresh = f"{cmd.id}+{len(editor.model.objects)}"
             editor.model.new_object("Dog", fresh)
             return cmd.id
 
-        monkeypatch.setattr(commands_mod, "run_have_dog", duplicating_run)
+        monkeypatch.setattr(commands_mod, "run", duplicating_run)
         assert check_overwrite(seed=5, cases=60).failures > 0
 
     def test_lossy_conversion_detected_by_roundtrip(self, monkeypatch):
-        original = commands_mod.run_have_person
+        original = commands_mod.run
 
         def truncating_run(cmd, editor):
-            if cmd.age is not None:
+            if cmd.kind == commands_mod.HAVE_PERSON and cmd.age is not None:
                 cmd = commands_mod.have_person(cmd.id, name=cmd.name, age=(cmd.age // 10) * 10)
             return original(cmd, editor)
 
-        monkeypatch.setattr(commands_mod, "run_have_person", truncating_run)
+        monkeypatch.setattr(commands_mod, "run", truncating_run)
         assert check_roundtrip(seed=11, cases=60).failures > 0
 
 

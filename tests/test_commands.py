@@ -133,5 +133,5 @@ def test_age_ybirth_involution(age, year):
     ed = Editor(schema, reference_year=year)
     ed.execute(have_person("p1", age=age))
     assert ed.model.get("p1").attributes["ybirth"] == year - age
-    recovered = ed.parse_person(ed.model.get("p1"))
+    recovered = ed.parse(ed.model.get("p1"))
     assert recovered.age == age

@@ -75,6 +75,21 @@ class TestExecute:
         assert base_editor.store.get("x1") is None
 
 
+class TestConstruction:
+    @pytest.mark.parametrize(
+        "schema_text, attribute",
+        [
+            ("class Person\n  attr name int\n", "Person.name"),
+            ("class Dog\n  attr age string\n", "Dog.age"),
+        ],
+        ids=["Person.name", "Dog.age"],
+    )
+    def test_misdeclared_attribute_kind_rejected(self, schema_text, attribute):
+        # rejected when the editor is built, before any command runs
+        with pytest.raises(ModelError, match=attribute):
+            Editor(load_schema(schema_text))
+
+
 class TestMergeAll:
     def test_empty_merge_is_noop(self, base_editor):
         base_editor.execute(have_person("p1", name="A"))
@@ -189,17 +204,17 @@ class TestParsePerson:
     def test_ybirth_branch(self, ybirth_editor):
         p = ybirth_editor.get_or_create("Person", "p1")
         ybirth_editor.model.set_attribute(p, "ybirth", 1997)
-        cmd = ybirth_editor.parse_person(p)
+        cmd = ybirth_editor.parse(p)
         assert cmd.age == 23
 
     def test_age_branch(self, base_editor):
         p = base_editor.get_or_create("Person", "p1")
         base_editor.model.set_attribute(p, "age", 23)
-        assert base_editor.parse_person(p).age == 23
+        assert base_editor.parse(p).age == 23
 
     def test_stub_parses_to_all_unset(self, base_editor):
         p = base_editor.get_or_create("Person", "p1")
-        cmd = base_editor.parse_person(p)
+        cmd = base_editor.parse(p)
         assert cmd == have_person("p1")
 
 
@@ -209,33 +224,33 @@ class TestParseDog:
         ed.execute(have_dog("d1", name="Rex", age=4))  # as arrived from the source side
         dog = ed.model.get("d1")
         assert "age" not in dog.attributes  # schema cannot hold it
-        cmd = ed.parse_dog(dog)
+        cmd = ed.parse(dog)
         assert cmd.age == 4
 
     def test_fresh_dog_without_old_command(self, dog_no_age_schema):
         ed = Editor(dog_no_age_schema)
         dog = ed.model.new_object("Dog", "temp")
         ed.model.set_attribute(dog, "name", "Fifi")
-        cmd = ed.parse_dog(dog)
+        cmd = ed.parse(dog)
         assert cmd.age is None
         assert cmd.name == "Fifi"
 
     def test_direct_read_when_schema_has_age(self, base_editor):
         ed = base_editor
         ed.execute(have_dog("d1", name="Rex", age=4))
-        assert ed.parse_dog(ed.model.get("d1")).age == 4
+        assert ed.parse(ed.model.get("d1")).age == 4
 
     def test_declared_but_unset_age_is_not_recovered(self, base_editor):
         # recovery applies only when the schema lacks the attribute
         base_editor.execute(have_dog("d1", name="Rex", age=4))
         dog = base_editor.model.get("d1")
         del dog.attributes["age"]  # simulate an external clear
-        assert base_editor.parse_dog(dog).age is None
+        assert base_editor.parse(dog).age is None
 
     def test_owner_id_from_reference(self, base_editor):
         base_editor.execute(have_person("p1", name="A"))
         base_editor.execute(have_dog("d1", owner_id="p1", name="Rex"))
-        cmd = base_editor.parse_dog(base_editor.model.get("d1"))
+        cmd = base_editor.parse(base_editor.model.get("d1"))
         assert cmd.owner_id == "p1"
 
 

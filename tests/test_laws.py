@@ -98,14 +98,16 @@ def test_commutativity_oracle_catches_missing_stub_creation(monkeypatch):
     from evmigrate import commands as commands_mod
     from evmigrate.checks import check_commutativity
 
+    original = commands_mod.run
+
     def no_stub_run(cmd, editor):
-        dog = editor.get_or_create("Dog", cmd.id)
-        commands_mod._fill_attributes(editor, dog, cmd.name, cmd.age)
-        if cmd.owner_id is not None:
-            existing = editor._objects_by_id.get("Person", {}).get(cmd.owner_id)
-            if existing is not None:
-                editor.model.set_reference(dog, "owner", existing.id)
+        if cmd.kind != commands_mod.HAVE_DOG or cmd.owner_id is None:
+            return original(cmd, editor)
+        original(commands_mod.have_dog(cmd.id, name=cmd.name, age=cmd.age), editor)
+        owner = editor.model.get(cmd.owner_id)
+        if owner is not None:
+            editor.model.set_reference(editor.model.get(cmd.id), "owner", owner.id)
         return cmd.id
 
-    monkeypatch.setattr(commands_mod, "run_have_dog", no_stub_run)
+    monkeypatch.setattr(commands_mod, "run", no_stub_run)
     assert check_commutativity(seed=2, cases=80, max_commands=4).failures > 0

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from evmigrate import (
+    Editor,
     FormatError,
     InstanceModel,
     MigrationSession,
@@ -11,6 +12,7 @@ from evmigrate import (
     copy_model,
     decode_model,
     encode_model,
+    load_schema,
     migrate_backward,
     migrate_forward,
     model_equals,
@@ -100,6 +102,51 @@ class TestMigrateBackward:
         apply_mutations(s.m2.model, "set p1 ybirth 1990\n")
         back = migrate_backward(s)
         assert back.get("p1").attributes["age"] == 30  # 2020 - 1990
+
+
+#: how m2 holds an age: declared attribute line, the edit made on m2, and
+#: the age m1 must end up with (pets.inst has Alice 23 and Rex 4)
+_AGE_VARIANTS = {
+    "age": ("  attr age int\n", "set {} age {}\n", lambda new, old: new),
+    "ybirth": ("  attr ybirth int\n", "set {} ybirth {}\n", lambda new, old: new),
+    "neither": ("", "", lambda new, old: old),
+}
+
+
+class TestSchemaVariants:
+    """GetPut on every m2 that replaces Person's and Dog's age by age,
+    ybirth or nothing: what m2 can hold comes back edited, the rest comes
+    back from m1's event store, and that store alone rebuilds m1."""
+
+    @pytest.mark.parametrize("dog_age", sorted(_AGE_VARIANTS))
+    @pytest.mark.parametrize("person_age", sorted(_AGE_VARIANTS))
+    def test_edit_on_m2_roundtrips(self, person_age, dog_age):
+        person_line, person_edit, person_expect = _AGE_VARIANTS[person_age]
+        dog_line, dog_edit, dog_expect = _AGE_VARIANTS[dog_age]
+        m1_schema = SCENARIOS["identity"].m1_schema
+        m2_schema = load_schema(
+            "class Person\n  attr name string\n" + person_line
+            + "class Dog\n  attr name string\n" + dog_line + "  ref owner -> Person one\n",
+            name="m2",
+        )
+        s = MigrationSession.create(m1_schema, m2_schema)
+        migrate_forward(s, pets_model(m1_schema))
+        edits = "set p1 name Bob\nset d1 name Odie\n"
+        edits += person_edit.format("p1", 30 if person_age == "age" else 1990)
+        edits += dog_edit.format("d1", 10 if dog_age == "age" else 2010)
+        apply_mutations(s.m2.model, edits)
+        back = migrate_backward(s)
+        assert back.get("p1").attributes == {"name": "Bob", "age": person_expect(30, 23)}
+        assert back.get("d1").attributes == {"name": "Odie", "age": dog_expect(10, 4)}
+        assert back.get("d1").references == {"owner": "p1"}
+        replayed = Editor(m1_schema)
+        replayed.merge_all(s.m1.store.commands())
+        assert model_equals(replayed.model, back)
+        # a fresh forward from m2's schema reads every age m2 can hold
+        fresh = MigrationSession.create(m2_schema, m1_schema)
+        m1_again = migrate_forward(fresh, copy_model(s.m2.model))
+        assert m1_again.get("d1").attributes.get("age") == dog_expect(10, None)
+        assert m1_again.get("p1").attributes.get("age") == person_expect(30, None)
 
 
 class TestApplyMutations:
