@@ -10,24 +10,35 @@ Law boundaries honoured by the generators:
     than clearing, so a partial second command is not an overwrite, and a
     dangling ownerId would leave a stub the single-command run lacks;
   - commutativity sets use pairwise-distinct target ids (stub creation is
-    order-insensitive, so ownerIds there may point anywhere).
+    order-insensitive, so ownerIds there may point anywhere);
+  - delta cases edit m2 only through mutation scripts and leave m1 alone
+    between forward and backward: a ship that carries only the changed
+    entries keeps edits made to m1 in that time, a full ship would not.
 """
 
 from __future__ import annotations
 
+import copy
 import itertools
 import random
 from dataclasses import dataclass
 
-from .commands import HAVE_DOG, HAVE_PERSON, have_dog, have_person
+from .codec import decode_log, encode_log
+from .commands import HAVE_DOG, HAVE_PERSON, SPECS, have_dog, have_person
 from .editor import Editor
 from .errors import MigrationError
 from .metamodel import InstanceModel, KIND_INT, copy_model, model_equals
-from .sync import SCENARIOS, MigrationSession, migrate_backward, migrate_forward
+from .sync import (
+    SCENARIOS,
+    MigrationSession,
+    apply_mutations,
+    migrate_backward,
+    migrate_forward,
+)
 
 _NAME_ALPHABET = "abcdefghijklmnopqrstuvwxyzABCDEFGH 0123456789-_:"
 
-LAWS = ("overwrite", "commutativity", "roundtrip")
+LAWS = ("overwrite", "commutativity", "roundtrip", "delta")
 
 
 @dataclass
@@ -198,6 +209,70 @@ def roundtrip_case(rng, scenario=None) -> bool:
     return model_equals(result, snapshot)
 
 
+def random_mutations(rng, model, max_lines=6) -> str:
+    """A mutation script valid on ``model``: ``set`` (about 55 % of the
+    lines), ``new`` (25 %) and ``link`` (20 %, where a reference exists)."""
+    schema = model.schema
+    class_of = {obj_id: obj.class_name for obj_id, obj in model.objects.items()}
+    lines = []
+    for n in range(1, rng.randint(0, max_lines) + 1):
+        roll = rng.random()
+        if roll < 0.25 or not class_of:
+            class_name = rng.choice(list(schema.classes))
+            class_of[f"new_{n}"] = class_name
+            lines.append(f"new {class_name} new_{n}")
+            continue
+        obj_id = rng.choice(list(class_of))
+        cls = schema.cls(class_of[obj_id])
+        if roll < 0.8 and cls.attributes:
+            adef = rng.choice(list(cls.attributes.values()))
+            value = rng.randint(0, 150) if adef.kind == KIND_INT else random_name(rng)
+            lines.append(f"set {obj_id} {adef.name} {value}")
+        elif cls.references:
+            rdef = rng.choice(list(cls.references.values()))
+            pool = [i for i, c in class_of.items() if c == rdef.target]
+            if pool:
+                lines.append(f"link {obj_id} {rdef.name} {rng.choice(pool)}")
+    return "".join(line + "\n" for line in lines)
+
+
+def _copy_session(session) -> MigrationSession:
+    """A deep copy that shares the (immutable) schemas and bindings."""
+    shared = {}
+    for editor in (session.m1, session.m2):
+        shared[id(editor.schema)] = editor.schema
+        shared[id(editor.bindings)] = editor.bindings
+    return copy.deepcopy(session, shared)
+
+
+def _parse_every_object(editor):
+    """``Editor.parse_model`` without its skip of unchanged commands:
+    execute and store the command derived for every object, persons
+    first and each class in model order, the order new ids are minted in."""
+    for class_name, _ in SPECS.values():
+        for obj in list(editor.model.objects.values()):
+            if obj.class_name == class_name:
+                editor.execute(editor.parse(obj))
+
+
+def delta_case(rng, scenario=None) -> bool:
+    """A backward that ships only the changed entries leaves m1 as a full
+    ship would: m2's whole store, derived afresh for every object, then
+    encoded, decoded and merged into a copy of m1 taken before the
+    backward.  Both m1 model and m1 store must match."""
+    if scenario is None:
+        scenario = SCENARIOS[rng.choice(sorted(SCENARIOS))]
+    session = MigrationSession.create(scenario.m1_schema, scenario.m2_schema)
+    migrate_forward(session, random_model(rng, scenario.m1_schema))
+    apply_mutations(session.m2.model, random_mutations(rng, session.m2.model))
+    full = _copy_session(session)
+    migrate_backward(session)
+    _parse_every_object(full.m2)
+    text = encode_log(full.m2.store, full.reference_year)
+    full.m1.merge_all(decode_log(text).commands)
+    return model_equals(session.m1.model, full.m1.model) and session.m1.store == full.m1.store
+
+
 def _run_law(law, case_fn, seed, cases) -> LawReport:
     failures = 0
     first = None
@@ -229,9 +304,14 @@ def check_roundtrip(seed, cases) -> LawReport:
     return _run_law("roundtrip", roundtrip_case, seed, cases)
 
 
+def check_delta(seed, cases) -> LawReport:
+    return _run_law("delta", delta_case, seed, cases)
+
+
 def run_all(seed, cases, max_commands=5) -> list[LawReport]:
     return [
         check_overwrite(seed, cases),
         check_commutativity(seed, cases, max_commands=max_commands),
         check_roundtrip(seed, cases),
+        check_delta(seed, cases),
     ]

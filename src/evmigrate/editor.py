@@ -3,7 +3,8 @@
 An editor executes commands, merges incoming command sets, and parses a
 bare object model back into the commands that would reproduce it.  The
 event store keeps exactly one command per target id; a newer command for
-an id replaces the older one after executing.
+an id replaces the older one after executing.  It also knows which of
+its entries the peer editor has not been sent yet.
 """
 
 from __future__ import annotations
@@ -36,11 +37,20 @@ def _kind_of(obj: DynamicObject) -> str:
 
 
 class EventStore:
-    """Commands keyed by target object id; a set, no observable order."""
+    """Commands keyed by target object id; a set, no observable order.
+
+    The store also tracks which entries the peer editor has not seen yet:
+    ``put`` marks its id unshipped, ``put_received`` (for a command that
+    came from the peer) marks it shipped, and a ship sends ``unshipped()``
+    and then calls ``mark_shipped()``.  By the overwrite law the peer
+    needs no other entry; by the commutativity law it may apply them in
+    any order.
+    """
 
     def __init__(self):
         self._entries: dict[str, Command] = {}
-        self._ordered: list[Command] | None = None  # canonical order, dropped by put
+        self._ordered: list[Command] | None = None  # canonical order, dropped by any put
+        self._unshipped: dict[str, Command] = {}  # entries the peer lacks
 
     def __len__(self):
         return len(self._entries)
@@ -54,8 +64,18 @@ class EventStore:
         return self._entries.get(obj_id)
 
     def put(self, cmd: Command):
+        """Insert or replace the entry for ``cmd.id``, to be shipped."""
         self._entries[cmd.id] = cmd
         self._ordered = None
+        self._unshipped[cmd.id] = cmd
+
+    def put_received(self, cmd: Command):
+        """Insert or replace the entry for ``cmd.id`` with a command the
+        peer sent, so it already holds it: the id no longer ships."""
+        self._entries[cmd.id] = cmd
+        self._ordered = None
+        if self._unshipped:
+            self._unshipped.pop(cmd.id, None)
 
     def commands(self) -> list[Command]:
         """Snapshot in canonical (kind, id) order.  The order is kept until
@@ -66,6 +86,25 @@ class EventStore:
 
     def snapshot(self) -> dict[str, Command]:
         return dict(self._entries)
+
+    def unshipped(self) -> EventStore:
+        """The entries the peer has not seen, as a store to read: this
+        store itself when that is every entry (as after a parse of a newly
+        adopted model), else a new one."""
+        if len(self._unshipped) == len(self._entries):
+            return self
+        delta = EventStore()
+        delta._entries = dict(self._unshipped)
+        return delta
+
+    def mark_shipped(self):
+        """The peer now holds every entry."""
+        self._unshipped = {}
+
+    def mark_unshipped(self):
+        """The peer holds none of the entries, say because its store
+        restarted empty."""
+        self._unshipped = dict(self._entries)
 
 
 class Editor:
@@ -139,7 +178,8 @@ class Editor:
     # -- execution ----------------------------------------------------
 
     def execute(self, cmd: Command) -> str:
-        """Run the command, then insert/replace its store entry."""
+        """Run the command, then insert/replace its store entry (to be
+        shipped to the peer)."""
         _commands.run(cmd, self)
         self.store.put(cmd)
         return cmd.id
@@ -148,7 +188,9 @@ class Editor:
         """Execute incoming commands in deterministic (class, id) order.
 
         Order does not affect the outcome for distinct-id sets, but a
-        fixed order keeps transcripts reproducible.  The first failing
+        fixed order keeps transcripts reproducible.  The commands come
+        from the peer, so they are stored with ``put_received``: each
+        replaces any unshipped entry for its id.  The first failing
         command aborts the merge."""
         store = self.store
         for cmd in sorted(incoming, key=_merge_order):
@@ -158,7 +200,7 @@ class Editor:
                 raise MergeError(
                     f"merge failed on {cmd.kind} id={cmd.id!r}: {e}", command=cmd
                 ) from e
-            store.put(cmd)
+            store.put_received(cmd)
 
     # -- adoption -----------------------------------------------------
 
@@ -180,12 +222,16 @@ class Editor:
     # -- parsing ------------------------------------------------------
 
     def parse_model(self) -> list[Command]:
-        """Derive and execute the commands that reproduce the current model.
+        """Derive the commands that reproduce the current model; execute
+        and store those that differ from the stored ones.
 
         Visits classes in kind order, persons first (registered objects in
-        registry insertion order, then unregistered ones in model order),
-        executes each derived command, and returns the resulting store
-        contents."""
+        registry insertion order, then unregistered ones in model order).
+        A derived command equal to the stored one is neither run nor put
+        again, so it ships only if it was already waiting to; the model
+        already holds its values, except
+        that a schema declaring both age and ybirth keeps a ybirth edited
+        without its age.  Returns the whole store in canonical order."""
         buckets: dict[str, list[DynamicObject]] = {kind: [] for kind in SPECS}
         for obj in self.registry.values():
             buckets[_kind_of(obj)].append(obj)
@@ -196,9 +242,10 @@ class Editor:
         store = self.store
         for kind, bucket in buckets.items():
             for obj in bucket:
-                cmd = self._parse(obj, kind)
-                _commands.run(cmd, self)
-                store.put(cmd)
+                cmd, changed = self._parse(obj, kind)
+                if changed:
+                    _commands.run(cmd, self)
+                    store.put(cmd)
         return store.commands()
 
     def parse(self, obj: DynamicObject) -> Command:
@@ -207,9 +254,11 @@ class Editor:
         The age comes from ``age``, else from ``referenceYear - ybirth``;
         when the schema declares neither, it is recovered from the command
         that produced this object, if there is one."""
-        return self._parse(obj, _kind_of(obj))
+        return self._parse(obj, _kind_of(obj))[0]
 
-    def _parse(self, obj: DynamicObject, kind) -> Command:
+    def _parse(self, obj: DynamicObject, kind) -> tuple[Command, bool]:
+        """The command for ``obj`` and whether it differs from the stored
+        one (an unchanged object yields the stored command itself)."""
         _, has_name, has_age, has_ybirth, owner_ref = self.bindings[kind]
         obj_id = self._id_of_object.get(obj) or self.id_for(obj)
         old = self.store.get(obj_id)
@@ -228,9 +277,16 @@ class Editor:
         owner_id = None
         if owner_ref is not None:
             target_id = obj.references.get("owner")
+            if owner_ref.many and target_id is not None:
+                if len(target_id) > 1:
+                    raise ModelError(
+                        f"object {obj.id!r} has {len(target_id)} owners; "
+                        f"{kind} carries at most one ownerId"
+                    )
+                target_id = target_id[0] if target_id else None
             if target_id is not None:
                 target = self.model.objects[target_id]
                 owner_id = self._id_of_object.get(target) or self.id_for(target)
-        if old is not None and old.name is name and old.age is age and old.owner_id is owner_id:
-            return old  # the same value objects as the stored command
-        return Command(kind, obj_id, name, age, owner_id)
+        if old is not None and old.name == name and old.age == age and old.owner_id == owner_id:
+            return old, False
+        return Command(kind, obj_id, name, age, owner_id), True

@@ -2,13 +2,23 @@
 
 Forward: adopt the source model, parse it into commands, ship the encoded
 log, merge on the target.  Backward: re-parse the (possibly externally
-modified) target model, merge the new commands into the target's own
-store, ship, merge on the source.  Shipping always goes through the wire
-text even in-process, so the serialized path stays exercised.
+modified) target model, store the commands that changed, ship, merge on
+the source.  Shipping always goes through the wire text even in-process,
+so the serialized path stays exercised.
+
+A ship carries only the sender's store entries that changed since the
+last exchange (a delta is just a shorter log, still ``format: 1``).  The
+overwrite law means the receiver needs nothing else; the commutativity
+law means the entries may arrive in any order.  A forward starts from the
+freshly adopted, and so empty, store of m1 and ships all of it.  One
+consequence: edits made to m1's model after a forward, outside the
+commands m2 sends back, survive a backward on every object m2 did not
+change, where a full ship used to overwrite them.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 
 from .codec import decode_log, encode_log
@@ -80,15 +90,19 @@ SCENARIOS: dict[str, Scenario] = {
 }
 
 
+#: how many of the latest wire texts a session keeps
+TRANSCRIPT_LIMIT = 4
+
+
 @dataclass
 class MigrationSession:
-    """Two editors plus the shared reference year; transcripts of the wire
-    texts are kept for inspection."""
+    """Two editors plus the shared reference year; the latest wire texts
+    (at most ``TRANSCRIPT_LIMIT``, oldest first) are kept for inspection."""
 
     m1: Editor
     m2: Editor
     reference_year: int = DEFAULT_REFERENCE_YEAR
-    transcripts: list[str] = field(default_factory=list)
+    transcripts: deque[str] = field(default_factory=lambda: deque(maxlen=TRANSCRIPT_LIMIT))
 
     @classmethod
     def create(cls, m1_schema, m2_schema, reference_year=DEFAULT_REFERENCE_YEAR):
@@ -110,7 +124,9 @@ class MigrationSession:
 
 
 def _ship(session: MigrationSession, sender: Editor, receiver: Editor) -> str:
-    text = encode_log(sender.store, session.reference_year)
+    """Send the receiver the sender's unshipped entries.  They stay
+    unshipped until the receiver has merged them all."""
+    text = encode_log(sender.store.unshipped(), session.reference_year)
     doc = decode_log(text)
     if doc.reference_year != receiver.reference_year:
         raise FormatError(
@@ -118,6 +134,7 @@ def _ship(session: MigrationSession, sender: Editor, receiver: Editor) -> str:
             f"receiver expects {receiver.reference_year}"
         )
     receiver.merge_all(doc.commands)
+    sender.store.mark_shipped()
     session.transcripts.append(text)
     return text
 
@@ -126,13 +143,16 @@ def migrate_forward(session: MigrationSession, m1_input: InstanceModel) -> Insta
     """Adopt the input on m1, parse it, ship the log to m2; returns m2's model."""
     session.m1.adopt_model(m1_input)
     session.m1.parse_model()
+    # m1's store restarted empty, so whatever m2 holds beyond this ship is
+    # new to m1 again (nothing, in a fresh session)
+    session.m2.store.mark_unshipped()
     _ship(session, session.m1, session.m2)
     return session.m2.model
 
 
 def migrate_backward(session: MigrationSession) -> InstanceModel:
-    """Re-parse m2's (possibly modified) model and ship the updated log
-    back to m1; returns m1's model."""
+    """Re-parse m2's (possibly modified) model and ship what changed back
+    to m1; returns m1's model."""
     session.m2.parse_model()
     _ship(session, session.m2, session.m1)
     return session.m1.model

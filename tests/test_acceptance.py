@@ -220,7 +220,7 @@ def test_criterion_9_check_determinism():
         first.returncode == 0
         and second.returncode == 0
         and first.stdout == second.stdout
-        and first.stdout.count("\n") == 4
+        and first.stdout.count("\n") == 5
     )
     verdict(
         9,

@@ -53,3 +53,29 @@ def test_run_is_looked_up_at_call_time(monkeypatch):
     evmigrate.migrate_forward(session, model)
     # each side executed every command once: m1 while parsing, m2 while merging
     assert len(calls) == len(session.m1.store) + len(session.m2.store) == 4
+
+
+def test_rename_backward_ships_and_runs_one_command(monkeypatch):
+    session = evmigrate.MigrationSession.for_scenario("ybirth")
+    model = evmigrate.decode_model(data_text("pets.inst"), session.m1.schema)
+    evmigrate.migrate_forward(session, model)
+    evmigrate.apply_mutations(session.m2.model, "set d1 name Odie\n")
+    runs, decoded = [], []
+    original_run, original_decode = commands.run, sync.decode_log
+
+    def counting_run(cmd, editor):
+        runs.append(cmd)
+        return original_run(cmd, editor)
+
+    def recording_decode(text):
+        doc = original_decode(text)
+        decoded.append(doc.commands)
+        return doc
+
+    monkeypatch.setattr(commands, "run", counting_run)
+    monkeypatch.setattr(sync, "decode_log", recording_decode)
+    evmigrate.migrate_backward(session)
+    renamed = evmigrate.have_dog("d1", owner_id="p1", name="Odie", age=4)
+    assert decoded == [[renamed]]
+    # m2 ran it while parsing, m1 while merging; the unchanged person ran nowhere
+    assert runs == [renamed, renamed]

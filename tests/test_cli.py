@@ -3,8 +3,8 @@ import sys
 
 import pytest
 
-from evmigrate import commands as commands_mod
-from evmigrate.checks import check_overwrite, check_roundtrip
+from evmigrate import Editor, EventStore, commands as commands_mod
+from evmigrate.checks import check_delta, check_overwrite, check_roundtrip
 from evmigrate.cli import BenchReport, main, run_bench
 
 from conftest import DATA
@@ -127,6 +127,7 @@ class TestCheck:
         assert "check overwrite: cases=20 failures=0" in out
         assert "check commutativity: cases=20 failures=0" in out
         assert "check roundtrip: cases=20 failures=0" in out
+        assert "check delta: cases=20 failures=0" in out
 
     def test_transcripts_are_deterministic(self):
         a = run_cli("check", "--cases", "40", "--seed", "7")
@@ -184,6 +185,35 @@ class TestLawOracleCatchesBrokenImplementations:
 
         monkeypatch.setattr(commands_mod, "run", truncating_run)
         assert check_roundtrip(seed=11, cases=60).failures > 0
+
+    def test_ship_dropping_changed_entries_detected_by_delta(self, monkeypatch):
+        original = EventStore.put
+
+        def put_marking_only_new_ids(store, cmd):
+            # takes an overwritten entry to be known to the peer already
+            if store.get(cmd.id) is None:
+                original(store, cmd)
+            else:
+                store.put_received(cmd)
+
+        monkeypatch.setattr(EventStore, "put", put_marking_only_new_ids)
+        assert check_roundtrip(seed=13, cases=60).failures == 0
+        assert check_delta(seed=13, cases=60).failures > 0
+        monkeypatch.setattr(EventStore, "put", original)
+        assert check_delta(seed=13, cases=60).failures == 0
+
+    def test_parse_skipping_changed_commands_detected_by_delta(self, monkeypatch):
+        def stale_parse_model(editor):
+            # takes every object that has a stored command to be unchanged
+            for obj in list(editor.model.objects.values()):
+                obj_id = editor.registered_id(obj)
+                if obj_id is None or editor.store.get(obj_id) is None:
+                    editor.execute(editor.parse(obj))
+            return editor.store.commands()
+
+        monkeypatch.setattr(Editor, "parse_model", stale_parse_model)
+        assert check_roundtrip(seed=17, cases=60).failures == 0
+        assert check_delta(seed=17, cases=60).failures > 0
 
 
 class TestBench:

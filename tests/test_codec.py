@@ -115,6 +115,13 @@ class TestDecodeLog:
             decode_log(text)
         assert exc.value.line == line
 
+    def test_both_readers_accept_an_empty_commands_section(self):
+        # what a ship sends when nothing changed
+        text = encode_log(EventStore(), 2020)
+        for read in (_decode_canonical, _decode_lines, decode_log):
+            doc = read(text)
+            assert (doc.format_version, doc.reference_year, doc.commands) == (1, 2020, [])
+
     def test_roundtrip_of_golden(self):
         doc = decode_log(GOLDEN_SINGLE)
         assert doc.format_version == 1

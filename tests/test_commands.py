@@ -1,3 +1,5 @@
+import gc
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -11,7 +13,7 @@ from evmigrate import (
     load_schema,
     model_equals,
 )
-from evmigrate.commands import Command, check_reference_year
+from evmigrate.commands import SPECS, Command, canonical_order, check_reference_year
 
 
 class TestCommandInvariants:
@@ -135,3 +137,30 @@ def test_age_ybirth_involution(age, year):
     assert ed.model.get("p1").attributes["ybirth"] == year - age
     recovered = ed.parse(ed.model.get("p1"))
     assert recovered.age == age
+
+
+_commands = st.builds(
+    Command,
+    kind=st.sampled_from(list(SPECS)),
+    id=st.text(alphabet="pd019_", min_size=1, max_size=4),
+)
+
+
+@given(st.lists(_commands, max_size=30))
+def test_canonical_order_is_kind_then_id(cmds):
+    rank = {kind: i for i, kind in enumerate(SPECS)}
+    before = list(cmds)
+    assert canonical_order(cmds) == sorted(cmds, key=lambda c: (rank[c.kind], c.id))
+    assert cmds == before  # the input is left as it was
+
+
+def test_canonical_order_of_a_large_store_runs_no_collection():
+    """Sorting builds no per-command key objects, so a store-wide sort
+    cannot set off the cyclic collector in the middle of a sync."""
+    cmds = [have_dog(f"d{i}", owner_id=f"p{i}") for i in range(10_000, 0, -1)]
+    cmds += [have_person(f"p{i}") for i in range(10_000, 0, -1)]
+    gc.collect()
+    before = gc.get_stats()[0]["collections"]
+    ordered = canonical_order(cmds)
+    assert gc.get_stats()[0]["collections"] == before
+    assert [c.id for c in ordered[:2]] == ["p1", "p10"]

@@ -4,6 +4,7 @@ import pytest
 
 from evmigrate import (
     Editor,
+    EventStore,
     InstanceModel,
     MergeError,
     ModelError,
@@ -15,6 +16,7 @@ from evmigrate import (
     load_schema,
     model_equals,
 )
+from evmigrate import commands
 from evmigrate.checks import seed_commands
 
 from conftest import data_text
@@ -200,6 +202,24 @@ class TestParseModel:
         assert first == second
         assert base_editor.store.snapshot() == {c.id: c for c in first}
 
+    def test_unchanged_objects_are_neither_run_nor_put(
+        self, base_editor, base_schema, monkeypatch
+    ):
+        base_editor.adopt_model(decode_model(data_text("pets.inst"), base_schema))
+        base_editor.parse_model()
+        base_editor.store.mark_shipped()
+        person = base_editor.store.get("p1")
+        runs = []
+        original = commands.run
+        monkeypatch.setattr(commands, "run", lambda cmd, ed: runs.append(cmd) or original(cmd, ed))
+        base_editor.model.get("d1").attributes["name"] = "Odie"
+        cmds = base_editor.parse_model()
+        renamed = have_dog("d1", owner_id="p1", name="Odie", age=4)
+        assert runs == [renamed]
+        assert base_editor.store.unshipped().snapshot() == {"d1": renamed}
+        assert base_editor.store.get("p1") is person
+        assert cmds == [person, renamed]  # still the whole store
+
     def test_unknown_class_rejected(self):
         schema = load_schema(
             "class Person\n  attr name string\nclass Cat\n  attr name string\n"
@@ -262,6 +282,81 @@ class TestParseDog:
         base_editor.execute(have_dog("d1", owner_id="p1", name="Rex"))
         cmd = base_editor.parse(base_editor.model.get("d1"))
         assert cmd.owner_id == "p1"
+
+
+MANY_OWNER_SCHEMA_TEXT = """\
+class Person
+  attr name string
+class Dog
+  attr name string
+  ref owner -> Person many
+"""
+
+
+def many_owner_editor(owners) -> Editor:
+    schema = load_schema(MANY_OWNER_SCHEMA_TEXT)
+    model = InstanceModel(schema)
+    model.new_object("Person", "p1")
+    model.new_object("Person", "p2")
+    dog = model.new_object("Dog", "d1")
+    dog.references["owner"] = list(owners)
+    ed = Editor(schema)
+    ed.adopt_model(model)
+    return ed
+
+
+class TestParseManyOwner:
+    """HaveDog carries one ownerId; a many-valued owner reference fits it
+    only with at most one target."""
+
+    def test_no_owner_ships_no_owner_id(self):
+        ed = many_owner_editor([])
+        ed.parse_model()
+        assert ed.store.get("d1") == have_dog("d1")
+
+    def test_one_owner_ships_its_id(self):
+        ed = many_owner_editor(["p2"])
+        ed.parse_model()
+        assert ed.store.get("d1") == have_dog("d1", owner_id="p2")
+
+    def test_two_owners_rejected_naming_the_object(self):
+        ed = many_owner_editor(["p1", "p2"])
+        with pytest.raises(ModelError, match="'d1' has 2 owners"):
+            ed.parse_model()
+
+
+class TestUnshippedEntries:
+    def test_put_marks_entries_unshipped_until_shipped(self):
+        store = EventStore()
+        store.put(have_person("p1", name="A"))
+        store.put(have_dog("d1", age=4))
+        assert store.unshipped() == store
+        store.mark_shipped()
+        assert len(store.unshipped()) == 0
+        store.put(have_person("p1", name="B"))
+        assert store.unshipped().snapshot() == {"p1": have_person("p1", name="B")}
+        assert len(store) == 2
+
+    def test_entry_from_the_peer_replaces_an_unshipped_one(self):
+        store = EventStore()
+        store.put(have_person("p1", name="A"))
+        store.put_received(have_person("p1", name="B"))
+        assert len(store.unshipped()) == 0
+        assert store.get("p1") == have_person("p1", name="B")
+
+    def test_mark_unshipped_covers_every_entry(self):
+        store = EventStore()
+        store.put_received(have_person("p1"))
+        store.put_received(have_dog("d1"))
+        assert len(store.unshipped()) == 0
+        store.mark_unshipped()
+        assert store.unshipped() == store
+        assert store.unshipped().commands() == store.commands()
+
+    def test_merged_commands_are_shipped_executed_ones_are_not(self, base_editor):
+        base_editor.merge_all([have_person("p1", name="A"), have_dog("d1")])
+        base_editor.execute(have_dog("d2", owner_id="p1"))
+        assert base_editor.store.unshipped().snapshot() == {"d2": have_dog("d2", owner_id="p1")}
 
 
 class TestStoreModelCoherence:

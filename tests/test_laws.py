@@ -5,9 +5,10 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
-from evmigrate import Editor, copy_model, have_dog, have_person, model_equals
+from evmigrate import SCENARIOS, Editor, copy_model, have_dog, have_person, model_equals
 from evmigrate.checks import (
     commutativity_case,
+    delta_case,
     overwrite_case,
     random_distinct_commands,
     roundtrip_case,
@@ -90,6 +91,15 @@ def test_case_generators_pass_on_the_real_implementation(seed):
     assert overwrite_case(random.Random(seed))
     assert commutativity_case(random.Random(seed), rng.randint(1, 4))
     assert roundtrip_case(random.Random(seed))
+
+
+@settings(max_examples=60)
+@given(
+    seed=st.integers(min_value=0, max_value=10_000),
+    scenario=st.sampled_from(sorted(SCENARIOS)),
+)
+def test_delta_ship_equals_full_ship(seed, scenario):
+    assert delta_case(random.Random(seed), SCENARIOS[scenario])
 
 
 def test_commutativity_oracle_catches_missing_stub_creation(monkeypatch):

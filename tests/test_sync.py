@@ -18,7 +18,7 @@ from evmigrate import (
     model_equals,
 )
 from evmigrate.checks import random_model
-from evmigrate.sync import SCENARIOS
+from evmigrate.sync import SCENARIOS, TRANSCRIPT_LIMIT
 
 from conftest import data_text
 
@@ -147,6 +147,59 @@ class TestSchemaVariants:
         m1_again = migrate_forward(fresh, copy_model(s.m2.model))
         assert m1_again.get("d1").attributes.get("age") == dog_expect(10, None)
         assert m1_again.get("p1").attributes.get("age") == person_expect(30, None)
+
+
+EMPTY_LOG = "format: 1\nreferenceYear: 2020\ncommands:\n"
+
+
+class TestDeltaShipping:
+    """A ship carries only the entries changed since the last exchange."""
+
+    def test_forward_ships_the_whole_store(self):
+        s = session_for("ybirth")
+        migrate_forward(s, pets_model(s.m1.schema))
+        assert s.transcripts[0] == data_text("golden_pets.cmdlog")
+
+    def test_backward_without_edits_ships_no_commands(self):
+        s = session_for("ybirth")
+        migrate_forward(s, pets_model(s.m1.schema))
+        migrate_backward(s)
+        assert s.transcripts[-1] == EMPTY_LOG
+        model, store = copy_model(s.m1.model), s.m1.store.snapshot()
+        migrate_backward(s)
+        assert s.transcripts[-1] == EMPTY_LOG
+        assert model_equals(s.m1.model, model)
+        assert s.m1.store.snapshot() == store
+
+    def test_m1_edits_survive_on_objects_m2_did_not_change(self):
+        # the one difference from shipping the whole store: m1's own
+        # edits since the forward are overwritten only where m2 changed
+        s = session_for("identity")
+        migrate_forward(s, pets_model(s.m1.schema))
+        apply_mutations(s.m1.model, "set p1 name Carol\nset d1 age 7\n")
+        apply_mutations(s.m2.model, "set d1 name Odie\n")
+        back = migrate_backward(s)
+        assert back.get("p1").attributes == {"name": "Carol", "age": 23}
+        assert back.get("d1").attributes == {"name": "Odie", "age": 4}
+
+    def test_second_forward_resends_what_m1_no_longer_holds(self):
+        s = session_for("dog-no-age")
+        migrate_forward(s, pets_model(s.m1.schema))
+        migrate_forward(s, decode_model("obj p1 Person\n  name Alice\n  age 23\n", s.m1.schema))
+        back = migrate_backward(s)  # as a full ship would, m2's d1 comes back
+        assert back.get("p1").attributes == {"name": "Alice", "age": 23}
+        assert back.get("d1").attributes == {"name": "Rex", "age": 4}
+        assert back.get("d1").references == {"owner": "p1"}
+
+    def test_transcripts_keep_only_the_latest_texts(self):
+        s = session_for("dog-no-age")
+        migrate_forward(s, pets_model(s.m1.schema))
+        for i in range(1000):
+            apply_mutations(s.m2.model, f"set d1 name Dog{i}\n")
+            migrate_backward(s)
+        assert len(s.transcripts) == TRANSCRIPT_LIMIT
+        assert "name: Dog999" in s.transcripts[-1]
+        assert s.m1.model.get("d1").attributes == {"name": "Dog999", "age": 4}
 
 
 class TestApplyMutations:
