@@ -24,7 +24,7 @@ import random
 from dataclasses import dataclass
 
 from .codec import decode_log, encode_log
-from .commands import HAVE_DOG, HAVE_PERSON, SPECS, have_dog, have_person
+from .commands import HAVE_DOG, HAVE_PERSON, SPECS, Command, have_dog, have_person
 from .editor import Editor
 from .errors import MigrationError
 from .metamodel import InstanceModel, KIND_INT, copy_model, model_equals
@@ -246,13 +246,28 @@ def _copy_session(session) -> MigrationSession:
 
 
 def _parse_every_object(editor):
-    """``Editor.parse_model`` without its skip of unchanged commands:
-    execute and store the command derived for every object, persons
-    first and each class in model order, the order new ids are minted in."""
-    for class_name, _ in SPECS.values():
-        for obj in list(editor.model.objects.values()):
-            if obj.class_name == class_name:
-                editor.execute(editor.parse(obj))
+    """``Editor.parse_model`` without its skip of unchanged commands, and
+    without its code: execute and store, for every object, the command
+    worked out here from the object's values and its old store entry, so
+    a fault in the editor's derivation cannot hide in the reference.
+    Persons go first and each class in model order, the order new ids are
+    minted in."""
+    for kind, (class_name, fields) in SPECS.items():
+        for obj in [o for o in editor.model.objects.values() if o.class_name == class_name]:
+            obj_id = editor.id_for(obj)
+            old = editor.store.get(obj_id)
+            old_age = old.age if old is not None and old.kind == kind else None
+            values = obj.attributes
+            holds_age = {"age", "ybirth"} & editor.schema.cls(class_name).attributes.keys()
+            age = values.get("age") if holds_age else old_age
+            if values.get("ybirth") is not None and (age is None or age == old_age):
+                age = editor.reference_year - values["ybirth"]  # ybirth carries the edit
+            owner = obj.references.get("owner") if "ownerId" in fields else None
+            if isinstance(owner, list):
+                owner = owner[0] if owner else None
+            if owner is not None:
+                owner = editor.id_for(editor.model.objects[owner])
+            editor.execute(Command(kind, obj_id, values.get("name"), age, owner))
 
 
 def delta_case(rng, scenario=None) -> bool:

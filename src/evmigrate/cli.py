@@ -79,37 +79,26 @@ def resolve_year(arg_year) -> int:
         raise MigrationError(f"{YEAR_ENV_VAR} must be an integer, got {env!r}") from None
 
 
-def _load_schema_file(path) -> "MetaModel":
-    p = Path(path)
+def _parse_file(path, parse, *args):
+    """``parse(text, *args)`` on the text of ``path``; errors name the file."""
     try:
-        text = p.read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8")
     except OSError as e:
         raise MigrationError(f"cannot read {path}: {e}") from None
     try:
-        return load_schema(text, name=p.stem)
+        return parse(text, *args)
     except MigrationError as e:
         raise MigrationError(f"{path}: {e}") from None
 
 
-def _read_text(path) -> str:
-    try:
-        return Path(path).read_text(encoding="utf-8")
-    except OSError as e:
-        raise MigrationError(f"cannot read {path}: {e}") from None
-
-
 def _make_session(args) -> MigrationSession:
-    m1 = _load_schema_file(args.m1_schema)
-    m2 = _load_schema_file(args.m2_schema)
+    m1 = _parse_file(args.m1_schema, load_schema, Path(args.m1_schema).stem)
+    m2 = _parse_file(args.m2_schema, load_schema, Path(args.m2_schema).stem)
     return MigrationSession.create(m1, m2, resolve_year(args.year))
 
 
 def _load_input(args, session):
-    text = _read_text(args.input)
-    try:
-        return decode_model(text, session.m1.schema)
-    except MigrationError as e:
-        raise MigrationError(f"{args.input}: {e}") from None
+    return _parse_file(args.input, decode_model, session.m1.schema)
 
 
 def cmd_migrate(args) -> int:
@@ -126,11 +115,7 @@ def cmd_migrate(args) -> int:
 def cmd_roundtrip(args) -> int:
     session = _make_session(args)
     migrate_forward(session, _load_input(args, session))
-    script = _read_text(args.mutations)
-    try:
-        apply_mutations(session.m2.model, script)
-    except MigrationError as e:
-        raise MigrationError(f"{args.mutations}: {e}") from None
+    _parse_file(args.mutations, lambda script: apply_mutations(session.m2.model, script))
     m1_model = migrate_backward(session)
     Path(args.out).write_text(encode_model(m1_model), encoding="utf-8")
     return 0

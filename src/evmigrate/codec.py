@@ -4,7 +4,9 @@ The command log is a pinned, YAML-compatible subset with two-space
 indentation; no YAML library is involved so the bytes stay canonical.
 Encoding is deterministic: commands sorted by (kind, id) with persons
 before dogs, optional fields omitted when UNSET.  String values run
-verbatim to end of line (trimmed; newlines unsupported).
+verbatim to end of line (trimmed).  No id or value may hold a character
+at which ``str.splitlines`` breaks a line: ``Command`` and the model
+layer refuse one, so no value can forge a line of its own.
 
 The decoder accepts more than the encoder writes: blank lines and
 full-line ``#`` comments anywhere, any line ending that
@@ -23,8 +25,8 @@ from dataclasses import dataclass
 
 from .commands import SPECS, Command, canonical_order, check_reference_year
 from .editor import EventStore
-from .errors import FormatError
-from .metamodel import InstanceModel, KIND_INT, MetaModel
+from .errors import FormatError, MigrationError
+from .metamodel import LINE_BREAKS, InstanceModel, MetaModel, significant_lines
 
 FORMAT_VERSION = 1
 
@@ -34,16 +36,6 @@ class CommandLogDocument:
     format_version: int
     reference_year: int
     commands: list[Command]
-
-
-def _significant_lines(text):
-    """Yield (lineno, line) skipping blanks and full-line # comments."""
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.rstrip()
-        stripped = line.lstrip()
-        if not stripped or stripped[0] == "#":
-            continue
-        yield lineno, line
 
 
 def _parse_int(text, lineno, what):
@@ -94,8 +86,7 @@ def _split_entry(line, lineno):
 # non-empty, has no whitespace at either end and no character at which
 # ``str.splitlines`` would break, so the line reader would see the same
 # lines, keys and values.
-_LINE_BREAKS = r"\n\r\x0b\x0c\x1c-\x1e\x85\u2028\u2029"
-_VALUE = rf"\S(?:[^{_LINE_BREAKS}]*\S)?"
+_VALUE = rf"\S(?:[^{LINE_BREAKS}]*\S)?"
 _CANONICAL_HEAD = re.compile(rf"format: {FORMAT_VERSION}\nreferenceYear: ([1-9][0-9]*)\ncommands:\n")
 _CANONICAL_BLOCK = re.compile(
     rf"  - command: ({'|'.join(map(re.escape, SPECS))})\n"
@@ -145,7 +136,7 @@ def decode_log(text) -> CommandLogDocument:
 def _decode_lines(text) -> CommandLogDocument:
     """The general reader: any layout the format allows, with a line
     number on every error that has one."""
-    lines = list(_significant_lines(text))
+    lines = list(significant_lines(text))
     n = len(lines)
     pos = 0
     headers = {}
@@ -188,15 +179,12 @@ def _decode_lines(text) -> CommandLogDocument:
             flineno, fline = lines[pos]
             if not fline.startswith("    "):
                 break
-            fkey, sep, fvalue = fline.partition(":")
-            if not sep:
-                raise FormatError(f"expected 'key: value', got {fline.strip()!r}", line=flineno)
-            fkey = fkey.strip()
+            fkey, fvalue = _split_entry(fline, flineno)
             if fkey not in allowed:
                 raise FormatError(f"field {fkey!r} is not valid for {kind}", line=flineno)
             if fkey in fields:
                 raise FormatError(f"duplicate field {fkey!r}", line=flineno)
-            fields[fkey] = fvalue.strip()
+            fields[fkey] = fvalue
             field_lines[fkey] = flineno
             pos += 1
         obj_id = fields.get("id")
@@ -242,53 +230,37 @@ def encode_model(model: InstanceModel) -> str:
 
 def decode_model(text, schema: MetaModel) -> InstanceModel:
     """Parse an instance file.  Objects may forward-reference; targets are
-    checked once the whole file is read."""
+    checked once the whole file is read.  The model layer checks every
+    object, feature and value; an error it raises comes back as a
+    ``FormatError`` naming the line."""
     model = InstanceModel(schema)
-    current = None
+    obj = None
     pending_refs = []  # (lineno, obj, ref name, target id)
-    for lineno, line in _significant_lines(text):
-        if not line.startswith(" "):
-            tokens = line.split()
-            if len(tokens) != 3 or tokens[0] != "obj":
-                raise FormatError(f"expected 'obj <id> <Class>', got {line!r}", line=lineno)
-            _, obj_id, class_name = tokens
-            if not schema.has_class(class_name):
-                raise FormatError(f"unknown class {class_name!r}", line=lineno)
-            if model.get(obj_id) is not None:
-                raise FormatError(f"duplicate object id {obj_id!r}", line=lineno)
-            current = model.new_object(class_name, obj_id)
-            continue
-        if not (line.startswith("  ") and not line.startswith("   ")):
-            raise FormatError("feature lines must be indented two spaces", line=lineno)
-        if current is None:
-            raise FormatError("feature line before any 'obj' line", line=lineno)
-        body = line[2:]
-        name, _, rest = body.partition(" ")
-        value = rest.strip()
-        cls = schema.cls(current.class_name)
-        if name in cls.attributes:
-            if cls.attributes[name].kind == KIND_INT:
-                current.attributes[name] = _parse_int(value, lineno, f"attribute {name!r}")
+    lineno = 0
+    try:
+        for lineno, line in significant_lines(text):
+            if not line.startswith(" "):
+                tokens = line.split()
+                if len(tokens) != 3 or tokens[0] != "obj":
+                    raise FormatError(f"expected 'obj <id> <Class>', got {line!r}")
+                obj = model.new_object(tokens[2], tokens[1])
+                references = schema.classes[obj.class_name].references
+                continue
+            if not line.startswith("  ") or line.startswith("   "):
+                raise FormatError("feature lines must be indented two spaces")
+            if obj is None:
+                raise FormatError("feature line before any 'obj' line")
+            name, _, value = line[2:].partition(" ")
+            value = value.strip()
+            if name in references:
+                if not value or " " in value:
+                    raise FormatError(f"reference {name!r} needs a single target id")
+                model.set_reference(obj, name, value)
+                pending_refs.append((lineno, obj, name, value))
             else:
-                current.attributes[name] = value
-        elif name in cls.references:
-            if not value or " " in value:
-                raise FormatError(f"reference {name!r} needs a single target id", line=lineno)
-            model.set_reference(current, name, value)
-            pending_refs.append((lineno, current, name, value))
-        else:
-            raise FormatError(
-                f"class {current.class_name} declares no feature {name!r}", line=lineno
-            )
-    for lineno, obj, name, target_id in pending_refs:
-        target = model.get(target_id)
-        if target is None:
-            raise FormatError(f"reference target {target_id!r} does not exist", line=lineno)
-        expected = schema.cls(obj.class_name).references[name].target
-        if target.class_name != expected:
-            raise FormatError(
-                f"reference target {target_id!r} is a {target.class_name}, "
-                f"expected {expected}",
-                line=lineno,
-            )
+                model.set_attribute_text(obj, name, value)
+        for lineno, obj, name, target_id in pending_refs:
+            model.check_target(obj, name, target_id)
+    except MigrationError as e:
+        raise FormatError(str(e), line=lineno) from None
     return model

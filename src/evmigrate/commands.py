@@ -15,7 +15,7 @@ from types import MappingProxyType
 from typing import TYPE_CHECKING
 
 from .errors import ModelError, SchemaError
-from .metamodel import KIND_INT, KIND_STRING
+from .metamodel import KIND_INT, KIND_STRING, has_line_break
 
 if TYPE_CHECKING:
     from .editor import Editor
@@ -65,6 +65,8 @@ class Command:
             raise ValueError("command id must be non-empty")
         if owner_id is not None and kind not in _OWNED_KINDS:
             raise ValueError(f"ownerId is not valid on {kind}")
+        if has_line_break(f"{id}{name or ''}{owner_id or ''}"):
+            raise ValueError(f"no line break may be in id {id!r}, name {name!r} or ownerId {owner_id!r}")
         _set(self, "kind", kind)
         _set(self, "id", id)
         _set(self, "name", name)
@@ -118,10 +120,10 @@ def bind(schema) -> MappingProxyType:
     """
     bindings = {}
     for kind, (class_name, fields) in SPECS.items():
-        if not schema.has_class(class_name):
+        cls = schema.classes.get(class_name)
+        if cls is None:
             bindings[kind] = None
             continue
-        cls = schema.cls(class_name)
         for attr, want in (("name", KIND_STRING), ("age", KIND_INT), ("ybirth", KIND_INT)):
             adef = cls.attributes.get(attr)
             if adef is not None and adef.kind != want:

@@ -229,9 +229,8 @@ class Editor:
         registry insertion order, then unregistered ones in model order).
         A derived command equal to the stored one is neither run nor put
         again, so it ships only if it was already waiting to; the model
-        already holds its values, except
-        that a schema declaring both age and ybirth keeps a ybirth edited
-        without its age.  Returns the whole store in canonical order."""
+        already holds its values.  Returns the whole store in canonical
+        order."""
         buckets: dict[str, list[DynamicObject]] = {kind: [] for kind in SPECS}
         for obj in self.registry.values():
             buckets[_kind_of(obj)].append(obj)
@@ -252,8 +251,10 @@ class Editor:
         """The command that reproduces one object.
 
         The age comes from ``age``, else from ``referenceYear - ybirth``;
-        when the schema declares neither, it is recovered from the command
-        that produced this object, if there is one."""
+        when both are set and disagree, from ``ybirth`` if only it differs
+        from the stored command.  When the schema declares neither, the
+        age is recovered from the command that produced this object, if
+        there is one."""
         return self._parse(obj, _kind_of(obj))[0]
 
     def _parse(self, obj: DynamicObject, kind) -> tuple[Command, bool]:
@@ -268,8 +269,10 @@ class Editor:
         name = values.get("name") if has_name else None
         if has_age or has_ybirth:
             age = values.get("age") if has_age else None
-            if age is None and has_ybirth and values.get("ybirth") is not None:
-                age = self.reference_year - values["ybirth"]
+            ybirth = values.get("ybirth") if has_ybirth else None
+            # with both set, ybirth wins only if age is as stored: it was not edited
+            if ybirth is not None and (age is None or old is not None and age == old.age):
+                age = self.reference_year - ybirth
         else:
             # The schema variant cannot hold an age; recover the value
             # from the command that produced this object, if there is one.

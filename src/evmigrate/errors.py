@@ -2,17 +2,20 @@
 
 
 class MigrationError(Exception):
-    """Base class for all domain errors raised by this package."""
+    """Base class for all domain errors raised by this package.
 
-
-class SchemaError(MigrationError):
-    """Invalid schema text or a query against an unknown class/feature."""
+    A parser passes the ``line`` of the input it was reading; the message
+    then starts with ``line N: ``."""
 
     def __init__(self, message, line=None):
         if line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)
         self.line = line
+
+
+class SchemaError(MigrationError):
+    """Invalid schema text or a query against an unknown class/feature."""
 
 
 class ModelError(MigrationError):
@@ -21,12 +24,6 @@ class ModelError(MigrationError):
 
 class FormatError(MigrationError):
     """Malformed serialized document (command log, instance file, mutation script)."""
-
-    def __init__(self, message, line=None):
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
-        self.line = line
 
 
 class MergeError(MigrationError):

@@ -21,6 +21,16 @@ _KINDS = (KIND_STRING, KIND_INT)
 MULT_ONE = "one"
 MULT_MANY = "many"
 
+#: every character at which ``str.splitlines`` breaks a line
+LINE_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+
+
+def has_line_break(text) -> bool:
+    """Every file format here is line-based, so no id or string value may
+    hold a line break.  All of them are unprintable: printable text needs
+    no split."""
+    return not text.isprintable() and text.splitlines() != [text]
+
 
 @dataclass(frozen=True)
 class AttributeDef:
@@ -47,18 +57,34 @@ class MetaClass:
         self.name = name
         self.attributes: dict[str, AttributeDef] = {}
         self.references: dict[str, ReferenceDef] = {}
-        for a in attributes:
-            self._check_fresh(a.name)
-            if a.kind not in _KINDS:
-                raise SchemaError(f"unknown attribute kind {a.kind!r} on {name}.{a.name}")
-            self.attributes[a.name] = a
-        for r in references:
-            self._check_fresh(r.name)
-            self.references[r.name] = r
+        for feature in (*attributes, *references):
+            self.add(feature)
 
-    def _check_fresh(self, feature_name):
-        if feature_name in self.attributes or feature_name in self.references:
-            raise SchemaError(f"duplicate feature {feature_name!r} in class {self.name}")
+    def add(self, feature: AttributeDef | ReferenceDef):
+        """Declare one attribute or reference."""
+        if feature.name in self.attributes or feature.name in self.references:
+            raise SchemaError(f"duplicate feature {feature.name!r} in class {self.name}")
+        if isinstance(feature, ReferenceDef):
+            self.references[feature.name] = feature
+        elif feature.kind in _KINDS:
+            self.attributes[feature.name] = feature
+        else:
+            raise SchemaError(
+                f"unknown attribute kind {feature.kind!r} on {self.name}.{feature.name} "
+                f"(use string or int)"
+            )
+
+    def attribute(self, name) -> AttributeDef:
+        try:
+            return self.attributes[name]
+        except KeyError:
+            raise ModelError(f"class {self.name} has no attribute {name!r}") from None
+
+    def reference(self, name) -> ReferenceDef:
+        try:
+            return self.references[name]
+        except KeyError:
+            raise ModelError(f"class {self.name} has no reference {name!r}") from None
 
     def __repr__(self):
         return f"MetaClass({self.name!r})"
@@ -71,24 +97,28 @@ class MetaModel:
         self.name = name
         self.classes: dict[str, MetaClass] = {}
         for c in classes:
-            if c.name in self.classes:
-                raise SchemaError(f"duplicate class {c.name!r}")
-            self.classes[c.name] = c
+            self.add(c)
         for c in self.classes.values():
             for r in c.references.values():
-                if r.target not in self.classes:
-                    raise SchemaError(
-                        f"reference {c.name}.{r.name} targets undeclared class {r.target!r}"
-                    )
+                self.check_target(c, r)
+
+    def add(self, cls: MetaClass):
+        """Declare a class; its reference targets are left to ``check_target``."""
+        if cls.name in self.classes:
+            raise SchemaError(f"duplicate class {cls.name!r}")
+        self.classes[cls.name] = cls
+
+    def check_target(self, cls: MetaClass, ref: ReferenceDef):
+        if ref.target not in self.classes:
+            raise SchemaError(
+                f"reference {cls.name}.{ref.name} targets undeclared class {ref.target!r}"
+            )
 
     def cls(self, class_name) -> MetaClass:
         try:
             return self.classes[class_name]
         except KeyError:
             raise SchemaError(f"unknown class {class_name!r}") from None
-
-    def has_class(self, class_name) -> bool:
-        return class_name in self.classes
 
     def has_attribute(self, class_name, attr_name) -> bool:
         return attr_name in self.cls(class_name).attributes
@@ -97,73 +127,56 @@ class MetaModel:
         return f"MetaModel({self.name!r}, classes={list(self.classes)})"
 
 
+def significant_lines(text):
+    """Yield (lineno, line) skipping blanks and full-line # comments; each
+    line loses its trailing whitespace."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.rstrip()
+        stripped = line.lstrip()
+        if not stripped or stripped[0] == "#":
+            continue
+        yield lineno, line
+
+
 def load_schema(text, name="model") -> MetaModel:
     """Parse schema text into a MetaModel.
 
     Grammar: ``class <Name>`` at column 0, feature lines indented exactly
     two spaces: ``attr <name> <string|int>`` or
     ``ref <name> -> <Target> <one|many>``.  Blank lines and full-line
-    ``#`` comments are ignored.
+    ``#`` comments are ignored.  Every error names the line it is on.
     """
-    classes: list[MetaClass] = []
-    cur_name = None
-    cur_attrs: list[AttributeDef] = []
-    cur_refs: list[ReferenceDef] = []
-    cur_features: set[str] = set()
-    ref_lines: list[tuple[int, str, str]] = []  # (line, class, target) for late checks
-
-    def finish():
-        if cur_name is not None:
-            classes.append(MetaClass(cur_name, cur_attrs, cur_refs))
-
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.rstrip()
-        if not line.strip() or line.lstrip().startswith("#"):
-            continue
-        if not line.startswith(" "):
+    schema = MetaModel(name, ())
+    cls = None
+    refs: list[tuple[int, MetaClass, ReferenceDef]] = []  # targets checked after all classes
+    lineno = 0
+    try:
+        for lineno, line in significant_lines(text):
             tokens = line.split()
-            if len(tokens) != 2 or tokens[0] != "class":
-                raise SchemaError(f"expected 'class <Name>', got {line!r}", line=lineno)
-            finish()
-            cur_name = tokens[1]
-            cur_attrs, cur_refs = [], []
-            cur_features = set()
-            continue
-        if not (line.startswith("  ") and not line.startswith("   ")):
-            raise SchemaError("feature lines must be indented two spaces", line=lineno)
-        if cur_name is None:
-            raise SchemaError("feature line before any class", line=lineno)
-        tokens = line.split()
-        if tokens[0] == "attr" and len(tokens) == 3:
-            if tokens[2] not in _KINDS:
-                raise SchemaError(f"unknown kind {tokens[2]!r} (use string or int)", line=lineno)
-            feature = tokens[1]
-            cur_attrs.append(AttributeDef(feature, tokens[2]))
-        elif tokens[0] == "ref" and len(tokens) == 5 and tokens[2] == "->":
-            if tokens[4] not in (MULT_ONE, MULT_MANY):
-                raise SchemaError(
-                    f"unknown multiplicity {tokens[4]!r} (use one or many)", line=lineno
-                )
-            feature = tokens[1]
-            cur_refs.append(ReferenceDef(feature, tokens[3], tokens[4] == MULT_MANY))
-            ref_lines.append((lineno, cur_name, tokens[3]))
-        else:
-            raise SchemaError(f"malformed feature line {line.strip()!r}", line=lineno)
-        if feature in cur_features:
-            raise SchemaError(
-                f"duplicate feature {feature!r} in class {cur_name}", line=lineno
-            )
-        cur_features.add(feature)
-    finish()
-
-    declared = {c.name for c in classes}
-    for lineno, class_name, target in ref_lines:
-        if target not in declared:
-            raise SchemaError(
-                f"reference in class {class_name} targets undeclared class {target!r}",
-                line=lineno,
-            )
-    return MetaModel(name, classes)
+            if not line.startswith(" "):
+                if len(tokens) != 2 or tokens[0] != "class":
+                    raise SchemaError(f"expected 'class <Name>', got {line!r}")
+                cls = MetaClass(tokens[1])
+                schema.add(cls)
+            elif not line.startswith("  ") or line.startswith("   "):
+                raise SchemaError("feature lines must be indented two spaces")
+            elif cls is None:
+                raise SchemaError("feature line before any class")
+            elif tokens[0] == "attr" and len(tokens) == 3:
+                cls.add(AttributeDef(tokens[1], tokens[2]))
+            elif tokens[0] == "ref" and len(tokens) == 5 and tokens[2] == "->":
+                if tokens[4] not in (MULT_ONE, MULT_MANY):
+                    raise SchemaError(f"unknown multiplicity {tokens[4]!r} (use one or many)")
+                ref = ReferenceDef(tokens[1], tokens[3], tokens[4] == MULT_MANY)
+                cls.add(ref)
+                refs.append((lineno, cls, ref))
+            else:
+                raise SchemaError(f"malformed feature line {line.strip()!r}")
+        for lineno, cls, ref in refs:
+            schema.check_target(cls, ref)
+    except SchemaError as e:
+        raise SchemaError(str(e), line=lineno) from None
+    return schema
 
 
 @dataclass(eq=False)
@@ -184,7 +197,8 @@ class DynamicObject:
 
 
 class InstanceModel:
-    """Objects keyed by id, governed by one schema."""
+    """Objects keyed by id, governed by one schema.  Every check of an
+    object against the schema lives here."""
 
     def __init__(self, schema: MetaModel):
         self.schema = schema
@@ -198,6 +212,8 @@ class InstanceModel:
 
     def add(self, obj: DynamicObject) -> DynamicObject:
         self.schema.cls(obj.class_name)
+        if not obj.id or has_line_break(obj.id):
+            raise ModelError(f"object id must be non-empty and hold no line break, got {obj.id!r}")
         if obj.id in self.objects:
             raise ModelError(f"duplicate object id {obj.id!r}")
         self.objects[obj.id] = obj
@@ -205,34 +221,36 @@ class InstanceModel:
 
     def new_object(self, class_name, obj_id) -> DynamicObject:
         """Create an object with all attributes UNSET and add it."""
-        if not obj_id:
-            raise ModelError("object id must be non-empty")
         return self.add(DynamicObject(obj_id, class_name))
 
     def set_attribute(self, obj: DynamicObject, name, value):
-        adef = self.schema.cls(obj.class_name).attributes.get(name)
-        if adef is None:
-            raise ModelError(f"class {obj.class_name} has no attribute {name!r}")
+        adef = self.schema.cls(obj.class_name).attribute(name)
+        _check_value(obj, adef, value)
+        obj.attributes[name] = value
+
+    def set_attribute_text(self, obj: DynamicObject, name, text):
+        """Set attribute ``name`` of ``obj`` from its text form: an int
+        attribute takes ``text`` as a base-10 integer."""
+        cls = self.schema.cls(obj.class_name)
+        adef = cls.attributes.get(name) or cls.attribute(name)
+        value = text
         if adef.kind == KIND_INT:
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ModelError(f"{obj.class_name}.{name} expects an int, got {value!r}")
-        elif not isinstance(value, str):
-            raise ModelError(f"{obj.class_name}.{name} expects a string, got {value!r}")
+            try:
+                value = int(text, 10)
+            except ValueError:
+                pass  # the check below names the expected kind
+        _check_value(obj, adef, value)
         obj.attributes[name] = value
 
     def get_attribute(self, obj: DynamicObject, name):
         """Return the attribute value, or None when UNSET."""
-        if name not in self.schema.cls(obj.class_name).attributes:
-            raise ModelError(f"class {obj.class_name} has no attribute {name!r}")
+        self.schema.cls(obj.class_name).attribute(name)
         return obj.attributes.get(name)
 
     def set_reference(self, obj: DynamicObject, name, target_id):
-        """Assign (one) or add-if-absent (many).  Target existence is
-        checked by ``validate``, not here, so files may forward-reference."""
-        rdef = self.schema.cls(obj.class_name).references.get(name)
-        if rdef is None:
-            raise ModelError(f"class {obj.class_name} has no reference {name!r}")
-        if rdef.many:
+        """Assign (one) or add-if-absent (many).  Targets are checked by
+        ``check_target``, not here, so files may forward-reference."""
+        if self.schema.cls(obj.class_name).reference(name).many:
             targets = obj.references.setdefault(name, [])
             if target_id not in targets:
                 targets.append(target_id)
@@ -240,41 +258,49 @@ class InstanceModel:
             obj.references[name] = target_id
 
     def get_reference(self, obj: DynamicObject, name):
-        if name not in self.schema.cls(obj.class_name).references:
-            raise ModelError(f"class {obj.class_name} has no reference {name!r}")
+        self.schema.cls(obj.class_name).reference(name)
         return obj.references.get(name)
 
+    def check_target(self, obj: DynamicObject, name, target_id):
+        """Check that ``target_id`` may be a target of reference ``name`` of
+        ``obj``: the object exists and is of the declared target class."""
+        expected = self.schema.cls(obj.class_name).reference(name).target
+        target = self.objects.get(target_id)
+        if target is None:
+            raise ModelError(f"{obj.id}.{name}: unknown target {target_id!r} (it does not exist)")
+        if target.class_name != expected:
+            raise ModelError(
+                f"{obj.id}.{name}: target {target_id!r} is a {target.class_name}, "
+                f"expected {expected}"
+            )
+
     def validate(self):
-        """Check every invariant: ids, declared features, kinds, targets."""
+        """Check every invariant: ids, declared features, values, targets."""
         for obj_id, obj in self.objects.items():
             if obj.id != obj_id:
                 raise ModelError(f"object stored under {obj_id!r} carries id {obj.id!r}")
             cls = self.schema.cls(obj.class_name)
+            attributes, references = cls.attributes, cls.references
+            # a plain lookup first: the method call is only for its error
             for name, value in obj.attributes.items():
-                adef = cls.attributes.get(name)
-                if adef is None:
-                    raise ModelError(f"{obj_id}: undeclared attribute {name!r}")
-                ok = (
-                    isinstance(value, int) and not isinstance(value, bool)
-                    if adef.kind == KIND_INT
-                    else isinstance(value, str)
-                )
-                if not ok:
-                    raise ModelError(f"{obj_id}.{name}: kind mismatch for {value!r}")
+                _check_value(obj, attributes.get(name) or cls.attribute(name), value)
             for name, value in obj.references.items():
-                rdef = cls.references.get(name)
-                if rdef is None:
-                    raise ModelError(f"{obj_id}: undeclared reference {name!r}")
-                targets = value if rdef.many else [value]
-                for t in targets:
-                    target = self.objects.get(t)
-                    if target is None:
-                        raise ModelError(f"{obj_id}.{name}: target {t!r} does not exist")
-                    if target.class_name != rdef.target:
-                        raise ModelError(
-                            f"{obj_id}.{name}: target {t!r} is a "
-                            f"{target.class_name}, expected {rdef.target}"
-                        )
+                many = (references.get(name) or cls.reference(name)).many
+                for target_id in value if many else (value,):
+                    self.check_target(obj, name, target_id)
+
+
+def _check_value(obj: DynamicObject, adef: AttributeDef, value):
+    """The one check of an attribute value against its declared kind."""
+    if adef.kind == KIND_INT:
+        if isinstance(value, int) and not isinstance(value, bool):
+            return
+        expected = "an integer"
+    elif isinstance(value, str) and (value.isprintable() or not has_line_break(value)):
+        return  # printable text is the common case, and holds no line break
+    else:
+        expected = "a string without line breaks"
+    raise ModelError(f"{obj.id}.{adef.name} expects {expected}, got {value!r}")
 
 
 def _reference_view(obj: DynamicObject):

@@ -24,8 +24,8 @@ from dataclasses import dataclass, field
 from .codec import decode_log, encode_log
 from .commands import DEFAULT_REFERENCE_YEAR
 from .editor import Editor
-from .errors import FormatError, ModelError
-from .metamodel import InstanceModel, KIND_INT, MetaModel, load_schema
+from .errors import FormatError, MigrationError, ModelError
+from .metamodel import InstanceModel, MetaModel, load_schema, significant_lines
 
 
 @dataclass
@@ -158,71 +158,40 @@ def migrate_backward(session: MigrationSession) -> InstanceModel:
     return session.m1.model
 
 
+#: mutation -> (token count, syntax); ``set`` may leave the value out
+_MUTATIONS = {
+    "set": (4, "set <id> <attr> <value>"),
+    "new": (3, "new <Class> <id>"),
+    "link": (4, "link <id> <ref> <targetId>"),
+}
+
+
 def apply_mutations(model: InstanceModel, script: str):
     """Apply a mutation script directly to a model, bypassing commands.
 
-    One mutation per line, `#` comments allowed:
-      set <id> <attr> <value>
-      new <Class> <id>
-      link <id> <ref> <targetId>
+    One mutation per line, in a form ``_MUTATIONS`` lists; `#` comments
+    allowed.  A malformed line raises ``FormatError``, a line the model
+    refuses raises ``ModelError``; both name the line.
     """
-    schema = model.schema
-    for lineno, raw in enumerate(script.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in significant_lines(script):
         tokens = line.split(None, 3)
         op = tokens[0]
-        if op == "set":
-            if len(tokens) < 3:
-                raise FormatError("expected 'set <id> <attr> <value>'", line=lineno)
-            obj_id, attr = tokens[1], tokens[2]
-            value = tokens[3].strip() if len(tokens) == 4 else ""
-            obj = model.get(obj_id)
-            if obj is None:
-                raise ModelError(f"line {lineno}: unknown object id {obj_id!r}")
-            adef = schema.cls(obj.class_name).attributes.get(attr)
-            if adef is None:
-                raise ModelError(
-                    f"line {lineno}: class {obj.class_name} has no attribute {attr!r}"
-                )
-            if adef.kind == KIND_INT:
-                try:
-                    parsed = int(value, 10)
-                except ValueError:
-                    raise ModelError(
-                        f"line {lineno}: attribute {attr!r} expects an integer, got {value!r}"
-                    ) from None
-                model.set_attribute(obj, attr, parsed)
-            else:
-                model.set_attribute(obj, attr, value)
-        elif op == "new":
-            if len(tokens) != 3:
-                raise FormatError("expected 'new <Class> <id>'", line=lineno)
-            class_name, obj_id = tokens[1], tokens[2]
-            if not schema.has_class(class_name):
-                raise ModelError(f"line {lineno}: unknown class {class_name!r}")
-            model.new_object(class_name, obj_id)
-        elif op == "link":
-            if len(tokens) != 4:
-                raise FormatError("expected 'link <id> <ref> <targetId>'", line=lineno)
-            obj_id, ref, target_id = tokens[1], tokens[2], tokens[3].strip()
-            obj = model.get(obj_id)
-            if obj is None:
-                raise ModelError(f"line {lineno}: unknown object id {obj_id!r}")
-            rdef = schema.cls(obj.class_name).references.get(ref)
-            if rdef is None:
-                raise ModelError(
-                    f"line {lineno}: class {obj.class_name} has no reference {ref!r}"
-                )
-            target = model.get(target_id)
-            if target is None:
-                raise ModelError(f"line {lineno}: unknown target id {target_id!r}")
-            if target.class_name != rdef.target:
-                raise ModelError(
-                    f"line {lineno}: target {target_id!r} is a {target.class_name}, "
-                    f"expected {rdef.target}"
-                )
-            model.set_reference(obj, ref, target_id)
-        else:
+        if op not in _MUTATIONS:
             raise FormatError(f"unknown mutation {op!r}", line=lineno)
+        arity, syntax = _MUTATIONS[op]
+        if len(tokens) != arity and not (op == "set" and len(tokens) == 3):
+            raise FormatError(f"expected {syntax!r}", line=lineno)
+        try:
+            if op == "new":
+                model.new_object(tokens[1], tokens[2])
+                continue
+            obj = model.objects.get(tokens[1])
+            if obj is None:
+                raise ModelError(f"unknown object id {tokens[1]!r}")
+            if op == "set":
+                model.set_attribute_text(obj, tokens[2], tokens[3] if len(tokens) == 4 else "")
+            else:
+                model.check_target(obj, tokens[2], tokens[3])
+                model.set_reference(obj, tokens[2], tokens[3])
+        except MigrationError as e:
+            raise ModelError(str(e), line=lineno) from None

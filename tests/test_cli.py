@@ -215,6 +215,26 @@ class TestLawOracleCatchesBrokenImplementations:
         assert check_roundtrip(seed=17, cases=60).failures == 0
         assert check_delta(seed=17, cases=60).failures > 0
 
+    def test_parse_ignoring_age_change_detected_by_delta(self, monkeypatch):
+        original = Editor._parse
+
+        def parse_ignoring_age(editor, obj, kind):
+            # takes a command that differs from the stored one only in its
+            # age to be unchanged
+            cmd, changed = original(editor, obj, kind)
+            old = editor.store.get(cmd.id)
+            if changed and old is not None and (old.kind, old.name, old.owner_id) == (
+                cmd.kind, cmd.name, cmd.owner_id
+            ):
+                return old, False
+            return cmd, changed
+
+        monkeypatch.setattr(Editor, "_parse", parse_ignoring_age)
+        assert check_roundtrip(seed=19, cases=60).failures == 0
+        assert check_delta(seed=19, cases=60).failures > 0
+        monkeypatch.setattr(Editor, "_parse", original)
+        assert check_delta(seed=19, cases=60).failures == 0
+
 
 class TestBench:
     def test_single_iteration_report(self, capsys):

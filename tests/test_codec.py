@@ -7,6 +7,7 @@ from evmigrate import (
     Editor,
     EventStore,
     FormatError,
+    MigrationError,
     decode_log,
     decode_model,
     encode_log,
@@ -306,6 +307,30 @@ class TestEncodeModel:
 
 
 class TestDecodeModel:
+    @pytest.mark.parametrize(
+        "text, match, line",
+        [
+            ("obj p1 Person\n\nobj c1 Cat\n", "unknown class 'Cat'", 3),
+            ("obj p1 Person\n# again\nobj p1 Person\n", "duplicate object id 'p1'", 3),
+            ("obj p1 Person\n  name Alice\n  salary 5\n", "no attribute 'salary'", 3),
+            ("obj p1 Person\n  age 2O\n", "p1.age expects an integer, got '2O'", 2),
+            ("obj d1 Dog\n  owner p1\nobj d2 Dog\n\n  owner d1\nobj p1 Person\n",
+             "d2.owner: target 'd1' is a Dog, expected Person", 5),
+        ],
+        ids=["unknown-class", "duplicate-id", "undeclared-feature", "age-not-integer",
+             "wrong-target-class"],
+    )
+    def test_model_layer_error_reports_line_number(self, base_schema, text, match, line):
+        with pytest.raises(FormatError, match=match) as exc:
+            decode_model(text, base_schema)
+        assert exc.value.line == line
+
+    def test_line_break_in_a_name_cannot_forge_an_object(self, base_schema):
+        model = decode_model("obj p1 Person\n  name Alice\n", base_schema)
+        with pytest.raises(MigrationError, match="line break"):
+            model.set_attribute(model.get("p1"), "name", "x\nobj evil Person")
+        assert set(decode_model(encode_model(model), base_schema).objects) == {"p1"}
+
     def test_missing_reference_target(self, base_schema):
         text = "obj d1 Dog\n  owner ghost\n"
         with pytest.raises(FormatError, match="ghost") as exc:

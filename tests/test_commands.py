@@ -14,12 +14,24 @@ from evmigrate import (
     model_equals,
 )
 from evmigrate.commands import SPECS, Command, canonical_order, check_reference_year
+from evmigrate.metamodel import LINE_BREAKS
 
 
 class TestCommandInvariants:
     def test_empty_id_rejected(self):
         with pytest.raises(ValueError, match="non-empty"):
             have_person("")
+
+    def test_line_break_in_a_wire_field_rejected(self):
+        # a value holding one would write a line of its own on the wire
+        for brk in LINE_BREAKS:
+            with pytest.raises(ValueError, match="no line break"):
+                have_person("p1", name=f"a{brk}  - command: HaveDog")
+            with pytest.raises(ValueError, match="no line break"):
+                have_person(f"p1{brk}")
+            with pytest.raises(ValueError, match="no line break"):
+                have_dog("d1", owner_id=f"p1{brk}")
+        assert have_person("p1", name="a\tb").name == "a\tb"
 
     def test_owner_only_on_have_dog(self):
         with pytest.raises(ValueError, match="ownerId"):

@@ -9,6 +9,7 @@ from evmigrate import (
     load_schema,
     model_equals,
 )
+from evmigrate.metamodel import LINE_BREAKS
 
 from conftest import PETS_SCHEMA_TEXT
 
@@ -49,6 +50,24 @@ class TestLoadSchema:
             load_schema("class Person\n  attr name string\n  attr age float\n")
         assert exc.value.line == 3
         assert "line 3" in str(exc.value)
+
+    @pytest.mark.parametrize(
+        "text, match, line",
+        [
+            ("class Dog\n  attr name string\n  ref owner -> Cat one\n", "undeclared class 'Cat'", 3),
+            ("class Person\n  ref dogs -> Dog many\n\nclass Dog\n  ref vet -> Vet one\n", "Vet", 5),
+            ("# people\nclass Person\n\nclass Person\n", "duplicate class", 4),
+            ("class Person\n  attr pal string\n  ref pal -> Person one\n", "duplicate feature", 3),
+            ("class Person\n  ref pal -> Person some\n", "multiplicity", 2),
+        ],
+        ids=["undeclared-target", "undeclared-target-after-forward-ref", "duplicate-class",
+             "duplicate-feature", "bad-multiplicity"],
+    )
+    def test_semantic_error_carries_line_number(self, text, match, line):
+        with pytest.raises(SchemaError, match=match) as exc:
+            load_schema(text)
+        assert exc.value.line == line
+        assert str(exc.value).startswith(f"line {line}: ")
 
     def test_bad_indentation_rejected(self):
         with pytest.raises(SchemaError, match="two spaces"):
@@ -117,6 +136,39 @@ class TestAttributes:
         p = model.new_object("Person", "p1")
         with pytest.raises(ModelError):
             model.set_attribute(p, "age", True)
+
+    def test_line_break_rejected_by_setter_validate_and_ids(self, base_schema):
+        # every file format is line-based: a line break would forge a line
+        for brk in LINE_BREAKS:
+            model = InstanceModel(base_schema)
+            p = model.new_object("Person", "p1")
+            with pytest.raises(ModelError, match="line break"):
+                model.set_attribute(p, "name", f"x{brk}obj evil Person")
+            assert p.attributes == {}
+            p.attributes["name"] = f"x{brk}obj evil Person"  # past the setter
+            with pytest.raises(ModelError, match="line break"):
+                model.validate()
+            with pytest.raises(ModelError, match="line break"):
+                model.new_object("Person", f"p2{brk}")
+        model.set_attribute(p, "name", "tab\tand \x00 are kept")
+        model.validate()
+
+    def test_line_breaks_are_what_splitlines_breaks_at(self):
+        breaks = {c for c in map(chr, range(0x110000)) if len(f"a{c}b".splitlines()) == 2}
+        assert breaks == set(LINE_BREAKS)
+        assert not any(c.isprintable() for c in LINE_BREAKS)  # has_line_break's shortcut
+
+    def test_set_from_text(self, base_schema):
+        model = InstanceModel(base_schema)
+        p = model.new_object("Person", "p1")
+        model.set_attribute_text(p, "age", "-7")
+        model.set_attribute_text(p, "name", "42")
+        assert p.attributes == {"age": -7, "name": "42"}
+        with pytest.raises(ModelError, match="expects an integer, got 'O7'"):
+            model.set_attribute_text(p, "age", "O7")
+        with pytest.raises(ModelError, match="no attribute 'dogs'"):
+            model.set_attribute_text(p, "dogs", "d1")
+        assert p.attributes == {"age": -7, "name": "42"}
 
 
 class TestReferences:

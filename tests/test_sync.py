@@ -6,6 +6,7 @@ from evmigrate import (
     Editor,
     FormatError,
     InstanceModel,
+    MigrationError,
     MigrationSession,
     ModelError,
     apply_mutations,
@@ -96,6 +97,30 @@ class TestMigrateBackward:
         assert new_dogs[0].attributes == {"name": "Fifi"}
         assert new_dogs[0].references["owner"] == "p1"
 
+    def test_age_edit_wins_when_m2_holds_both_and_both_were_edited(self):
+        m2_schema = load_schema(
+            "class Person\n  attr name string\n  attr age int\n  attr ybirth int\n"
+            "class Dog\n  attr name string\n  attr age int\n  ref owner -> Person one\n",
+            name="m2",
+        )
+        s = MigrationSession.create(SCENARIOS["identity"].m1_schema, m2_schema)
+        migrate_forward(s, pets_model(s.m1.schema))
+        apply_mutations(s.m2.model, "set p1 age 31\nset p1 ybirth 1990\n")
+        back = migrate_backward(s)
+        assert back.get("p1").attributes == {"name": "Alice", "age": 31}
+        assert s.m2.model.get("p1").attributes == {"name": "Alice", "age": 31, "ybirth": 1989}
+
+    def test_line_break_in_a_name_cannot_forge_a_command(self):
+        forged = "a\n  - command: HaveDog\n    id: evil"
+        s = session_for("identity")
+        model = pets_model(s.m1.schema)
+        with pytest.raises(MigrationError, match="line break"):
+            model.set_attribute(model.get("p1"), "name", forged)
+        model.get("p1").attributes["name"] = forged  # past the setter
+        with pytest.raises(MigrationError, match="line break"):
+            migrate_forward(s, model)
+        assert s.m2.model.get("evil") is None
+
     def test_ybirth_edit_on_m2_lands_as_age(self):
         s = session_for("ybirth")
         migrate_forward(s, pets_model(s.m1.schema))
@@ -105,9 +130,11 @@ class TestMigrateBackward:
 
 
 #: how m2 holds an age: declared attribute line, the edit made on m2, and
-#: the age m1 must end up with (pets.inst has Alice 23 and Rex 4)
+#: the age m1 must end up with (pets.inst has Alice 23 and Rex 4); with
+#: both declared, only ybirth is edited
 _AGE_VARIANTS = {
     "age": ("  attr age int\n", "set {} age {}\n", lambda new, old: new),
+    "both": ("  attr age int\n  attr ybirth int\n", "set {} ybirth {}\n", lambda new, old: new),
     "ybirth": ("  attr ybirth int\n", "set {} ybirth {}\n", lambda new, old: new),
     "neither": ("", "", lambda new, old: old),
 }
@@ -115,7 +142,7 @@ _AGE_VARIANTS = {
 
 class TestSchemaVariants:
     """GetPut on every m2 that replaces Person's and Dog's age by age,
-    ybirth or nothing: what m2 can hold comes back edited, the rest comes
+    ybirth, both or nothing: what m2 can hold comes back edited, the rest comes
     back from m1's event store, and that store alone rebuilds m1."""
 
     @pytest.mark.parametrize("dog_age", sorted(_AGE_VARIANTS))
@@ -236,6 +263,35 @@ class TestApplyMutations:
         apply_mutations(model, "new Dog d2\n")
         with pytest.raises(ModelError, match="expected Person"):
             apply_mutations(model, "link d1 owner d2\n")
+
+    @pytest.mark.parametrize(
+        "mutation, error, match",
+        [
+            ("set nobody name X", ModelError, "unknown object id 'nobody'"),
+            ("set p1 salary 5", ModelError, "class Person has no attribute 'salary'"),
+            ("set d1 owner p1", ModelError, "class Dog has no attribute 'owner'"),
+            ("set p1 age young", ModelError, "p1.age expects an integer, got 'young'"),
+            ("new Cat c1", ModelError, "unknown class 'Cat'"),
+            ("new Dog d1", ModelError, "duplicate object id 'd1'"),
+            ("link d1 leash p1", ModelError, "class Dog has no reference 'leash'"),
+            ("link d1 owner ghost", ModelError, "unknown target 'ghost'"),
+            ("link d1 owner d1", ModelError, "target 'd1' is a Dog, expected Person"),
+            ("drop p1", FormatError, "unknown mutation 'drop'"),
+            ("set p1", FormatError, "expected 'set <id> <attr> <value>'"),
+            ("new Dog", FormatError, "expected 'new <Class> <id>'"),
+            ("link d1 owner", FormatError, "expected 'link <id> <ref> <targetId>'"),
+        ],
+        ids=["unknown-object", "undeclared-attribute", "set-on-reference", "age-not-integer",
+             "unknown-class", "duplicate-id", "undeclared-reference", "unknown-target",
+             "wrong-target-class", "unknown-op", "set-arity", "new-arity", "link-arity"],
+    )
+    def test_error_names_its_line(self, base_schema, mutation, error, match):
+        script = f"# edits\nset p1 name Bob\n\n{mutation}\nset p1 name Carol\n"
+        with pytest.raises(error, match=match) as exc:
+            apply_mutations(pets_model(base_schema), script)
+        assert type(exc.value) is error
+        assert exc.value.line == 4
+        assert str(exc.value).startswith("line 4: ")
 
     def test_unknown_op(self, base_schema):
         with pytest.raises(FormatError, match="unknown mutation"):
