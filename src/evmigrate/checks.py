@@ -11,9 +11,12 @@ Law boundaries honoured by the generators:
     dangling ownerId would leave a stub the single-command run lacks;
   - commutativity sets use pairwise-distinct target ids (stub creation is
     order-insensitive, so ownerIds there may point anywhere);
-  - delta cases edit m2 only through mutation scripts and leave m1 alone
-    between forward and backward: a ship that carries only the changed
-    entries keeps edits made to m1 in that time, a full ship would not.
+  - delta cases edit m2 and leave m1 alone between forward and backward:
+    a ship that carries only the changed entries keeps edits made to m1 in
+    that time, a full ship would not.  The edits are a mutation script,
+    then writes past the setters (every mutator of the tracked mappings)
+    and a command that writes nothing, merged on both sides as if the
+    peers had exchanged it.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import itertools
 import random
 from dataclasses import dataclass
 
-from .codec import decode_log, encode_log
+from .codec import decode_log, encode_log, encode_model
 from .commands import HAVE_DOG, HAVE_PERSON, SPECS, Command, have_dog, have_person
 from .editor import Editor
 from .errors import MigrationError
@@ -219,8 +222,11 @@ def random_mutations(rng, model, max_lines=6) -> str:
         roll = rng.random()
         if roll < 0.25 or not class_of:
             class_name = rng.choice(list(schema.classes))
-            class_of[f"new_{n}"] = class_name
-            lines.append(f"new {class_name} new_{n}")
+            new_id = f"new_{n}"
+            while new_id in class_of:  # taken by an earlier script
+                new_id += "_"
+            class_of[new_id] = class_name
+            lines.append(f"new {class_name} {new_id}")
             continue
         obj_id = rng.choice(list(class_of))
         cls = schema.cls(class_of[obj_id])
@@ -234,6 +240,65 @@ def random_mutations(rng, model, max_lines=6) -> str:
             if pool:
                 lines.append(f"link {obj_id} {rdef.name} {rng.choice(pool)}")
     return "".join(line + "\n" for line in lines)
+
+
+def _direct_writes(rng, model, max_writes=3):
+    """Writes to ``attributes`` and ``references`` past the setters, each
+    through a mutator drawn from all of the tracked mappings' mutators,
+    with values the schema accepts."""
+    objects = list(model.objects.values())
+    for _ in range(rng.randint(0, max_writes) if objects else 0):
+        obj = rng.choice(objects)
+        cls = model.schema.cls(obj.class_name)
+        values = obj.attributes
+        adef = rng.choice(list(cls.attributes.values())) if cls.attributes else None
+        value = None
+        if adef is not None:
+            value = rng.randint(0, 150) if adef.kind == KIND_INT else random_name(rng)
+        op = rng.choice(("set", "del", "pop", "popitem", "setdefault", "update", "clear", "ior",
+                         "link"))
+        if op == "link":
+            rdef = rng.choice(list(cls.references.values())) if cls.references else None
+            pool = [o.id for o in objects if rdef is not None and o.class_name == rdef.target]
+            if pool:
+                target = rng.choice(pool)
+                obj.references[rdef.name] = [target] if rdef.many else target
+        elif op == "popitem":
+            if values:
+                values.popitem()
+        elif op == "clear":
+            values.clear()
+        elif adef is None:
+            continue
+        elif op == "set":
+            values[adef.name] = value
+        elif op == "del":
+            if adef.name in values:
+                del values[adef.name]
+        elif op == "pop":
+            values.pop(adef.name, None)
+        elif op == "setdefault":
+            values.setdefault(adef.name, value)
+        elif op == "update":
+            values.update({adef.name: value})
+        else:
+            values |= {adef.name: value}
+
+
+def _merge_no_op(rng, session):
+    """Merge a command with every field UNSET onto an object both sides
+    hold, on both sides, as if the peers had exchanged it: it writes
+    nothing, but its store entry replaces the old one."""
+    targets = [(obj_id, obj) for obj_id, obj in session.m2.registry.items()
+               if obj.class_name in _CLASS_KINDS]
+    if targets:
+        obj_id, obj = rng.choice(targets)
+        cmd = Command(_CLASS_KINDS[obj.class_name], obj_id)
+        session.m1.merge_all([cmd])
+        session.m2.merge_all([cmd])
+
+
+_CLASS_KINDS = {class_name: kind for kind, (class_name, _) in SPECS.items()}
 
 
 def _copy_session(session) -> MigrationSession:
@@ -274,18 +339,38 @@ def delta_case(rng, scenario=None) -> bool:
     """A backward that ships only the changed entries leaves m1 as a full
     ship would: m2's whole store, derived afresh for every object, then
     encoded, decoded and merged into a copy of m1 taken before the
-    backward.  Both m1 model and m1 store must match."""
+    backward.  Both m1 model and m1 store must match, and m1's encode must
+    match a full render of the reference, after each of three edits and
+    backwards.  The first backward after a small forward parses every
+    object, later ones only those m2 marked changed; the third edits
+    objects m2 added while it kept marks.  Half the sessions track writes
+    whatever their size (see ``Editor.track_from``): their forward readies
+    the session, so the first backward already parses only what changed,
+    and m1 re-renders only the objects merges marked.  The other half,
+    small, parse and encode in full."""
     if scenario is None:
         scenario = SCENARIOS[rng.choice(sorted(SCENARIOS))]
     session = MigrationSession.create(scenario.m1_schema, scenario.m2_schema)
+    if rng.random() < 0.5:
+        session.m1.track_from = session.m2.track_from = 0
     migrate_forward(session, random_model(rng, scenario.m1_schema))
-    apply_mutations(session.m2.model, random_mutations(rng, session.m2.model))
-    full = _copy_session(session)
-    migrate_backward(session)
-    _parse_every_object(full.m2)
-    text = encode_log(full.m2.store, full.reference_year)
-    full.m1.merge_all(decode_log(text).commands)
-    return model_equals(session.m1.model, full.m1.model) and session.m1.store == full.m1.store
+    for _ in range(3):
+        apply_mutations(session.m2.model, random_mutations(rng, session.m2.model))
+        _direct_writes(rng, session.m2.model)
+        if rng.random() < 0.3:
+            _merge_no_op(rng, session)
+        full = _copy_session(session)
+        migrate_backward(session)
+        _parse_every_object(full.m2)
+        text = encode_log(full.m2.store, full.reference_year)
+        full.m1.merge_all(decode_log(text).commands)
+        if not (
+            model_equals(session.m1.model, full.m1.model)
+            and session.m1.store == full.m1.store
+            and encode_model(session.m1.model) == encode_model(copy_model(full.m1.model))
+        ):
+            return False
+    return True
 
 
 def _run_law(law, case_fn, seed, cases) -> LawReport:

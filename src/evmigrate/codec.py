@@ -25,8 +25,14 @@ from dataclasses import dataclass
 
 from .commands import SPECS, Command, canonical_order, check_reference_year
 from .editor import EventStore
-from .errors import FormatError, MigrationError
-from .metamodel import LINE_BREAKS, InstanceModel, MetaModel, significant_lines
+from .errors import FormatError, MigrationError, ModelError
+from .metamodel import (
+    LINE_BREAKS,
+    InstanceModel,
+    MetaModel,
+    has_line_break,
+    significant_lines,
+)
 
 FORMAT_VERSION = 1
 
@@ -209,23 +215,96 @@ def _decode_lines(text) -> CommandLogDocument:
 # -- instance models -----------------------------------------------------
 
 
+#: the model reader ``encode_model`` keeps its place under
+ENCODE = "encode"
+
+
 def encode_model(model: InstanceModel) -> str:
     """Instance file text: objects in model order, features in declaration
-    order, one line per many-reference target."""
-    out = []
+    order, one line per many-reference target.
+
+    A model that keeps its blocks (see ``keep_blocks``) re-renders only
+    the objects it marked changed since the last encode, and those it
+    does not track (see ``InstanceModel.tracks``); any other model is
+    rendered in full."""
+    changed = model.unseen(ENCODE)
+    classes = model.schema.classes
+    if changed is None or model.blocks is None:
+        lines = []
+        for obj in model.objects.values():
+            _render(lines, obj, classes.get(obj.class_name) or model.schema.cls(obj.class_name))
+        lines.append("")
+        return "\n".join(lines) if len(lines) > 1 else ""
+    model.seen(ENCODE)
+    blocks = model.blocks
+    # Objects enter a model only at its end, so re-rendering in place and
+    # adding new objects last keeps the blocks in model order.
+    for obj in changed:
+        if model.tracks(obj):
+            blocks[obj] = _block(obj, classes.get(obj.class_name) or model.schema.cls(obj.class_name))
+    if len(blocks) == len(model.objects):
+        return "".join(blocks.values())
+    # objects without a kept block, or put in or taken out past the
+    # model's methods
+    return "".join(_keep(model, blocks))
+
+
+def keep_blocks(model: InstanceModel):
+    """Keep one text block per object from now on, so each later encode
+    re-renders only what changed; it costs one full render."""
+    if model.blocks is None:
+        model.seen(ENCODE)
+        _keep(model, {})
+
+
+def _keep(model: InstanceModel, old) -> list[str]:
+    """Keep the block of every object the model tracks, rendering those
+    ``old`` lacks; returns every object's block, in model order."""
+    classes = model.schema.classes
+    kept, out = {}, []
     for obj in model.objects.values():
-        cls = model.schema.cls(obj.class_name)
-        out.append(f"obj {obj.id} {obj.class_name}")
-        for name in cls.attributes:
-            if name in obj.attributes:
-                out.append(f"  {name} {obj.attributes[name]}".rstrip())
-        for name, rdef in cls.references.items():
-            value = obj.references.get(name)
-            if value is None:
-                continue
-            for target in value if rdef.many else [value]:
-                out.append(f"  {name} {target}")
-    return "\n".join(out) + "\n" if out else ""
+        block = old.get(obj) or _block(obj, classes.get(obj.class_name) or model.schema.cls(obj.class_name))
+        if model.tracks(obj):
+            kept[obj] = block
+        out.append(block)
+    model.blocks = kept
+    return out
+
+
+def _block(obj, cls) -> str:
+    lines = []
+    _render(lines, obj, cls)
+    lines.append("")
+    return "\n".join(lines)
+
+
+def _render(lines, obj, cls):
+    """Append one object's lines.  A value or target holding a line break
+    would forge a line of its own, so it is refused, as the model's
+    setters do."""
+    lines.append(f"obj {obj.id} {obj.class_name}")
+    values = obj.attributes
+    for name in cls.attributes:
+        if name in values:
+            line = f"  {name} {values[name]}"
+            if not line.isprintable():  # printable text needs no split
+                _refuse_line_break(obj, name, line)
+            lines.append(line.rstrip())
+    references = obj.references
+    for name, rdef in cls.references.items():
+        value = references.get(name)
+        if value is None:
+            continue
+        for target in value if rdef.many else (value,):
+            line = f"  {name} {target}"
+            if not line.isprintable():
+                _refuse_line_break(obj, name, line)
+            lines.append(line)
+
+
+def _refuse_line_break(obj, name, line):
+    if has_line_break(line):
+        raise ModelError(f"{obj.id}.{name}: no line break may be in {line[len(name) + 3:]!r}")
 
 
 def decode_model(text, schema: MetaModel) -> InstanceModel:

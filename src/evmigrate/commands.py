@@ -36,6 +36,8 @@ _OWNED_KINDS = frozenset(kind for kind, (_, fields) in SPECS.items() if "ownerId
 DEFAULT_REFERENCE_YEAR = 2020
 
 _set = object.__setattr__  # fills a frozen dataclass's fields
+#: model writes that ``run`` marks itself
+_update, _set_item = dict.update, dict.__setitem__
 _id_of = attrgetter("id")  # sort key of commands within one kind
 
 
@@ -65,7 +67,8 @@ class Command:
             raise ValueError("command id must be non-empty")
         if owner_id is not None and kind not in _OWNED_KINDS:
             raise ValueError(f"ownerId is not valid on {kind}")
-        if has_line_break(f"{id}{name or ''}{owner_id or ''}"):
+        text = f"{id}{name or ''}{owner_id or ''}"
+        if not text.isprintable() and has_line_break(text):  # printable text needs no split
             raise ValueError(f"no line break may be in id {id!r}, name {name!r} or ownerId {owner_id!r}")
         _set(self, "kind", kind)
         _set(self, "id", id)
@@ -146,7 +149,11 @@ def run(cmd: Command, editor: Editor) -> str:
     schema declaring the attribute.  When the schema carries ybirth, the
     age is stored as referenceYear - age instead of (or in addition to) a
     plain age.  Kinds were checked by ``bind``, so writes go straight to
-    the attribute map."""
+    the attribute map.  A model that keeps marks (see
+    ``InstanceModel.seen``) gets them through one plain ``dict.update``,
+    not through its tracked mapping write by write, and the object is
+    then marked once, even when nothing was written: the store entry the
+    caller puts next changes what a parse derives from it."""
     binding = editor.bindings[cmd.kind]
     if binding is None:
         raise SchemaError(f"schema declares no {cmd.target_class} class")
@@ -155,7 +162,9 @@ def run(cmd: Command, editor: Editor) -> str:
     obj = registry.get(cmd.id)
     if obj is None or obj.class_name != class_name:
         obj = editor.get_or_create(class_name, cmd.id)  # creates it, or rejects the class
-    values = obj.attributes
+    model = editor.model
+    tracking = bool(model.readers)
+    values = {} if tracking else obj.attributes
     if cmd.name is not None and has_name:
         values["name"] = cmd.name
     if cmd.age is not None:
@@ -163,6 +172,8 @@ def run(cmd: Command, editor: Editor) -> str:
             values["age"] = cmd.age
         if has_ybirth:
             values["ybirth"] = editor.reference_year - cmd.age
+    if tracking:
+        _update(obj.attributes, values)
     if cmd.owner_id is not None and owner_ref is not None:
         # Owner may not exist yet; materialize a stub so dogs can be
         # executed before their owner's HavePerson arrives.
@@ -170,7 +181,9 @@ def run(cmd: Command, editor: Editor) -> str:
         if owner is None or owner.class_name != owner_ref.target:
             owner = editor.get_or_create(owner_ref.target, cmd.owner_id)
         if owner_ref.many:
-            editor.model.set_reference(obj, "owner", owner.id)
+            model.set_reference(obj, "owner", owner.id)
         else:
-            obj.references["owner"] = owner.id
+            _set_item(obj.references, "owner", owner.id)
+    if tracking:
+        model.mark(obj)
     return cmd.id

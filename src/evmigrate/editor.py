@@ -9,6 +9,9 @@ its entries the peer editor has not been sent yet.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
+from operator import attrgetter
+
 from . import commands as _commands
 from .commands import (
     SPECS,
@@ -23,6 +26,30 @@ from .metamodel import DynamicObject, InstanceModel, MetaModel
 
 #: class name -> the command kind that targets it
 _KIND_OF_CLASS = {class_name: kind for kind, (class_name, _) in SPECS.items()}
+#: kind -> its place in the canonical order
+_RANK = {kind: rank for rank, kind in enumerate(SPECS)}
+_id_of = attrgetter("id")
+
+#: the model reader ``Editor.parse_model`` keeps its place under
+PARSE = "parse"
+#: default ``Editor.track_from``: smaller models are read in full, which
+#: costs less than tracking their writes
+TRACK_FROM = 1000
+
+
+def _holds_every_field(bindings) -> bool:
+    """Whether every field a command carries lands in the model, so an
+    object a command built derives that command again."""
+    return all(
+        binding is None
+        or (binding[1] or "name" not in fields)
+        and (binding[4] is not None or "ownerId" not in fields)
+        for binding, (_, fields) in zip(bindings.values(), SPECS.values())
+    )
+
+
+def _rank_of(cmd: Command) -> int:
+    return _RANK[cmd.kind]
 
 
 def _merge_order(cmd: Command):
@@ -47,9 +74,11 @@ class EventStore:
     any order.
     """
 
+    _ordered: list[Command] | None = None  # canonical order, see put
+    _spans: dict[str, tuple[int, int]]  # kind -> its slice of _ordered, set with it
+
     def __init__(self):
         self._entries: dict[str, Command] = {}
-        self._ordered: list[Command] | None = None  # canonical order, dropped by any put
         self._unshipped: dict[str, Command] = {}  # entries the peer lacks
 
     def __len__(self):
@@ -64,14 +93,30 @@ class EventStore:
         return self._entries.get(obj_id)
 
     def put(self, cmd: Command):
-        """Insert or replace the entry for ``cmd.id``, to be shipped."""
+        """Insert or replace the entry for ``cmd.id``, to be shipped.  A
+        replaced entry of the same kind keeps its place in the canonical
+        order; a new id or kind drops the order."""
+        ordered = self._ordered
+        if ordered is not None:
+            old = self._entries.get(cmd.id)
+            if old is None or old.kind != cmd.kind:
+                self._ordered = None
+            else:
+                span = self._spans.get(cmd.kind)
+                if span is None:  # a kind's commands are one run of the order, sorted by id
+                    rank = _RANK[cmd.kind]
+                    span = (bisect_left(ordered, rank, key=_rank_of),
+                            bisect_right(ordered, rank, key=_rank_of))
+                    self._spans[cmd.kind] = span
+                ordered[bisect_left(ordered, cmd.id, *span, key=_id_of)] = cmd
         self._entries[cmd.id] = cmd
-        self._ordered = None
         self._unshipped[cmd.id] = cmd
 
     def put_received(self, cmd: Command):
         """Insert or replace the entry for ``cmd.id`` with a command the
-        peer sent, so it already holds it: the id no longer ships."""
+        peer sent, so it already holds it: the id no longer ships.  It
+        drops the order: a merge writes many entries, and the receiver
+        reads the order only when it next parses."""
         self._entries[cmd.id] = cmd
         self._ordered = None
         if self._unshipped:
@@ -79,9 +124,10 @@ class EventStore:
 
     def commands(self) -> list[Command]:
         """Snapshot in canonical (kind, id) order.  The order is kept until
-        the next put, so a parse followed by an encode sorts once."""
+        a put adds an id, so a parse followed by an encode sorts once."""
         if self._ordered is None:
             self._ordered = canonical_order(self._entries.values())
+            self._spans = {}
         return list(self._ordered)
 
     def snapshot(self) -> dict[str, Command]:
@@ -128,6 +174,8 @@ class Editor:
         self.registry: dict[str, DynamicObject] = {}
         self._id_of_object: dict[DynamicObject, str] = {}
         self._id_counters: dict[str, int] = {}
+        #: the model size from which writes are tracked, see TRACK_FROM
+        self.track_from = TRACK_FROM
 
     # -- registry -----------------------------------------------------
 
@@ -191,9 +239,21 @@ class Editor:
         fixed order keeps transcripts reproducible.  The commands come
         from the peer, so they are stored with ``put_received``: each
         replaces any unshipped entry for its id.  The first failing
-        command aborts the merge."""
-        store = self.store
-        for cmd in sorted(incoming, key=_merge_order):
+        command aborts the merge.
+
+        A large merge into an empty editor (the forward's, into m2) builds
+        each object from its own command alone.  If the schema holds every
+        field a command carries and no owner stub lacks its own command,
+        each object derives its stored command again, so the parse starts
+        tracking here and the first backward visits only what changed."""
+        store, model = self.store, self.model
+        ordered = sorted(incoming, key=_merge_order)
+        first = (
+            len(ordered) >= self.track_from
+            and not (store or model.objects or self.registry)
+            and _holds_every_field(self.bindings)
+        )
+        for cmd in ordered:
             try:
                 _commands.run(cmd, self)
             except MigrationError as e:
@@ -201,6 +261,9 @@ class Editor:
                     f"merge failed on {cmd.kind} id={cmd.id!r}: {e}", command=cmd
                 ) from e
             store.put_received(cmd)
+        if first and len(ordered) == len(store) == len(model.objects):
+            model.seen(PARSE)
+            store.commands()  # sorts the store once, here, for the parse to return
 
     # -- adoption -----------------------------------------------------
 
@@ -208,11 +271,14 @@ class Editor:
         """Take ownership of an externally built model.
 
         Resets store and registry, validates the objects against this
-        editor's schema, and registers every object under its own id."""
+        editor's schema, marks every object changed (see
+        ``InstanceModel.mark_all``) and registers every object under its
+        own id."""
         probe = InstanceModel(self.schema)
         probe.objects = model.objects
         probe.validate()
         model.schema = self.schema
+        model.mark_all()
         self.model = model
         self.store = EventStore()
         self.registry = dict(model.objects)
@@ -225,26 +291,48 @@ class Editor:
         """Derive the commands that reproduce the current model; execute
         and store those that differ from the stored ones.
 
-        Visits classes in kind order, persons first (registered objects in
-        registry insertion order, then unregistered ones in model order).
-        A derived command equal to the stored one is neither run nor put
-        again, so it ships only if it was already waiting to; the model
-        already holds its values.  Returns the whole store in canonical
-        order."""
-        buckets: dict[str, list[DynamicObject]] = {kind: [] for kind in SPECS}
-        for obj in self.registry.values():
-            buckets[_kind_of(obj)].append(obj)
+        Visits the objects the model marked since the last parse (all of
+        them on the first, and on every parse of a model smaller than
+        ``track_from`` or whose first parse started from an empty store),
+        persons first, each kind in the order first
+        marked, which is model order for objects added since: new ids are
+        minted in that order.  An object's command depends only on its own
+        values, its own store entry and its owner's registered id, which
+        never changes, so an unmarked object would derive its stored
+        command again.  A derived command equal to the stored one is
+        neither run nor put again, so it ships only if it was already
+        waiting to.  Returns the whole store in canonical order."""
+        model = self.model
+        visit = model.unseen(PARSE)
+        # The first parse from an empty store (after adoption) derives
+        # every object anyway, and the forward re-adopts before parsing
+        # again: tracking writes for it would not pay, nor for a small model.
+        track = visit is not None or len(self.store) > 0 and len(model.objects) >= self.track_from
         registered = self._id_of_object
-        for obj in self.model.objects.values():
-            if obj not in registered:
-                buckets[_kind_of(obj)].append(obj)
+        if visit is None or (
+            len(registered) < len(model.objects)  # some object has no id yet ...
+            and len(registered) + sum(obj not in registered for obj in visit) < len(model.objects)
+        ):  # ... and was not marked: it came in past add
+            visit = model.objects.values()
+        buckets: dict[str, list[DynamicObject]] = {kind: [] for kind in SPECS}
+        for obj in visit:
+            buckets[_KIND_OF_CLASS.get(obj.class_name) or _kind_of(obj)].append(obj)
         store = self.store
+        # A large parse from an empty store (the forward's) runs only the
+        # commands that can write what the object lacks: with both age and
+        # ybirth declared, the one not read follows the other.  Any other
+        # command would write back the values it was read from.
+        bulk = len(store) == 0 and len(model.objects) >= self.track_from
         for kind, bucket in buckets.items():
+            runs = not bulk or bucket and all(self.bindings[kind][2:4])
             for obj in bucket:
                 cmd, changed = self._parse(obj, kind)
                 if changed:
-                    _commands.run(cmd, self)
+                    if runs:
+                        _commands.run(cmd, self)
                     store.put(cmd)
+        if track:  # the runs above re-marked what they wrote; it derives its stored command
+            model.seen(PARSE)
         return store.commands()
 
     def parse(self, obj: DynamicObject) -> Command:
@@ -290,6 +378,8 @@ class Editor:
             if target_id is not None:
                 target = self.model.objects[target_id]
                 owner_id = self._id_of_object.get(target) or self.id_for(target)
+                if target.class_name != owner_ref.target:
+                    self.get_or_create(owner_ref.target, owner_id)  # raises, as a run would
         if old is not None and old.name == name and old.age == age and old.owner_id == owner_id:
             return old, False
         return Command(kind, obj_id, name, age, owner_id), True

@@ -2,14 +2,22 @@
 
 Classes, attributes and references are declared in data (parsed from a
 plain-text schema file) and queried at runtime, so one command
-implementation can serve any schema variant.  Objects are plain attribute
+implementation can serve any schema variant.  Objects are attribute
 maps; an attribute that was never set is UNSET, which is distinct from
 empty string or zero and is represented as the absence of the key
 (``get_attribute`` returns ``None``).
+
+A model records which of its objects were written, so readers that
+derive something per object (the editor's parse, the instance encoder)
+redo only the changed ones.  Once a model tracks writes, an object's
+``attributes`` and ``references`` are tracked mappings that mark it
+changed on every write.  Replacing a many-reference list is a write;
+editing the list in place is not.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 
 from .errors import ModelError, SchemaError
@@ -179,12 +187,52 @@ def load_schema(text, name="model") -> MetaModel:
     return schema
 
 
+class TrackedDict(dict):
+    """A dict that, once bound to a model, marks the object it belongs to
+    changed there on every write through its own methods.  ``commands.run``
+    writes through plain ``dict`` methods and marks the object once
+    instead.
+
+    The link is a weak reference to the model plus the owner's id: a
+    strong one would make every object a reference cycle, which only the
+    cyclic collector can free.  A copy is an unbound, plain-content copy."""
+
+    __slots__ = ("model_ref", "owner_id")  # both unset until bound
+
+    def __reduce__(self):
+        return TrackedDict, (dict(self),)
+
+
+def _marking(write):
+    def tracked_write(self, *args, **kwargs):
+        result = write(self, *args, **kwargs)
+        try:
+            model = self.model_ref()
+        except AttributeError:  # not bound to a model
+            return result
+        if model is not None:
+            owner = model.objects.get(self.owner_id)
+            if owner is not None:
+                model.mark(owner)
+        return result
+
+    tracked_write.__name__ = write.__name__
+    return tracked_write
+
+
+for _name in ("__setitem__", "__delitem__", "pop", "popitem", "setdefault", "update",
+              "clear", "__ior__"):
+    setattr(TrackedDict, _name, _marking(getattr(dict, _name)))
+
+
 @dataclass(eq=False)
 class DynamicObject:
     """A schema-conforming instance.
 
     ``eq=False`` keeps identity hashing so editors can key registries by
     the object itself.  Value comparison goes through ``model_equals``.
+    The mappings are plain dicts until the object's model starts tracking
+    writes (see ``InstanceModel.seen``), which makes them ``TrackedDict``s.
     """
 
     id: str
@@ -198,11 +246,36 @@ class DynamicObject:
 
 class InstanceModel:
     """Objects keyed by id, governed by one schema.  Every check of an
-    object against the schema lives here."""
+    object against the schema lives here.
+
+    The model also records which objects changed, per reader: a reader
+    (a name, say ``"parse"``) takes ``unseen(reader)``, the objects marked
+    since it last called ``seen(reader)``, so each reader keeps its own
+    place.  An object is marked when it is added, when a write to its
+    tracked mappings changes it (the setters write through them), and
+    when ``mark_all`` marks every object; a reader that never called
+    ``seen`` gets None, meaning every object.  Marks are kept only once
+    some reader has called ``seen``: that is when the model binds its
+    objects' mappings, which stay plain dicts until then.  Each reader
+    decides when tracking pays, so a model read once pays nothing."""
+
+    #: instance-file text per object, kept by ``codec.encode_model``
+    blocks: dict[DynamicObject, str] | None = None
+    _ref = None  # the weak reference bound mappings hold, made on first use
 
     def __init__(self, schema: MetaModel):
         self.schema = schema
         self.objects: dict[str, DynamicObject] = {}
+        #: reader -> the objects marked since it last called ``seen`` (a
+        #: dict as an ordered set); empty while the model tracks no writes
+        self.readers: dict[str, dict[DynamicObject, None]] = {}
+
+    def __setstate__(self, state):
+        """A copy (``copy.deepcopy``) binds its own objects."""
+        self.__dict__.update(state)
+        self.__dict__.pop("_ref", None)
+        if self.readers:
+            self._bind_all()
 
     def __len__(self):
         return len(self.objects)
@@ -211,17 +284,72 @@ class InstanceModel:
         return self.objects.get(obj_id)
 
     def add(self, obj: DynamicObject) -> DynamicObject:
-        self.schema.cls(obj.class_name)
-        if not obj.id or has_line_break(obj.id):
-            raise ModelError(f"object id must be non-empty and hold no line break, got {obj.id!r}")
+        if obj.class_name not in self.schema.classes:
+            self.schema.cls(obj.class_name)  # raises the error
+        if not (obj.id and obj.id.isprintable()):  # printable ids need no split
+            _check_id(obj.id)
         if obj.id in self.objects:
             raise ModelError(f"duplicate object id {obj.id!r}")
         self.objects[obj.id] = obj
+        if self.readers:
+            self._bind_all((obj,))
+            self.mark(obj)
         return obj
 
     def new_object(self, class_name, obj_id) -> DynamicObject:
         """Create an object with all attributes UNSET and add it."""
         return self.add(DynamicObject(obj_id, class_name))
+
+    def _bind_all(self, objects=None):
+        """Give every object (or each of ``objects``) tracked mappings
+        bound here.  The references of a class that declares none stay
+        as they are: no reader reads an undeclared feature."""
+        ref = self._ref
+        if ref is None:
+            ref = self._ref = weakref.ref(self)
+        classes = self.schema.classes
+        for obj in self.objects.values() if objects is None else objects:
+            attributes = obj.attributes
+            if type(attributes) is not TrackedDict:
+                obj.attributes = attributes = TrackedDict(attributes)
+            attributes.model_ref = ref
+            attributes.owner_id = obj.id
+            cls = classes.get(obj.class_name)
+            if cls is not None and not cls.references:
+                continue
+            references = obj.references
+            if type(references) is not TrackedDict:
+                obj.references = references = TrackedDict(references)
+            references.model_ref = ref
+            references.owner_id = obj.id
+
+    def tracks(self, obj: DynamicObject) -> bool:
+        """Whether writes to the object's mappings are marked here."""
+        return self._ref is not None and getattr(obj.attributes, "model_ref", None) is self._ref
+
+    def mark_all(self):
+        """Mark every object changed, binding it again, which turns plain
+        dicts put on it into tracked mappings."""
+        if self.readers:
+            self._bind_all()
+            for unseen in self.readers.values():
+                unseen.update(dict.fromkeys(self.objects.values()))
+
+    def mark(self, obj: DynamicObject):
+        """Record that ``obj`` changed, for every reader."""
+        for unseen in self.readers.values():
+            unseen[obj] = None
+
+    def unseen(self, reader) -> dict[DynamicObject, None] | None:
+        """The objects marked since ``reader`` last called ``seen``, in the
+        order first marked; None if it never called it."""
+        return self.readers.get(reader)
+
+    def seen(self, reader):
+        """``reader`` is up to date: its ``unseen`` restarts empty."""
+        if not self.readers:  # the first reader: track writes from now on
+            self._bind_all()
+        self.readers[reader] = {}
 
     def set_attribute(self, obj: DynamicObject, name, value):
         adef = self.schema.cls(obj.class_name).attribute(name)
@@ -231,7 +359,7 @@ class InstanceModel:
     def set_attribute_text(self, obj: DynamicObject, name, text):
         """Set attribute ``name`` of ``obj`` from its text form: an int
         attribute takes ``text`` as a base-10 integer."""
-        cls = self.schema.cls(obj.class_name)
+        cls = self.schema.classes.get(obj.class_name) or self.schema.cls(obj.class_name)
         adef = cls.attributes.get(name) or cls.attribute(name)
         value = text
         if adef.kind == KIND_INT:
@@ -248,14 +376,16 @@ class InstanceModel:
         return obj.attributes.get(name)
 
     def set_reference(self, obj: DynamicObject, name, target_id):
-        """Assign (one) or add-if-absent (many).  Targets are checked by
-        ``check_target``, not here, so files may forward-reference."""
-        if self.schema.cls(obj.class_name).reference(name).many:
-            targets = obj.references.setdefault(name, [])
-            if target_id not in targets:
-                targets.append(target_id)
-        else:
-            obj.references[name] = target_id
+        """Assign (one) or add-if-absent (many, by replacing the list).
+        Targets are checked by ``check_target``, not here, so files may
+        forward-reference."""
+        cls = self.schema.classes.get(obj.class_name) or self.schema.cls(obj.class_name)
+        if (cls.references.get(name) or cls.reference(name)).many:
+            targets = obj.references.get(name, [])
+            if target_id in targets:
+                return
+            target_id = [*targets, target_id]
+        obj.references[name] = target_id
 
     def get_reference(self, obj: DynamicObject, name):
         self.schema.cls(obj.class_name).reference(name)
@@ -264,7 +394,8 @@ class InstanceModel:
     def check_target(self, obj: DynamicObject, name, target_id):
         """Check that ``target_id`` may be a target of reference ``name`` of
         ``obj``: the object exists and is of the declared target class."""
-        expected = self.schema.cls(obj.class_name).reference(name).target
+        cls = self.schema.classes.get(obj.class_name) or self.schema.cls(obj.class_name)
+        expected = (cls.references.get(name) or cls.reference(name)).target
         target = self.objects.get(target_id)
         if target is None:
             raise ModelError(f"{obj.id}.{name}: unknown target {target_id!r} (it does not exist)")
@@ -276,18 +407,27 @@ class InstanceModel:
 
     def validate(self):
         """Check every invariant: ids, declared features, values, targets."""
+        classes = self.schema.classes
         for obj_id, obj in self.objects.items():
             if obj.id != obj_id:
                 raise ModelError(f"object stored under {obj_id!r} carries id {obj.id!r}")
-            cls = self.schema.cls(obj.class_name)
-            attributes, references = cls.attributes, cls.references
+            if not (obj_id and obj_id.isprintable()):  # printable ids need no split
+                _check_id(obj_id)
             # a plain lookup first: the method call is only for its error
+            cls = classes.get(obj.class_name) or self.schema.cls(obj.class_name)
+            attributes, references = cls.attributes, cls.references
             for name, value in obj.attributes.items():
                 _check_value(obj, attributes.get(name) or cls.attribute(name), value)
             for name, value in obj.references.items():
                 many = (references.get(name) or cls.reference(name)).many
                 for target_id in value if many else (value,):
                     self.check_target(obj, name, target_id)
+
+
+def _check_id(obj_id):
+    """The one check of an object id."""
+    if not obj_id or has_line_break(obj_id):
+        raise ModelError(f"object id must be non-empty and hold no line break, got {obj_id!r}")
 
 
 def _check_value(obj: DynamicObject, adef: AttributeDef, value):

@@ -6,8 +6,11 @@ from hypothesis import given, strategies as st
 from evmigrate import (
     Editor,
     EventStore,
+    DynamicObject,
     FormatError,
+    InstanceModel,
     MigrationError,
+    ModelError,
     decode_log,
     decode_model,
     encode_log,
@@ -18,9 +21,23 @@ from evmigrate import (
     model_equals,
 )
 from evmigrate.checks import random_model
-from evmigrate.codec import _decode_canonical, _decode_lines, encode_commands
+from evmigrate.codec import _decode_canonical, _decode_lines, encode_commands, keep_blocks
+from evmigrate.metamodel import LINE_BREAKS
 
 from conftest import PETS_SCHEMA_TEXT, data_text
+
+PETS_INSTANCE = """\
+obj p1 Person
+  name Alice
+  age 23
+  dogs d1
+  dogs d2
+obj d1 Dog
+  name Rex
+  age 4
+  owner p1
+obj d2 Dog
+"""
 
 GOLDEN_SINGLE = """\
 format: 1
@@ -304,6 +321,47 @@ class TestEncodeModel:
         assert encode_model(model) == (
             "obj p1 Person\n  dogs d1\n  dogs d2\nobj d1 Dog\nobj d2 Dog\n"
         )
+
+    @pytest.mark.parametrize("brk", list(LINE_BREAKS))
+    def test_line_break_written_past_the_setter_is_refused(self, base_schema, brk):
+        model = decode_model(data_text("pets.inst"), base_schema)
+        model.get("p1").attributes["name"] = f"x{brk}obj evil Person"  # past the setter
+        with pytest.raises(ModelError, match="line break"):
+            encode_model(model)
+
+    def test_line_break_is_refused_on_a_re_render_too(self, base_schema):
+        model = decode_model(data_text("pets.inst"), base_schema)
+        keep_blocks(model)
+        model.get("d1").references["owner"] = "p1\nobj evil Person"  # past the setter
+        with pytest.raises(ModelError, match="line break"):
+            encode_model(model)
+
+    def test_writes_past_the_setter_reach_the_next_encode(self, pets_schema):
+        model = decode_model(PETS_INSTANCE, pets_schema)
+        assert encode_model(model) == PETS_INSTANCE and model.blocks is None
+        keep_blocks(model)
+        assert encode_model(model) == PETS_INSTANCE
+        assert model.blocks is not None
+        p1, d1 = model.get("p1"), model.get("d1")
+        p1.attributes["name"] = "Bob"
+        del d1.attributes["age"]
+        p1.references["dogs"] = ["d1"]
+        model.new_object("Dog", "d3")
+        expected = (
+            "obj p1 Person\n  name Bob\n  age 23\n  dogs d1\n"
+            "obj d1 Dog\n  name Rex\n  owner p1\nobj d2 Dog\nobj d3 Dog\n"
+        )
+        assert encode_model(model) == expected
+        assert encode_model(model) == expected
+
+    def test_untracked_model_is_rendered_in_full_every_time(self, base_schema):
+        source = decode_model(data_text("pets.inst"), base_schema)
+        model = InstanceModel(base_schema)
+        for obj in source.objects.values():
+            model.objects[obj.id] = DynamicObject(obj.id, obj.class_name, obj.attributes)
+        assert encode_model(model) == "obj p1 Person\n  name Alice\n  age 23\nobj d1 Dog\n  name Rex\n  age 4\n"
+        model.get("d1").attributes["name"] = "Odie"  # the object is not tracked
+        assert "name Odie" in encode_model(model)
 
 
 class TestDecodeModel:

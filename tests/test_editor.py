@@ -3,6 +3,7 @@ import random
 import pytest
 
 from evmigrate import (
+    DynamicObject,
     Editor,
     EventStore,
     InstanceModel,
@@ -17,6 +18,7 @@ from evmigrate import (
     model_equals,
 )
 from evmigrate import commands
+from evmigrate import editor as editor_module
 from evmigrate.checks import seed_commands
 
 from conftest import data_text
@@ -220,6 +222,12 @@ class TestParseModel:
         assert base_editor.store.get("p1") is person
         assert cmds == [person, renamed]  # still the whole store
 
+    def test_object_put_in_past_add_is_still_parsed(self, base_editor, base_schema):
+        base_editor.adopt_model(decode_model(data_text("pets.inst"), base_schema))
+        base_editor.parse_model()
+        base_editor.model.objects["x"] = DynamicObject("x", "Person")  # never marked
+        assert have_person("person1") in base_editor.parse_model()
+
     def test_unknown_class_rejected(self):
         schema = load_schema(
             "class Person\n  attr name string\nclass Cat\n  attr name string\n"
@@ -357,6 +365,47 @@ class TestUnshippedEntries:
         base_editor.merge_all([have_person("p1", name="A"), have_dog("d1")])
         base_editor.execute(have_dog("d2", owner_id="p1"))
         assert base_editor.store.unshipped().snapshot() == {"d2": have_dog("d2", owner_id="p1")}
+
+
+class TestStoreOrder:
+    def _large_store(self):
+        store = EventStore()
+        for i in range(10_000, 0, -1):
+            store.put(have_dog(f"d{i}", owner_id=f"p{i}"))
+            store.put(have_person(f"p{i}", name="A"))
+        return store
+
+    def test_overwrite_keeps_the_order_without_a_sort(self, monkeypatch):
+        store = self._large_store()
+        before = store.commands()
+        monkeypatch.setattr(editor_module, "canonical_order", None)  # any sort would fail
+        renamed = have_dog("d5000", owner_id="p5000", name="Odie")
+        store.put(renamed)
+        after = store.commands()
+        assert [c.id for c in after] == [c.id for c in before]
+        assert after[before.index(have_dog("d5000", owner_id="p5000"))] is renamed
+        store.put(have_person("p1", name="B"))
+        assert store.commands()[0] == have_person("p1", name="B")
+        assert len(store) == 20_000
+
+    def test_new_id_or_kind_sorts_again(self):
+        store = self._large_store()
+        store.commands()
+        store.put(have_person("p0"))
+        assert store.commands()[0] == have_person("p0")
+        store.put(have_dog("p5"))  # same id, other kind
+        ordered = store.commands()
+        assert have_person("p5") not in ordered
+        assert ordered[10_000:10_002] == [have_dog("d1", owner_id="p1"), have_dog("d10", owner_id="p10")]
+        assert ordered[-1] == have_dog("p5")
+
+    def test_received_entries_keep_the_canonical_order(self):
+        store = self._large_store()
+        store.commands()
+        store.put_received(have_person("p7", name="C"))
+        ordered = store.commands()
+        assert ordered == sorted(ordered, key=lambda c: (c.kind != "HavePerson", c.id))
+        assert have_person("p7", name="C") in ordered
 
 
 class TestStoreModelCoherence:

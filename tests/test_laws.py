@@ -5,7 +5,19 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
-from evmigrate import SCENARIOS, Editor, copy_model, have_dog, have_person, model_equals
+from evmigrate import (
+    SCENARIOS,
+    Editor,
+    MigrationSession,
+    copy_model,
+    decode_model,
+    encode_log,
+    have_dog,
+    have_person,
+    migrate_backward,
+    migrate_forward,
+    model_equals,
+)
 from evmigrate.checks import (
     commutativity_case,
     delta_case,
@@ -13,8 +25,11 @@ from evmigrate.checks import (
     random_distinct_commands,
     roundtrip_case,
     seed_commands,
+    _copy_session,
     _variant_schemas,
 )
+
+PETS_TEXT = "obj p1 Person\n  name Alice\n  age 23\nobj d1 Dog\n  name Rex\n  age 4\n  owner p1\n"
 
 names = st.one_of(st.none(), st.sampled_from(["", "Ann", "Bo b", "Rex-2"]))
 ages = st.one_of(st.none(), st.integers(min_value=0, max_value=150))
@@ -100,6 +115,30 @@ def test_case_generators_pass_on_the_real_implementation(seed):
 )
 def test_delta_ship_equals_full_ship(seed, scenario):
     assert delta_case(random.Random(seed), SCENARIOS[scenario])
+
+
+def test_session_copy_tracks_its_own_writes():
+    session = MigrationSession.for_scenario("identity")
+    session.m2.track_from = 0  # track writes whatever the model's size
+    migrate_forward(session, decode_model(PETS_TEXT, session.m1.schema))
+    migrate_backward(session)  # m2's parse now reads only what changes
+    dup = _copy_session(session)
+    assert dup.m2.schema is session.m2.schema
+    dup.m2.model.get("d1").attributes["name"] = "Odie"
+    assert session.m2.model.unseen("parse") == {}
+    assert list(dup.m2.model.unseen("parse")) == [dup.m2.model.get("d1")]
+    dup.m2.parse_model()
+    assert "name: Odie" in encode_log(dup.m2.store.unshipped(), 2020)
+    assert session.m2.store.get("d1").name == "Rex"
+
+
+def test_oracle_catches_an_untracked_write(monkeypatch):
+    # the delta law fails when a write past the setters goes unseen
+    from evmigrate.checks import check_delta
+    from evmigrate.metamodel import TrackedDict
+
+    monkeypatch.setattr(TrackedDict, "__setitem__", dict.__setitem__)
+    assert check_delta(seed=42, cases=200).failures > 0
 
 
 def test_commutativity_oracle_catches_missing_stub_creation(monkeypatch):

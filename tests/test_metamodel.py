@@ -1,7 +1,10 @@
+import copy
+
 import pytest
 from hypothesis import given, strategies as st
 
 from evmigrate import (
+    DynamicObject,
     InstanceModel,
     ModelError,
     SchemaError,
@@ -153,6 +156,13 @@ class TestAttributes:
         model.set_attribute(p, "name", "tab\tand \x00 are kept")
         model.validate()
 
+    @pytest.mark.parametrize("obj_id", ["", "a\nb", "a\u2028b"])
+    def test_validate_applies_the_id_rule_of_add(self, base_schema, obj_id):
+        model = InstanceModel(base_schema)
+        model.objects[obj_id] = DynamicObject(obj_id, "Person")  # past add
+        with pytest.raises(ModelError, match="non-empty and hold no line break"):
+            model.validate()
+
     def test_line_breaks_are_what_splitlines_breaks_at(self):
         breaks = {c for c in map(chr, range(0x110000)) if len(f"a{c}b".splitlines()) == 2}
         assert breaks == set(LINE_BREAKS)
@@ -288,6 +298,110 @@ class TestCopyModel:
         b.set_attribute(b.get("p1"), "age", 99)
         assert a.get("p1").attributes["age"] == 23
         assert not model_equals(a, b)
+
+
+#: each mutator of the tracked mappings, as a write to an object's attributes
+_WRITES = {
+    "__setitem__": lambda values: values.__setitem__("name", "Bob"),
+    "__delitem__": lambda values: values.__delitem__("age"),
+    "pop": lambda values: values.pop("age"),
+    "popitem": lambda values: values.popitem(),
+    "setdefault": lambda values: values.setdefault("nick", "B"),
+    "update": lambda values: values.update(name="Bob"),
+    "clear": lambda values: values.clear(),
+    "__ior__": lambda values: values.__ior__({"name": "Bob"}),
+}
+
+
+class TestWriteTracking:
+    def _read_model(self, schema):
+        model = _pets_pair(schema)
+        assert model.unseen("reader") is None  # never read: every object is unseen
+        model.seen("reader")
+        assert model.unseen("reader") == {}
+        return model
+
+    @pytest.mark.parametrize("mutator", sorted(_WRITES))
+    def test_every_mutator_marks_its_object(self, base_schema, mutator):
+        model = self._read_model(base_schema)
+        _WRITES[mutator](model.get("p1").attributes)
+        assert list(model.unseen("reader")) == [model.get("p1")]
+
+    @pytest.mark.parametrize("mutator", sorted(_WRITES))
+    def test_reference_writes_mark_too(self, base_schema, mutator):
+        model = self._read_model(base_schema)
+        references = model.get("d1").references
+        references["age"] = 1  # any key: every mutator needs something to act on
+        model.seen("reader")
+        _WRITES[mutator](references)
+        assert list(model.unseen("reader")) == [model.get("d1")]
+
+    def test_readers_keep_their_own_place(self, base_schema):
+        model = self._read_model(base_schema)
+        model.seen("other")
+        model.get("d1").attributes["name"] = "Odie"
+        model.seen("reader")
+        model.set_attribute(model.get("p1"), "age", 30)
+        model.new_object("Dog", "d2")
+        assert list(model.unseen("reader")) == [model.get("p1"), model.get("d2")]
+        assert list(model.unseen("other")) == [model.get("d1"), model.get("p1"), model.get("d2")]
+
+    def test_objects_first_marked_come_first(self, base_schema):
+        model = self._read_model(base_schema)
+        model.get("d1").attributes["name"] = "Odie"
+        model.get("p1").attributes["name"] = "Bob"
+        model.get("d1").attributes["age"] = 5
+        assert list(model.unseen("reader")) == [model.get("d1"), model.get("p1")]
+
+    def test_replaced_plain_dicts_are_tracked_after_mark_all(self, base_schema):
+        model = self._read_model(base_schema)
+        p1 = model.get("p1")
+        p1.attributes = {"name": "Bob"}  # a plain dict: its writes go unseen ...
+        p1.attributes["age"] = 3
+        assert model.unseen("reader") == {}
+        model.mark_all()  # ... until the model binds the object again
+        model.seen("reader")
+        p1.attributes["age"] = 4
+        assert list(model.unseen("reader")) == [p1]
+
+    def test_a_many_reference_is_replaced_not_edited(self, pets_schema):
+        model = InstanceModel(pets_schema)
+        p = model.new_object("Person", "p1")
+        model.new_object("Dog", "d1")
+        model.new_object("Dog", "d2")
+        model.set_reference(p, "dogs", "d1")
+        first = p.references["dogs"]
+        model.set_reference(p, "dogs", "d2")
+        assert first == ["d1"] and p.references["dogs"] == ["d1", "d2"]
+
+    def test_copies_are_untracked_and_equal(self, base_schema):
+        model = self._read_model(base_schema)
+        dup = copy_model(model)
+        assert model_equals(model, dup)
+        dup.get("p1").attributes["name"] = "Bob"
+        assert model.unseen("reader") == {}
+        assert model.get("p1").attributes["name"] == "Alice"
+        assert not model_equals(model, dup)
+
+    def test_deep_copy_binds_its_own_objects(self, base_schema):
+        model = self._read_model(base_schema)
+        dup = copy.deepcopy(model)
+        assert model_equals(model, dup)
+        dup.get("p1").attributes["name"] = "Bob"
+        assert model.unseen("reader") == {}
+        assert list(dup.unseen("reader")) == [dup.get("p1")]
+        values = copy.deepcopy(model.get("d1").attributes)
+        values["name"] = "Odie"  # a copy of a mapping alone is bound to nothing
+        assert values == {"name": "Odie"} and model.unseen("reader") == {}
+
+    def test_tracked_and_plain_mappings_compare_equal(self, base_schema):
+        a = _pets_pair(base_schema)
+        b = InstanceModel(base_schema)
+        for obj in a.objects.values():
+            plain = DynamicObject(obj.id, obj.class_name)
+            plain.attributes, plain.references = dict(obj.attributes), dict(obj.references)
+            b.objects[obj.id] = plain
+        assert model_equals(a, b) and model_equals(b, a)
 
 
 # -- properties ----------------------------------------------------------

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from evmigrate import (
+    DynamicObject,
     Editor,
     FormatError,
     InstanceModel,
@@ -18,7 +19,10 @@ from evmigrate import (
     migrate_forward,
     model_equals,
 )
+from evmigrate import codec, commands
 from evmigrate.checks import random_model
+from evmigrate.commands import have_dog, have_person
+from evmigrate.editor import TRACK_FROM
 from evmigrate.sync import SCENARIOS, TRANSCRIPT_LIMIT
 
 from conftest import data_text
@@ -120,6 +124,13 @@ class TestMigrateBackward:
         with pytest.raises(MigrationError, match="line break"):
             migrate_forward(s, model)
         assert s.m2.model.get("evil") is None
+
+    def test_line_break_in_an_object_id_is_a_model_error(self):
+        s = session_for("identity")
+        model = pets_model(s.m1.schema)
+        model.objects["a\nb"] = DynamicObject("a\nb", "Person")  # past add
+        with pytest.raises(ModelError, match="line break"):
+            migrate_forward(s, model)
 
     def test_ybirth_edit_on_m2_lands_as_age(self):
         s = session_for("ybirth")
@@ -361,6 +372,117 @@ class TestTransportProperties:
             migrate_forward(s, model)
             model = migrate_backward(s)
             assert model_equals(model, snapshot)
+
+
+def _bulk_text(size):
+    """An instance file with ``size`` objects: persons, then dogs each owned by one."""
+    persons = size // 2
+    lines = [f"obj p{i} Person\n  name P{i}\n  age {i % 90}\n" for i in range(persons)]
+    lines += [
+        f"obj d{i} Dog\n  name D{i}\n  age {i % 15}\n  owner p{i % persons}\n"
+        for i in range(size - persons)
+    ]
+    return "".join(lines)
+
+
+class TestSyncCostsChangedObjectsOnly:
+    """Counted calls, not times: a one-edit backward parses one object on
+    m2 and re-renders one instance-file block of m1, from the first
+    backward after a forward on."""
+
+    def _count(self, monkeypatch):
+        parsed, rendered = [], []
+        original_parse, original_render = Editor._parse, codec._render
+
+        def counting_parse(editor, obj, kind):
+            parsed.append(obj.id)
+            return original_parse(editor, obj, kind)
+
+        def counting_render(lines, obj, cls):
+            rendered.append(obj.id)
+            return original_render(lines, obj, cls)
+
+        monkeypatch.setattr(Editor, "_parse", counting_parse)
+        monkeypatch.setattr(codec, "_render", counting_render)
+        return parsed, rendered
+
+    def test_one_rename_parses_and_renders_one_object(self, monkeypatch):
+        s = session_for("dog-no-age")
+        migrate_forward(s, decode_model(_bulk_text(2000), s.m1.schema))
+        encode_model(migrate_backward(s))  # a backward with no edit
+        apply_mutations(s.m2.model, "set d7 name Odie\n")
+        parsed, rendered = self._count(monkeypatch)
+        text = encode_model(migrate_backward(s))
+        assert parsed == ["d7"]
+        assert rendered == ["d7"]
+        assert "obj d7 Dog\n  name Odie\n  age 7\n  owner p7\n" in text
+        assert text == encode_model(copy_model(s.m1.model))  # a full render agrees
+
+    @pytest.mark.parametrize("scenario", ["dog-no-age", "ybirth"])
+    def test_the_forward_readies_the_first_backward(self, monkeypatch, scenario):
+        # the forward renders m1 and lets m2's parse skip what it merged,
+        # so no backward pays for a full pass
+        s = session_for(scenario)
+        migrate_forward(s, decode_model(_bulk_text(2000), s.m1.schema))
+        apply_mutations(s.m2.model, "set d7 name Odie\nset p3 name Ann\n")
+        parsed, rendered = self._count(monkeypatch)
+        text = encode_model(migrate_backward(s))
+        assert parsed == ["p3", "d7"]
+        assert sorted(rendered) == ["d7", "p3"]
+        assert text == encode_model(copy_model(s.m1.model))
+
+    def test_a_large_forward_runs_each_command_once(self, monkeypatch):
+        # on m2, merging; m1's parse would only write back what it read
+        s = session_for("dog-no-age")
+        m1 = decode_model(_bulk_text(TRACK_FROM), s.m1.schema)
+        runs = []
+        original = commands.run
+        monkeypatch.setattr(commands, "run", lambda cmd, editor: runs.append(editor) or original(cmd, editor))
+        migrate_forward(s, m1)
+        assert runs == [s.m2] * TRACK_FROM
+
+    def test_a_large_forward_still_runs_where_age_and_ybirth_disagree(self):
+        both = load_schema(
+            "class Person\n  attr name string\n  attr age int\n  attr ybirth int\n"
+            "class Dog\n  attr name string\n  ref owner -> Person one\n",
+            name="m1",
+        )
+        s = MigrationSession.create(both, SCENARIOS["ybirth"].m2_schema)
+        m1 = decode_model("".join(f"obj p{i} Person\n  age 5\n  ybirth 1990\n" for i in range(TRACK_FROM)), both)
+        migrate_forward(s, m1)
+        assert m1.get("p7").attributes == {"age": 5, "ybirth": 2015}  # ybirth follows the age
+
+    def test_a_small_session_tracks_nothing(self):
+        # below track_from a full pass costs less than tracking writes
+        s = session_for("dog-no-age")
+        migrate_forward(s, decode_model(_bulk_text(TRACK_FROM - 2), s.m1.schema))
+        assert not s.m2.model.readers and not s.m1.model.readers
+        apply_mutations(s.m2.model, "set d7 name Odie\n")
+        assert "obj d7 Dog\n  name Odie\n" in encode_model(migrate_backward(s))
+        assert not s.m2.model.readers and s.m1.model.blocks is None
+
+    def test_a_schema_that_drops_a_field_keeps_the_full_first_parse(self):
+        # m2 cannot hold the dogs' names: each dog derives a command that
+        # differs from the one merged, so the first backward must see all
+        m2_schema = load_schema(
+            "class Person\n  attr name string\n  attr age int\n"
+            "class Dog\n  attr age int\n  ref owner -> Person one\n",
+            name="m2",
+        )
+        s = MigrationSession.create(SCENARIOS["identity"].m1_schema, m2_schema)
+        migrate_forward(s, decode_model(_bulk_text(2000), s.m1.schema))
+        assert s.m2.model.unseen("parse") is None
+        migrate_backward(s)
+        assert s.m2.store.get("d7").name is None  # every dog was parsed again
+        assert s.m1.model.get("d7").attributes["name"] == "D7"  # a merge writes no UNSET
+
+    def test_an_owner_stub_without_its_own_command_keeps_the_full_first_parse(self):
+        editor = Editor(SCENARIOS["identity"].m2_schema)
+        dogs = [have_dog(f"d{i}", "p0", f"D{i}", 1) for i in range(TRACK_FROM)]
+        editor.merge_all(dogs)  # p0 is a stub no command built
+        assert editor.model.unseen("parse") is None
+        editor.merge_all([have_person("p0", "Ann", 30)])
+        assert editor.model.unseen("parse") is None
 
 
 class TestSessionSetup:
