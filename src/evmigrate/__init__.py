@@ -17,7 +17,6 @@ from .commands import (
     DEFAULT_REFERENCE_YEAR,
     HAVE_DOG,
     HAVE_PERSON,
-    command_equals,
     have_dog,
     have_person,
 )
@@ -74,7 +73,6 @@ __all__ = [
     "Scenario",
     "SchemaError",
     "apply_mutations",
-    "command_equals",
     "copy_model",
     "decode_log",
     "decode_model",

@@ -23,7 +23,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .commands import SPECS, Command, canonical_order, check_reference_year
+from .commands import SPECS, Command, check_reference_year
 from .editor import EventStore
 from .errors import FormatError, MigrationError, ModelError
 from .metamodel import (
@@ -54,18 +54,10 @@ def _parse_int(text, lineno, what):
 # -- command logs -------------------------------------------------------
 
 
-def encode_commands(cmds, reference_year) -> str:
-    return _encode_ordered(canonical_order(cmds), reference_year)
-
-
 def encode_log(store: EventStore, reference_year) -> str:
     """Canonical text for an event store; stable across calls."""
-    return _encode_ordered(store.commands(), reference_year)
-
-
-def _encode_ordered(cmds, reference_year) -> str:
     out = [f"format: {FORMAT_VERSION}", f"referenceYear: {reference_year}", "commands:"]
-    for cmd in cmds:
+    for cmd in store.commands():
         out.append(f"  - command: {cmd.kind}")
         out.append(f"    id: {cmd.id}")
         if cmd.owner_id is not None:
@@ -88,7 +80,7 @@ def _split_entry(line, lineno):
     return key.strip(), value.strip()
 
 
-# The canonical layout, as ``encode_commands`` writes it.  A value is
+# The canonical layout, as ``encode_log`` writes it.  A value is
 # non-empty, has no whitespace at either end and no character at which
 # ``str.splitlines`` would break, so the line reader would see the same
 # lines, keys and values.

@@ -89,10 +89,6 @@ def have_dog(obj_id, owner_id=None, name=None, age=None) -> Command:
     return Command(HAVE_DOG, obj_id, name, age, owner_id)
 
 
-def command_equals(a: Command, b: Command) -> bool:
-    return a == b
-
-
 def canonical_order(cmds) -> list[Command]:
     """Kinds in SPECS order, each sorted by id.
 

@@ -9,9 +9,6 @@ its entries the peer editor has not been sent yet.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
-from operator import attrgetter
-
 from . import commands as _commands
 from .commands import (
     SPECS,
@@ -26,9 +23,6 @@ from .metamodel import DynamicObject, InstanceModel, MetaModel
 
 #: class name -> the command kind that targets it
 _KIND_OF_CLASS = {class_name: kind for kind, (class_name, _) in SPECS.items()}
-#: kind -> its place in the canonical order
-_RANK = {kind: rank for rank, kind in enumerate(SPECS)}
-_id_of = attrgetter("id")
 
 #: the model reader ``Editor.parse_model`` keeps its place under
 PARSE = "parse"
@@ -46,10 +40,6 @@ def _holds_every_field(bindings) -> bool:
         and (binding[4] is not None or "ownerId" not in fields)
         for binding, (_, fields) in zip(bindings.values(), SPECS.values())
     )
-
-
-def _rank_of(cmd: Command) -> int:
-    return _RANK[cmd.kind]
 
 
 def _merge_order(cmd: Command):
@@ -74,15 +64,15 @@ class EventStore:
     any order.
     """
 
-    _ordered: list[Command] | None = None  # canonical order, see put
-    _spans: dict[str, tuple[int, int]]  # kind -> its slice of _ordered, set with it
-
     def __init__(self):
         self._entries: dict[str, Command] = {}
         self._unshipped: dict[str, Command] = {}  # entries the peer lacks
 
     def __len__(self):
         return len(self._entries)
+
+    def __iter__(self):
+        return iter(self._entries.values())
 
     def __eq__(self, other):
         if not isinstance(other, EventStore):
@@ -93,42 +83,20 @@ class EventStore:
         return self._entries.get(obj_id)
 
     def put(self, cmd: Command):
-        """Insert or replace the entry for ``cmd.id``, to be shipped.  A
-        replaced entry of the same kind keeps its place in the canonical
-        order; a new id or kind drops the order."""
-        ordered = self._ordered
-        if ordered is not None:
-            old = self._entries.get(cmd.id)
-            if old is None or old.kind != cmd.kind:
-                self._ordered = None
-            else:
-                span = self._spans.get(cmd.kind)
-                if span is None:  # a kind's commands are one run of the order, sorted by id
-                    rank = _RANK[cmd.kind]
-                    span = (bisect_left(ordered, rank, key=_rank_of),
-                            bisect_right(ordered, rank, key=_rank_of))
-                    self._spans[cmd.kind] = span
-                ordered[bisect_left(ordered, cmd.id, *span, key=_id_of)] = cmd
+        """Insert or replace the entry for ``cmd.id``, to be shipped."""
         self._entries[cmd.id] = cmd
         self._unshipped[cmd.id] = cmd
 
     def put_received(self, cmd: Command):
         """Insert or replace the entry for ``cmd.id`` with a command the
-        peer sent, so it already holds it: the id no longer ships.  It
-        drops the order: a merge writes many entries, and the receiver
-        reads the order only when it next parses."""
+        peer sent, so it already holds it: the id no longer ships."""
         self._entries[cmd.id] = cmd
-        self._ordered = None
         if self._unshipped:
             self._unshipped.pop(cmd.id, None)
 
     def commands(self) -> list[Command]:
-        """Snapshot in canonical (kind, id) order.  The order is kept until
-        a put adds an id, so a parse followed by an encode sorts once."""
-        if self._ordered is None:
-            self._ordered = canonical_order(self._entries.values())
-            self._spans = {}
-        return list(self._ordered)
+        """Snapshot in canonical (kind, id) order, sorted on each call."""
+        return canonical_order(self._entries.values())
 
     def snapshot(self) -> dict[str, Command]:
         return dict(self._entries)
@@ -182,9 +150,6 @@ class Editor:
     def _register(self, obj_id, obj):
         self.registry[obj_id] = obj
         self._id_of_object[obj] = obj_id
-
-    def registered_id(self, obj) -> str | None:
-        return self._id_of_object.get(obj)
 
     def get_or_create(self, class_name, obj_id) -> DynamicObject:
         """Return the registered object for (class, id), creating a fresh
@@ -263,7 +228,6 @@ class Editor:
             store.put_received(cmd)
         if first and len(ordered) == len(store) == len(model.objects):
             model.seen(PARSE)
-            store.commands()  # sorts the store once, here, for the parse to return
 
     # -- adoption -----------------------------------------------------
 
@@ -287,9 +251,9 @@ class Editor:
 
     # -- parsing ------------------------------------------------------
 
-    def parse_model(self) -> list[Command]:
-        """Derive the commands that reproduce the current model; execute
-        and store those that differ from the stored ones.
+    def parse_model(self) -> EventStore:
+        """Derive the commands that reproduce the current model; store
+        those that differ from the stored ones, and return the store.
 
         Visits the objects the model marked since the last parse (all of
         them on the first, and on every parse of a model smaller than
@@ -301,7 +265,9 @@ class Editor:
         never changes, so an unmarked object would derive its stored
         command again.  A derived command equal to the stored one is
         neither run nor put again, so it ships only if it was already
-        waiting to.  Returns the whole store in canonical order."""
+        waiting to.  A changed command runs only where its class declares
+        both age and ybirth: the one not read then follows the other.  Any
+        other run would write back the values it was read from."""
         model = self.model
         visit = model.unseen(PARSE)
         # The first parse from an empty store (after adoption) derives
@@ -318,13 +284,8 @@ class Editor:
         for obj in visit:
             buckets[_KIND_OF_CLASS.get(obj.class_name) or _kind_of(obj)].append(obj)
         store = self.store
-        # A large parse from an empty store (the forward's) runs only the
-        # commands that can write what the object lacks: with both age and
-        # ybirth declared, the one not read follows the other.  Any other
-        # command would write back the values it was read from.
-        bulk = len(store) == 0 and len(model.objects) >= self.track_from
         for kind, bucket in buckets.items():
-            runs = not bulk or bucket and all(self.bindings[kind][2:4])
+            runs = bucket and all(self.bindings[kind][2:4])  # has age, has ybirth
             for obj in bucket:
                 cmd, changed = self._parse(obj, kind)
                 if changed:
@@ -333,7 +294,7 @@ class Editor:
                     store.put(cmd)
         if track:  # the runs above re-marked what they wrote; it derives its stored command
             model.seen(PARSE)
-        return store.commands()
+        return store
 
     def parse(self, obj: DynamicObject) -> Command:
         """The command that reproduces one object.

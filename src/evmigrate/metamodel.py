@@ -4,8 +4,7 @@ Classes, attributes and references are declared in data (parsed from a
 plain-text schema file) and queried at runtime, so one command
 implementation can serve any schema variant.  Objects are attribute
 maps; an attribute that was never set is UNSET, which is distinct from
-empty string or zero and is represented as the absence of the key
-(``get_attribute`` returns ``None``).
+empty string or zero and is represented as the absence of the key.
 
 A model records which of its objects were written, so readers that
 derive something per object (the editor's parse, the instance encoder)
@@ -127,9 +126,6 @@ class MetaModel:
             return self.classes[class_name]
         except KeyError:
             raise SchemaError(f"unknown class {class_name!r}") from None
-
-    def has_attribute(self, class_name, attr_name) -> bool:
-        return attr_name in self.cls(class_name).attributes
 
     def __repr__(self):
         return f"MetaModel({self.name!r}, classes={list(self.classes)})"
@@ -370,11 +366,6 @@ class InstanceModel:
         _check_value(obj, adef, value)
         obj.attributes[name] = value
 
-    def get_attribute(self, obj: DynamicObject, name):
-        """Return the attribute value, or None when UNSET."""
-        self.schema.cls(obj.class_name).attribute(name)
-        return obj.attributes.get(name)
-
     def set_reference(self, obj: DynamicObject, name, target_id):
         """Assign (one) or add-if-absent (many, by replacing the list).
         Targets are checked by ``check_target``, not here, so files may
@@ -386,10 +377,6 @@ class InstanceModel:
                 return
             target_id = [*targets, target_id]
         obj.references[name] = target_id
-
-    def get_reference(self, obj: DynamicObject, name):
-        self.schema.cls(obj.class_name).reference(name)
-        return obj.references.get(name)
 
     def check_target(self, obj: DynamicObject, name, target_id):
         """Check that ``target_id`` may be a target of reference ``name`` of

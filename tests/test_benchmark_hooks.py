@@ -51,8 +51,9 @@ def test_run_is_looked_up_at_call_time(monkeypatch):
     session = evmigrate.MigrationSession.for_scenario("ybirth")
     model = evmigrate.decode_model(data_text("pets.inst"), session.m1.schema)
     evmigrate.migrate_forward(session, model)
-    # each side executed every command once: m1 while parsing, m2 while merging
-    assert len(calls) == len(session.m1.store) + len(session.m2.store) == 4
+    # m2 executed every command once while merging; m1's parse would only
+    # write back what it read, so it ran none
+    assert len(calls) == len(session.m2.store) == len(session.m1.store) == 2
 
 
 def test_rename_backward_ships_and_runs_one_command(monkeypatch):
@@ -77,5 +78,21 @@ def test_rename_backward_ships_and_runs_one_command(monkeypatch):
     evmigrate.migrate_backward(session)
     renamed = evmigrate.have_dog("d1", owner_id="p1", name="Odie", age=4)
     assert decoded == [[renamed]]
-    # m2 ran it while parsing, m1 while merging; the unchanged person ran nowhere
-    assert runs == [renamed, renamed]
+    # m1 ran it while merging; m2's parse and the unchanged person ran nowhere
+    assert runs == [renamed]
+
+
+def test_parse_model_yields_every_stored_command():
+    # the traced run counts recovered ages and ybirth conversions over it
+    session = evmigrate.MigrationSession.for_scenario("dog-no-age")
+    evmigrate.migrate_forward(session, evmigrate.decode_model(data_text("pets.inst"), session.m1.schema))
+    parsed = list(session.m2.parse_model())
+    assert len(parsed) == 2 and {cmd.id: cmd for cmd in parsed} == session.m2.store.snapshot()
+    assert all(isinstance(cmd, Command) for cmd in parsed)
+    # m2 declares no Dog.age: the dog's age is the one recovered from the store
+    assert {(cmd.target_class, cmd.age) for cmd in parsed} == {("Person", 23), ("Dog", 4)}
+
+
+def test_every_export_resolves_once_in_sorted_order():
+    assert all(hasattr(evmigrate, name) for name in evmigrate.__all__)
+    assert evmigrate.__all__ == sorted(set(evmigrate.__all__))

@@ -206,10 +206,9 @@ class TestLawOracleCatchesBrokenImplementations:
         def stale_parse_model(editor):
             # takes every object that has a stored command to be unchanged
             for obj in list(editor.model.objects.values()):
-                obj_id = editor.registered_id(obj)
-                if obj_id is None or editor.store.get(obj_id) is None:
+                if editor.store.get(editor.id_for(obj)) is None:
                     editor.execute(editor.parse(obj))
-            return editor.store.commands()
+            return editor.store
 
         monkeypatch.setattr(Editor, "parse_model", stale_parse_model)
         assert check_roundtrip(seed=17, cases=60).failures == 0

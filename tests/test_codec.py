@@ -21,7 +21,7 @@ from evmigrate import (
     model_equals,
 )
 from evmigrate.checks import random_model
-from evmigrate.codec import _decode_canonical, _decode_lines, encode_commands, keep_blocks
+from evmigrate.codec import _decode_canonical, _decode_lines, keep_blocks
 from evmigrate.metamodel import LINE_BREAKS
 
 from conftest import PETS_SCHEMA_TEXT, data_text
@@ -209,12 +209,12 @@ class TestDecodeLog:
             "    name: Alice\n"
         )
         doc = decode_log(shuffled)
-        assert encode_commands(doc.commands, doc.reference_year) == data_text("golden_pets.cmdlog")
+        assert encode_log(store_of(*doc.commands), doc.reference_year) == data_text("golden_pets.cmdlog")
 
     def test_canonical_text_roundtrips_to_itself(self):
         golden = data_text("golden_pets.cmdlog")
         doc = decode_log(golden)
-        assert encode_commands(doc.commands, doc.reference_year) == golden
+        assert encode_log(store_of(*doc.commands), doc.reference_year) == golden
 
 
 def random_store(rng) -> EventStore:

@@ -78,7 +78,7 @@ class TestLoadSchema:
 
     def test_comments_and_blank_lines_ignored(self):
         m = load_schema("# header\n\nclass Person\n  # inner\n  attr name string\n")
-        assert m.has_attribute("Person", "name")
+        assert "name" in m.cls("Person").attributes
 
     def test_feature_before_class(self):
         with pytest.raises(SchemaError, match="before any class"):
@@ -87,18 +87,18 @@ class TestLoadSchema:
 
 class TestHasAttribute:
     def test_ybirth_variant_declares_ybirth(self, ybirth_schema):
-        assert ybirth_schema.has_attribute("Person", "ybirth") is True
+        assert "ybirth" in ybirth_schema.cls("Person").attributes
 
     def test_base_variant_has_no_ybirth(self, base_schema):
-        assert base_schema.has_attribute("Person", "ybirth") is False
+        assert "ybirth" not in base_schema.cls("Person").attributes
 
     def test_name_present_in_every_variant(self, base_schema, ybirth_schema, dog_no_age_schema):
         for schema in (base_schema, ybirth_schema, dog_no_age_schema):
-            assert schema.has_attribute("Person", "name")
+            assert "name" in schema.cls("Person").attributes
 
     def test_unknown_class(self, base_schema):
         with pytest.raises(SchemaError, match="unknown class"):
-            base_schema.has_attribute("Cat", "name")
+            base_schema.cls("Cat")
 
 
 class TestAttributes:
@@ -106,14 +106,14 @@ class TestAttributes:
         model = InstanceModel(base_schema)
         p = model.new_object("Person", "p1")
         model.set_attribute(p, "name", "Alice")
-        assert model.get_attribute(p, "name") == "Alice"
+        assert p.attributes.get("name") == "Alice"
 
     def test_last_write_wins(self, base_schema):
         model = InstanceModel(base_schema)
         p = model.new_object("Person", "p1")
         model.set_attribute(p, "age", 5)
         model.set_attribute(p, "age", 7)
-        assert model.get_attribute(p, "age") == 7
+        assert p.attributes.get("age") == 7
 
     def test_undeclared_attribute_rejected(self, base_schema):
         model = InstanceModel(base_schema)
@@ -124,7 +124,7 @@ class TestAttributes:
     def test_unset_reads_as_none(self, base_schema):
         model = InstanceModel(base_schema)
         p = model.new_object("Person", "p1")
-        assert model.get_attribute(p, "age") is None
+        assert p.attributes.get("age") is None
 
     def test_kind_mismatch(self, base_schema):
         model = InstanceModel(base_schema)
@@ -189,7 +189,7 @@ class TestReferences:
         d = model.new_object("Dog", "d1")
         model.set_reference(d, "owner", "p1")
         model.set_reference(d, "owner", "p2")
-        assert model.get_reference(d, "owner") == "p2"
+        assert d.references.get("owner") == "p2"
 
     def test_many_has_set_semantics(self, pets_schema):
         model = InstanceModel(pets_schema)
@@ -197,7 +197,7 @@ class TestReferences:
         model.new_object("Dog", "d1")
         model.set_reference(p, "dogs", "d1")
         model.set_reference(p, "dogs", "d1")
-        assert model.get_reference(p, "dogs") == ["d1"]
+        assert p.references.get("dogs") == ["d1"]
 
     def test_undeclared_reference(self, pets_schema):
         model = InstanceModel(pets_schema)
@@ -419,8 +419,8 @@ def test_set_get_roundtrip(name, age):
     p = model.new_object("Person", "p1")
     model.set_attribute(p, "name", name)
     model.set_attribute(p, "age", age)
-    assert model.get_attribute(p, "name") == name
-    assert model.get_attribute(p, "age") == age
+    assert p.attributes.get("name") == name
+    assert p.attributes.get("age") == age
 
 
 @given(feature=st.text(alphabet="abcdefghij", min_size=1, max_size=8))

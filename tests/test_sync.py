@@ -20,6 +20,7 @@ from evmigrate import (
     model_equals,
 )
 from evmigrate import codec, commands
+from evmigrate import editor as editor_module
 from evmigrate.checks import random_model
 from evmigrate.commands import have_dog, have_person
 from evmigrate.editor import TRACK_FROM
@@ -418,6 +419,30 @@ class TestSyncCostsChangedObjectsOnly:
         assert "obj d7 Dog\n  name Odie\n  age 7\n  owner p7\n" in text
         assert text == encode_model(copy_model(s.m1.model))  # a full render agrees
 
+    def test_one_rename_sorts_only_the_shipped_delta(self, monkeypatch):
+        # the store keeps no order: only the encoder of the 1-command ship
+        # sorts, and the parse hands back m2's store itself, not a copy
+        s = session_for("dog-no-age")
+        migrate_forward(s, decode_model(_bulk_text(2000), s.m1.schema))
+        apply_mutations(s.m2.model, "set d7 name Odie\n")
+        sorted_sizes, parsed = [], []
+        original_order, original_parse_model = editor_module.canonical_order, Editor.parse_model
+
+        def counting_order(cmds):
+            cmds = list(cmds)
+            sorted_sizes.append(len(cmds))
+            return original_order(cmds)
+
+        def recording_parse_model(editor):
+            parsed.append(original_parse_model(editor))
+            return parsed[-1]
+
+        monkeypatch.setattr(editor_module, "canonical_order", counting_order)
+        monkeypatch.setattr(Editor, "parse_model", recording_parse_model)
+        migrate_backward(s)
+        assert sorted_sizes == [1]
+        assert len(parsed) == 1 and parsed[0] is s.m2.store
+
     @pytest.mark.parametrize("scenario", ["dog-no-age", "ybirth"])
     def test_the_forward_readies_the_first_backward(self, monkeypatch, scenario):
         # the forward renders m1 and lets m2's parse skip what it merged,
@@ -493,6 +518,6 @@ class TestSessionSetup:
     def test_scenarios_have_distinct_or_equal_schemas(self):
         assert sorted(SCENARIOS) == ["dog-no-age", "identity", "ybirth"]
         for scenario in SCENARIOS.values():
-            assert scenario.m1_schema.has_attribute("Person", "age")
-        assert SCENARIOS["ybirth"].m2_schema.has_attribute("Person", "ybirth")
-        assert not SCENARIOS["dog-no-age"].m2_schema.has_attribute("Dog", "age")
+            assert "age" in scenario.m1_schema.cls("Person").attributes
+        assert "ybirth" in SCENARIOS["ybirth"].m2_schema.cls("Person").attributes
+        assert "age" not in SCENARIOS["dog-no-age"].m2_schema.cls("Dog").attributes
