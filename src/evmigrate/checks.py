@@ -27,7 +27,7 @@ import random
 from dataclasses import dataclass
 
 from .codec import decode_log, encode_log, encode_model
-from .commands import HAVE_DOG, HAVE_PERSON, SPECS, Command, have_dog, have_person
+from .commands import HAVE_DOG, HAVE_PERSON, KIND_OF_CLASS, SPECS, Command, have_dog, have_person
 from .editor import Editor
 from .errors import MigrationError
 from .metamodel import InstanceModel, KIND_INT, copy_model, model_equals
@@ -290,15 +290,12 @@ def _merge_no_op(rng, session):
     hold, on both sides, as if the peers had exchanged it: it writes
     nothing, but its store entry replaces the old one."""
     targets = [(obj_id, obj) for obj_id, obj in session.m2.registry.items()
-               if obj.class_name in _CLASS_KINDS]
+               if obj.class_name in KIND_OF_CLASS]
     if targets:
         obj_id, obj = rng.choice(targets)
-        cmd = Command(_CLASS_KINDS[obj.class_name], obj_id)
+        cmd = Command(KIND_OF_CLASS[obj.class_name], obj_id)
         session.m1.merge_all([cmd])
         session.m2.merge_all([cmd])
-
-
-_CLASS_KINDS = {class_name: kind for kind, (class_name, _) in SPECS.items()}
 
 
 def _copy_session(session) -> MigrationSession:

@@ -216,12 +216,11 @@ def encode_model(model: InstanceModel) -> str:
     order, one line per many-reference target.
 
     A model that keeps its blocks (see ``keep_blocks``) re-renders only
-    the objects it marked changed since the last encode, and those it
-    does not track (see ``InstanceModel.tracks``); any other model is
-    rendered in full."""
+    the objects it marked changed since the last encode; any other model
+    is rendered in full."""
     changed = model.unseen(ENCODE)
-    classes = model.schema.classes
     if changed is None or model.blocks is None:
+        classes = model.schema.classes
         lines = []
         for obj in model.objects.values():
             _render(lines, obj, classes.get(obj.class_name) or model.schema.cls(obj.class_name))
@@ -229,16 +228,11 @@ def encode_model(model: InstanceModel) -> str:
         return "\n".join(lines) if len(lines) > 1 else ""
     model.seen(ENCODE)
     blocks = model.blocks
-    # Objects enter a model only at its end, so re-rendering in place and
-    # adding new objects last keeps the blocks in model order.
+    # Objects enter a model only through ``add``, at its end, so re-rendering
+    # in place and adding new objects last keeps the blocks in model order.
     for obj in changed:
-        if model.tracks(obj):
-            blocks[obj] = _block(obj, classes.get(obj.class_name) or model.schema.cls(obj.class_name))
-    if len(blocks) == len(model.objects):
-        return "".join(blocks.values())
-    # objects without a kept block, or put in or taken out past the
-    # model's methods
-    return "".join(_keep(model, blocks))
+        blocks[obj] = _block(obj, model)
+    return "".join(blocks.values())
 
 
 def keep_blocks(model: InstanceModel):
@@ -246,26 +240,12 @@ def keep_blocks(model: InstanceModel):
     re-renders only what changed; it costs one full render."""
     if model.blocks is None:
         model.seen(ENCODE)
-        _keep(model, {})
+        model.blocks = {obj: _block(obj, model) for obj in model.objects.values()}
 
 
-def _keep(model: InstanceModel, old) -> list[str]:
-    """Keep the block of every object the model tracks, rendering those
-    ``old`` lacks; returns every object's block, in model order."""
-    classes = model.schema.classes
-    kept, out = {}, []
-    for obj in model.objects.values():
-        block = old.get(obj) or _block(obj, classes.get(obj.class_name) or model.schema.cls(obj.class_name))
-        if model.tracks(obj):
-            kept[obj] = block
-        out.append(block)
-    model.blocks = kept
-    return out
-
-
-def _block(obj, cls) -> str:
+def _block(obj, model: InstanceModel) -> str:
     lines = []
-    _render(lines, obj, cls)
+    _render(lines, obj, model.schema.classes.get(obj.class_name) or model.schema.cls(obj.class_name))
     lines.append("")
     return "\n".join(lines)
 

@@ -30,6 +30,9 @@ SPECS = {
     HAVE_DOG: ("Dog", ("id", "ownerId", "name", "age")),
 }
 
+#: target class -> the command kind that targets it
+KIND_OF_CLASS = {class_name: kind for kind, (class_name, _) in SPECS.items()}
+
 #: the kinds whose wire fields include ownerId
 _OWNED_KINDS = frozenset(kind for kind, (_, fields) in SPECS.items() if "ownerId" in fields)
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from . import commands as _commands
 from .commands import (
+    KIND_OF_CLASS,
     SPECS,
     Command,
     bind,
@@ -20,9 +21,6 @@ from .commands import (
 )
 from .errors import MergeError, MigrationError, ModelError
 from .metamodel import DynamicObject, InstanceModel, MetaModel
-
-#: class name -> the command kind that targets it
-_KIND_OF_CLASS = {class_name: kind for kind, (class_name, _) in SPECS.items()}
 
 #: the model reader ``Editor.parse_model`` keeps its place under
 PARSE = "parse"
@@ -47,7 +45,7 @@ def _merge_order(cmd: Command):
 
 
 def _kind_of(obj: DynamicObject) -> str:
-    kind = _KIND_OF_CLASS.get(obj.class_name)
+    kind = KIND_OF_CLASS.get(obj.class_name)
     if kind is None:
         raise ModelError(f"cannot parse object {obj.id!r} of class {obj.class_name!r}")
     return kind
@@ -238,14 +236,14 @@ class Editor:
         editor's schema, marks every object changed (see
         ``InstanceModel.mark_all``) and registers every object under its
         own id."""
-        probe = InstanceModel(self.schema)
-        probe.objects = model.objects
-        probe.validate()
-        model.schema = self.schema
+        model.validate(self.schema)
+        model.schema, old_schema = self.schema, model.schema
+        if model.readers and old_schema is not self.schema:
+            model._bind_all()  # a tracking model binds what the new schema declares
         model.mark_all()
         self.model = model
         self.store = EventStore()
-        self.registry = dict(model.objects)
+        self.registry = model.objects.copy()
         self._id_of_object = dict(zip(model.objects.values(), model.objects))
         self._id_counters = {}
 
@@ -260,7 +258,8 @@ class Editor:
         ``track_from`` or whose first parse started from an empty store),
         persons first, each kind in the order first
         marked, which is model order for objects added since: new ids are
-        minted in that order.  An object's command depends only on its own
+        minted in that order (objects enter only through ``add``, which
+        marks them).  An object's command depends only on its own
         values, its own store entry and its owner's registered id, which
         never changes, so an unmarked object would derive its stored
         command again.  A derived command equal to the stored one is
@@ -274,15 +273,11 @@ class Editor:
         # every object anyway, and the forward re-adopts before parsing
         # again: tracking writes for it would not pay, nor for a small model.
         track = visit is not None or len(self.store) > 0 and len(model.objects) >= self.track_from
-        registered = self._id_of_object
-        if visit is None or (
-            len(registered) < len(model.objects)  # some object has no id yet ...
-            and len(registered) + sum(obj not in registered for obj in visit) < len(model.objects)
-        ):  # ... and was not marked: it came in past add
+        if visit is None:
             visit = model.objects.values()
         buckets: dict[str, list[DynamicObject]] = {kind: [] for kind in SPECS}
         for obj in visit:
-            buckets[_KIND_OF_CLASS.get(obj.class_name) or _kind_of(obj)].append(obj)
+            buckets[KIND_OF_CLASS.get(obj.class_name) or _kind_of(obj)].append(obj)
         store = self.store
         for kind, bucket in buckets.items():
             runs = bucket and all(self.bindings[kind][2:4])  # has age, has ybirth

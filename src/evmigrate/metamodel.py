@@ -8,16 +8,18 @@ empty string or zero and is represented as the absence of the key.
 
 A model records which of its objects were written, so readers that
 derive something per object (the editor's parse, the instance encoder)
-redo only the changed ones.  Once a model tracks writes, an object's
-``attributes`` and ``references`` are tracked mappings that mark it
-changed on every write.  Replacing a many-reference list is a write;
-editing the list in place is not.
+redo only the changed ones.  Objects enter only through ``add`` and are
+sealed; once a model tracks writes, their ``attributes`` and
+``references`` are tracked mappings that mark them changed on every
+write.  Replacing a many-reference list is a write; editing the list in
+place is not.
 """
 
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from types import MappingProxyType
 
 from .errors import ModelError, SchemaError
 
@@ -206,10 +208,8 @@ def _marking(write):
             model = self.model_ref()
         except AttributeError:  # not bound to a model
             return result
-        if model is not None:
-            owner = model.objects.get(self.owner_id)
-            if owner is not None:
-                model.mark(owner)
+        if model is not None:  # objects never leave a model: the owner is there
+            model.mark(model._objects[self.owner_id])
         return result
 
     tracked_write.__name__ = write.__name__
@@ -221,28 +221,50 @@ for _name in ("__setitem__", "__delitem__", "pop", "popitem", "setdefault", "upd
     setattr(TrackedDict, _name, _marking(getattr(dict, _name)))
 
 
-@dataclass(eq=False)
 class DynamicObject:
-    """A schema-conforming instance.
+    """A schema-conforming instance, sealed: the constructor sets its four
+    fields and nothing rebinds or deletes them, so an object keeps the id
+    and class its model checked.  Identity hashing lets editors key
+    registries by the object; ``model_equals`` compares values.  The
+    mappings are plain dicts until the object's model tracks writes (see
+    ``InstanceModel.seen``), which makes them ``TrackedDict``s."""
 
-    ``eq=False`` keeps identity hashing so editors can key registries by
-    the object itself.  Value comparison goes through ``model_equals``.
-    The mappings are plain dicts until the object's model starts tracking
-    writes (see ``InstanceModel.seen``), which makes them ``TrackedDict``s.
-    """
+    __slots__ = ("id", "class_name", "attributes", "references")
 
-    id: str
-    class_name: str
-    attributes: dict = field(default_factory=dict)  # name -> str | int (absent = UNSET)
-    references: dict = field(default_factory=dict)  # name -> id | list[id]
+    def __init__(self, id, class_name, attributes=None, references=None):
+        _set_id(self, id)
+        _set_class_name(self, class_name)
+        # name -> str | int (absent = UNSET) and name -> id | list[id]; another
+        # object's tracked mapping is copied, or it would mark only one of them
+        _set_attributes(self, {} if attributes is None else
+                        attributes if type(attributes) is dict else dict(attributes))
+        _set_references(self, {} if references is None else
+                        references if type(references) is dict else dict(references))
+
+    def _refuse(self, name, value=None):
+        raise AttributeError(f"{self!r} is sealed: {name!r} cannot change")
+
+    __setattr__ = __delattr__ = _refuse
+
+    def __reduce__(self):
+        return DynamicObject, (self.id, self.class_name, self.attributes, self.references)
 
     def __repr__(self):
         return f"DynamicObject({self.id!r}, {self.class_name!r})"
 
 
+#: the slots' own setters, which only the constructor and binding use
+_set_id = DynamicObject.id.__set__
+_set_class_name = DynamicObject.class_name.__set__
+_set_attributes = DynamicObject.attributes.__set__
+_set_references = DynamicObject.references.__set__
+
+
 class InstanceModel:
     """Objects keyed by id, governed by one schema.  Every check of an
-    object against the schema lives here.
+    object against the schema lives here.  Objects enter only through
+    ``add`` (``objects`` is a read-only view) and are sealed, so every
+    write is ``add``, a setter or a write into an object's mappings.
 
     The model also records which objects changed, per reader: a reader
     (a name, say ``"parse"``) takes ``unseen(reader)``, the objects marked
@@ -261,32 +283,41 @@ class InstanceModel:
 
     def __init__(self, schema: MetaModel):
         self.schema = schema
-        self.objects: dict[str, DynamicObject] = {}
+        self._objects: dict[str, DynamicObject] = {}
+        #: id -> object, read-only: only ``add`` writes it
+        self.objects = MappingProxyType(self._objects)
         #: reader -> the objects marked since it last called ``seen`` (a
         #: dict as an ordered set); empty while the model tracks no writes
         self.readers: dict[str, dict[DynamicObject, None]] = {}
 
+    def __getstate__(self):
+        """A copy (``copy.deepcopy``) makes its own view and binds its own objects."""
+        return {k: v for k, v in self.__dict__.items() if k not in ("objects", "_ref")}
+
     def __setstate__(self, state):
-        """A copy (``copy.deepcopy``) binds its own objects."""
         self.__dict__.update(state)
-        self.__dict__.pop("_ref", None)
+        self.objects = MappingProxyType(self._objects)
         if self.readers:
             self._bind_all()
 
     def __len__(self):
-        return len(self.objects)
+        return len(self._objects)
 
     def get(self, obj_id) -> DynamicObject | None:
-        return self.objects.get(obj_id)
+        return self._objects.get(obj_id)
 
     def add(self, obj: DynamicObject) -> DynamicObject:
+        """Add an object of a declared class.  The one check of an id (new,
+        non-empty, no line break), as an object's id never changes."""
         if obj.class_name not in self.schema.classes:
             self.schema.cls(obj.class_name)  # raises the error
-        if not (obj.id and obj.id.isprintable()):  # printable ids need no split
-            _check_id(obj.id)
-        if obj.id in self.objects:
-            raise ModelError(f"duplicate object id {obj.id!r}")
-        self.objects[obj.id] = obj
+        obj_id = obj.id
+        # printable ids need no split
+        if not obj_id or not obj_id.isprintable() and has_line_break(obj_id):
+            raise ModelError(f"object id must be non-empty and hold no line break, got {obj_id!r}")
+        if obj_id in self._objects:
+            raise ModelError(f"duplicate object id {obj_id!r}")
+        self._objects[obj_id] = obj
         if self.readers:
             self._bind_all((obj,))
             self.mark(obj)
@@ -298,16 +329,18 @@ class InstanceModel:
 
     def _bind_all(self, objects=None):
         """Give every object (or each of ``objects``) tracked mappings
-        bound here.  The references of a class that declares none stay
-        as they are: no reader reads an undeclared feature."""
+        bound here: the one rebinding of an object's fields.  The
+        references of a class that declares none stay as they are: no
+        reader reads an undeclared feature."""
         ref = self._ref
         if ref is None:
             ref = self._ref = weakref.ref(self)
         classes = self.schema.classes
-        for obj in self.objects.values() if objects is None else objects:
+        for obj in self._objects.values() if objects is None else objects:
             attributes = obj.attributes
             if type(attributes) is not TrackedDict:
-                obj.attributes = attributes = TrackedDict(attributes)
+                attributes = TrackedDict(attributes)
+                _set_attributes(obj, attributes)
             attributes.model_ref = ref
             attributes.owner_id = obj.id
             cls = classes.get(obj.class_name)
@@ -315,21 +348,15 @@ class InstanceModel:
                 continue
             references = obj.references
             if type(references) is not TrackedDict:
-                obj.references = references = TrackedDict(references)
+                references = TrackedDict(references)
+                _set_references(obj, references)
             references.model_ref = ref
             references.owner_id = obj.id
 
-    def tracks(self, obj: DynamicObject) -> bool:
-        """Whether writes to the object's mappings are marked here."""
-        return self._ref is not None and getattr(obj.attributes, "model_ref", None) is self._ref
-
     def mark_all(self):
-        """Mark every object changed, binding it again, which turns plain
-        dicts put on it into tracked mappings."""
-        if self.readers:
-            self._bind_all()
-            for unseen in self.readers.values():
-                unseen.update(dict.fromkeys(self.objects.values()))
+        """Mark every object changed."""
+        for unseen in self.readers.values():
+            unseen.update(dict.fromkeys(self._objects.values()))
 
     def mark(self, obj: DynamicObject):
         """Record that ``obj`` changed, for every reader."""
@@ -382,39 +409,36 @@ class InstanceModel:
         """Check that ``target_id`` may be a target of reference ``name`` of
         ``obj``: the object exists and is of the declared target class."""
         cls = self.schema.classes.get(obj.class_name) or self.schema.cls(obj.class_name)
-        expected = (cls.references.get(name) or cls.reference(name)).target
-        target = self.objects.get(target_id)
-        if target is None:
-            raise ModelError(f"{obj.id}.{name}: unknown target {target_id!r} (it does not exist)")
-        if target.class_name != expected:
-            raise ModelError(
-                f"{obj.id}.{name}: target {target_id!r} is a {target.class_name}, "
-                f"expected {expected}"
-            )
+        _check_target(obj, cls.references.get(name) or cls.reference(name), target_id,
+                      self._objects.get(target_id))
 
-    def validate(self):
-        """Check every invariant: ids, declared features, values, targets."""
-        classes = self.schema.classes
-        for obj_id, obj in self.objects.items():
-            if obj.id != obj_id:
-                raise ModelError(f"object stored under {obj_id!r} carries id {obj.id!r}")
-            if not (obj_id and obj_id.isprintable()):  # printable ids need no split
-                _check_id(obj_id)
+    def validate(self, schema: MetaModel | None = None):
+        """Check every object's features, values and targets against
+        ``schema``, by default the model's own.  Ids need no check here:
+        ``add`` checked each, and an object's id cannot change."""
+        schema = schema or self.schema
+        classes, objects = schema.classes, self._objects
+        for obj in objects.values():
             # a plain lookup first: the method call is only for its error
-            cls = classes.get(obj.class_name) or self.schema.cls(obj.class_name)
+            cls = classes.get(obj.class_name) or schema.cls(obj.class_name)
             attributes, references = cls.attributes, cls.references
             for name, value in obj.attributes.items():
                 _check_value(obj, attributes.get(name) or cls.attribute(name), value)
             for name, value in obj.references.items():
-                many = (references.get(name) or cls.reference(name)).many
-                for target_id in value if many else (value,):
-                    self.check_target(obj, name, target_id)
+                rdef = references.get(name) or cls.reference(name)
+                for target_id in value if rdef.many else (value,):
+                    _check_target(obj, rdef, target_id, objects.get(target_id))
 
 
-def _check_id(obj_id):
-    """The one check of an object id."""
-    if not obj_id or has_line_break(obj_id):
-        raise ModelError(f"object id must be non-empty and hold no line break, got {obj_id!r}")
+def _check_target(obj: DynamicObject, rdef: ReferenceDef, target_id, target):
+    """The one check of a reference target: it exists, of the declared class."""
+    if target is None:
+        raise ModelError(f"{obj.id}.{rdef.name}: unknown target {target_id!r} (it does not exist)")
+    if target.class_name != rdef.target:
+        raise ModelError(
+            f"{obj.id}.{rdef.name}: target {target_id!r} is a {target.class_name}, "
+            f"expected {rdef.target}"
+        )
 
 
 def _check_value(obj: DynamicObject, adef: AttributeDef, value):
@@ -460,9 +484,9 @@ def model_equals(a: InstanceModel, b: InstanceModel) -> bool:
 def copy_model(model: InstanceModel) -> InstanceModel:
     """Deep-copy objects (shares the schema, which is immutable in use)."""
     out = InstanceModel(model.schema)
-    for obj in model.objects.values():
+    for obj in model._objects.values():
         dup = DynamicObject(obj.id, obj.class_name, dict(obj.attributes), {})
         for name, value in obj.references.items():
             dup.references[name] = list(value) if isinstance(value, list) else value
-        out.objects[dup.id] = dup
+        out._objects[dup.id] = dup
     return out

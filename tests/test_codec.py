@@ -11,6 +11,7 @@ from evmigrate import (
     InstanceModel,
     MigrationError,
     ModelError,
+    copy_model,
     decode_log,
     decode_model,
     encode_log,
@@ -21,7 +22,7 @@ from evmigrate import (
     model_equals,
 )
 from evmigrate.checks import random_model
-from evmigrate.codec import _decode_canonical, _decode_lines, keep_blocks
+from evmigrate.codec import ENCODE, _decode_canonical, _decode_lines, keep_blocks
 from evmigrate.metamodel import LINE_BREAKS
 
 from conftest import PETS_SCHEMA_TEXT, data_text
@@ -358,10 +359,34 @@ class TestEncodeModel:
         source = decode_model(data_text("pets.inst"), base_schema)
         model = InstanceModel(base_schema)
         for obj in source.objects.values():
-            model.objects[obj.id] = DynamicObject(obj.id, obj.class_name, obj.attributes)
+            model.add(DynamicObject(obj.id, obj.class_name, dict(obj.attributes)))
         assert encode_model(model) == "obj p1 Person\n  name Alice\n  age 23\nobj d1 Dog\n  name Rex\n  age 4\n"
         model.get("d1").attributes["name"] = "Odie"  # the object is not tracked
         assert "name Odie" in encode_model(model)
+        assert model.blocks is None and model.unseen(ENCODE) is None
+
+    def test_a_kept_block_cannot_go_stale(self, pets_schema):
+        # no object can be put in past add, so each kept block stays the
+        # render of the object the model holds under that id
+        model = decode_model(PETS_INSTANCE, pets_schema)
+        keep_blocks(model)
+        with pytest.raises(TypeError):
+            model.objects["p1"] = DynamicObject("p1", "Person", {"name": "Zed"})
+        model.set_attribute(model.get("d1"), "name", "Odie")
+        assert encode_model(model) == encode_model(copy_model(model))
+        assert "name Odie" in encode_model(model) and "Zed" not in encode_model(model)
+
+    def test_an_id_cannot_be_rebound_to_forge_an_object(self, base_schema):
+        model = decode_model(data_text("pets.inst"), base_schema)
+        p1 = model.get("p1")
+        with pytest.raises(AttributeError, match="sealed"):
+            p1.id = "p1 Person\nobj evil"
+        with pytest.raises(AttributeError, match="sealed"):
+            p1.class_name = "Dog"
+        with pytest.raises(AttributeError, match="sealed"):
+            del p1.id
+        text = encode_model(model)
+        assert "evil" not in text and text == data_text("pets.inst")
 
 
 class TestDecodeModel:

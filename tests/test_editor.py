@@ -219,11 +219,21 @@ class TestParseModel:
         assert base_editor.store.get("p1") is person
         assert cmds.commands() == [person, renamed]  # still the whole store
 
-    def test_object_put_in_past_add_is_still_parsed(self, base_editor, base_schema):
+    def test_object_put_in_past_add_is_refused(self, base_editor, base_schema):
         base_editor.adopt_model(decode_model(data_text("pets.inst"), base_schema))
         base_editor.parse_model()
-        base_editor.model.objects["x"] = DynamicObject("x", "Person")  # never marked
+        with pytest.raises(TypeError):
+            base_editor.model.objects["x"] = DynamicObject("x", "Person")
+        base_editor.model.add(DynamicObject("x", "Person"))  # the way in
         assert have_person("person1") in base_editor.parse_model()
+
+    def test_no_object_of_an_undeclared_command_class_reaches_a_parse(self):
+        ed = Editor(load_schema("class Person\n  attr name string\n"))
+        with pytest.raises(TypeError):
+            ed.model.objects["d1"] = DynamicObject("d1", "Dog")
+        with pytest.raises(SchemaError, match="unknown class 'Dog'"):
+            ed.model.add(DynamicObject("d1", "Dog"))
+        assert len(ed.parse_model()) == 0
 
     def test_unknown_class_rejected(self):
         schema = load_schema(
@@ -393,6 +403,24 @@ class TestAdoptModel:
         foreign.set_attribute(p, "ybirth", 1997)
         with pytest.raises(ModelError):
             base_editor.adopt_model(foreign)
+
+    def test_failed_adoption_leaves_the_model_as_it_was(self, base_editor, ybirth_schema):
+        foreign = InstanceModel(ybirth_schema)
+        foreign.set_attribute(foreign.new_object("Person", "p1"), "ybirth", 1997)
+        with pytest.raises(ModelError):
+            base_editor.adopt_model(foreign)
+        assert foreign.schema is ybirth_schema and base_editor.model is not foreign
+
+    def test_a_tracking_model_binds_what_the_new_schema_declares(self, base_schema, pets_schema):
+        # base persons declare no references, so they stay plain dicts
+        # until a schema that declares some adopts the model
+        model = decode_model(data_text("pets.inst"), base_schema)
+        model.seen("reader")
+        Editor(pets_schema).adopt_model(model)
+        model.seen("reader")
+        p1 = model.get("p1")
+        p1.references["dogs"] = ["d1"]
+        assert list(model.unseen("reader")) == [p1]
 
     def test_adoption_resets_prior_state(self, base_editor, base_schema):
         base_editor.execute(have_person("old", name="Zoe"))

@@ -1,4 +1,5 @@
 import copy
+import pickle
 
 import pytest
 from hypothesis import given, strategies as st
@@ -12,7 +13,7 @@ from evmigrate import (
     load_schema,
     model_equals,
 )
-from evmigrate.metamodel import LINE_BREAKS
+from evmigrate.metamodel import LINE_BREAKS, TrackedDict
 
 from conftest import PETS_SCHEMA_TEXT
 
@@ -157,11 +158,14 @@ class TestAttributes:
         model.validate()
 
     @pytest.mark.parametrize("obj_id", ["", "a\nb", "a\u2028b"])
-    def test_validate_applies_the_id_rule_of_add(self, base_schema, obj_id):
+    def test_add_refuses_the_id(self, base_schema, obj_id):
+        # the one check of an id: no object can enter past it, or change id
         model = InstanceModel(base_schema)
-        model.objects[obj_id] = DynamicObject(obj_id, "Person")  # past add
         with pytest.raises(ModelError, match="non-empty and hold no line break"):
-            model.validate()
+            model.add(DynamicObject(obj_id, "Person"))
+        with pytest.raises(ModelError, match="non-empty and hold no line break"):
+            model.new_object("Person", obj_id)
+        assert len(model) == 0
 
     def test_line_breaks_are_what_splitlines_breaks_at(self):
         breaks = {c for c in map(chr, range(0x110000)) if len(f"a{c}b".splitlines()) == 2}
@@ -353,16 +357,19 @@ class TestWriteTracking:
         model.get("d1").attributes["age"] = 5
         assert list(model.unseen("reader")) == [model.get("d1"), model.get("p1")]
 
-    def test_replaced_plain_dicts_are_tracked_after_mark_all(self, base_schema):
+    def test_mappings_cannot_be_rebound(self, base_schema):
+        # so no plain dict can be put on an object, where writes go unseen
         model = self._read_model(base_schema)
         p1 = model.get("p1")
-        p1.attributes = {"name": "Bob"}  # a plain dict: its writes go unseen ...
-        p1.attributes["age"] = 3
+        for name in ("attributes", "references"):
+            with pytest.raises(AttributeError, match="sealed"):
+                setattr(p1, name, {"name": "Bob"})
+        assert p1.attributes == {"name": "Alice", "age": 23}
         assert model.unseen("reader") == {}
-        model.mark_all()  # ... until the model binds the object again
-        model.seen("reader")
         p1.attributes["age"] = 4
         assert list(model.unseen("reader")) == [p1]
+        model.mark_all()
+        assert list(model.unseen("reader")) == [p1, model.get("d1")]
 
     def test_a_many_reference_is_replaced_not_edited(self, pets_schema):
         model = InstanceModel(pets_schema)
@@ -395,13 +402,63 @@ class TestWriteTracking:
         assert values == {"name": "Odie"} and model.unseen("reader") == {}
 
     def test_tracked_and_plain_mappings_compare_equal(self, base_schema):
-        a = _pets_pair(base_schema)
+        a = self._read_model(base_schema)
         b = InstanceModel(base_schema)
         for obj in a.objects.values():
-            plain = DynamicObject(obj.id, obj.class_name)
-            plain.attributes, plain.references = dict(obj.attributes), dict(obj.references)
-            b.objects[obj.id] = plain
+            b.add(DynamicObject(obj.id, obj.class_name, dict(obj.attributes), dict(obj.references)))
+        assert type(a.get("p1").attributes) is TrackedDict and type(b.get("p1").attributes) is dict
         assert model_equals(a, b) and model_equals(b, a)
+
+
+class TestSealed:
+    """Objects enter a model only through ``add`` and are never rebound,
+    so every write to a model is one that it sees."""
+
+    def test_objects_is_a_read_only_view(self, base_schema):
+        model = _pets_pair(base_schema)
+        with pytest.raises(TypeError):
+            model.objects["p2"] = DynamicObject("p2", "Person")
+        with pytest.raises(TypeError):
+            del model.objects["p1"]
+        assert list(model.objects) == ["p1", "d1"]
+        model.new_object("Person", "p2")
+        assert list(model.objects) == ["p1", "d1", "p2"]  # the view follows add
+
+    @pytest.mark.parametrize("field", ["id", "class_name", "attributes", "references"])
+    def test_no_field_can_be_set_or_deleted(self, base_schema, field):
+        obj = _pets_pair(base_schema).get("d1")
+        before = getattr(obj, field)
+        with pytest.raises(AttributeError, match="sealed"):
+            setattr(obj, field, before)
+        with pytest.raises(AttributeError, match="sealed"):
+            delattr(obj, field)
+        assert getattr(obj, field) is before
+
+    def test_an_object_built_from_another_ones_mapping_gets_its_own(self, base_schema):
+        # a shared tracked mapping would mark only one of the two objects
+        model = _pets_pair(base_schema)
+        model.seen("reader")
+        p1 = model.get("p1")
+        x = model.add(DynamicObject("x", "Person", p1.attributes, p1.references))
+        model.seen("reader")
+        p1.attributes["name"] = "Zed"
+        assert list(model.unseen("reader")) == [p1]
+        assert x.attributes == {"name": "Alice", "age": 23}
+
+    def test_copies_rebuild_through_the_constructor(self, base_schema):
+        model = _pets_pair(base_schema)
+        model.seen("reader")
+        d1 = model.get("d1")
+        dup = copy.deepcopy(d1)
+        assert (dup.id, dup.class_name, dup.attributes, dup.references) == (
+            "d1", "Dog", {"name": "Rex"}, {"owner": "p1"})
+        assert dup.attributes is not d1.attributes
+        dup.attributes["name"] = "Odie"  # the copy's mapping is bound to nothing
+        assert model.unseen("reader") == {} and d1.attributes["name"] == "Rex"
+        with pytest.raises(AttributeError, match="sealed"):
+            dup.id = "d2"
+        again = pickle.loads(pickle.dumps(model))
+        assert model_equals(again, model) and list(again.objects) == ["p1", "d1"]
 
 
 # -- properties ----------------------------------------------------------
@@ -449,7 +506,7 @@ def test_model_equals_is_an_equivalence_relation(seed):
     src = copy_model(a)
     b = InstanceModel(schema)
     for obj in reversed(list(src.objects.values())):
-        b.objects[obj.id] = obj
+        b.add(obj)
     c = copy_model(b)
 
     assert model_equals(a, a)

@@ -127,11 +127,14 @@ class TestMigrateBackward:
         assert s.m2.model.get("evil") is None
 
     def test_line_break_in_an_object_id_is_a_model_error(self):
+        # such an id can neither enter a model nor be rebound into one
         s = session_for("identity")
         model = pets_model(s.m1.schema)
-        model.objects["a\nb"] = DynamicObject("a\nb", "Person")  # past add
         with pytest.raises(ModelError, match="line break"):
-            migrate_forward(s, model)
+            model.add(DynamicObject("a\nb", "Person"))
+        with pytest.raises(AttributeError, match="sealed"):
+            model.get("p1").id = "a\nb"
+        assert sorted(migrate_forward(s, model).objects) == ["d1", "p1"]
 
     def test_ybirth_edit_on_m2_lands_as_age(self):
         s = session_for("ybirth")
@@ -442,6 +445,20 @@ class TestSyncCostsChangedObjectsOnly:
         migrate_backward(s)
         assert sorted_sizes == [1]
         assert len(parsed) == 1 and parsed[0] is s.m2.store
+
+    def test_an_object_can_be_neither_replaced_nor_rebound(self):
+        # on a tracking model either would go unseen: the backward would
+        # skip the object, and m1 would keep its old block
+        s = session_for("identity")
+        migrate_forward(s, decode_model(_bulk_text(2000), s.m1.schema))
+        with pytest.raises(TypeError):
+            s.m2.model.objects["p1"] = DynamicObject("p1", "Person", {"name": "Zed"})
+        with pytest.raises(AttributeError, match="sealed"):
+            s.m2.model.get("p1").attributes = {"name": "Zed", "age": 1}
+        s.m2.model.get("p1").attributes.update(name="Zed", age=1)  # the writes that are seen
+        text = encode_model(migrate_backward(s))
+        assert "obj p1 Person\n  name Zed\n  age 1\n" in text
+        assert text == encode_model(copy_model(s.m1.model))
 
     @pytest.mark.parametrize("scenario", ["dog-no-age", "ybirth"])
     def test_the_forward_readies_the_first_backward(self, monkeypatch, scenario):
