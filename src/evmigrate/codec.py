@@ -216,31 +216,64 @@ def encode_model(model: InstanceModel) -> str:
     order, one line per many-reference target.
 
     A model that keeps its blocks (see ``keep_blocks``) re-renders only
-    the objects it marked changed since the last encode; any other model
-    is rendered in full."""
+    the objects it marked changed since the last encode and re-joins only
+    their chunks, so copying the text out is the one step that grows with
+    the model; any other model is rendered in full."""
     changed = model.unseen(ENCODE)
-    if changed is None or model.blocks is None:
+    kept = model.blocks
+    if changed is None or kept is None:
         classes = model.schema.classes
         lines = []
         for obj in model.objects.values():
             _render(lines, obj, classes.get(obj.class_name) or model.schema.cls(obj.class_name))
         lines.append("")
         return "\n".join(lines) if len(lines) > 1 else ""
-    model.seen(ENCODE)
-    blocks = model.blocks
-    # Objects enter a model only through ``add``, at its end, so re-rendering
-    # in place and adding new objects last keeps the blocks in model order.
+    blocks, at, size, texts = kept.blocks, kept.at, kept.size, kept.texts
+    stale = set()
     for obj in changed:
-        blocks[obj] = _block(obj, model)
-    return "".join(blocks.values())
+        pos = at.get(obj)
+        if pos is None:  # a new object: ``add`` put it last in the model
+            pos = at[obj] = len(blocks)
+            blocks.append(_block(obj, model))
+        else:
+            blocks[pos] = _block(obj, model)
+        stale.add(pos // size)
+    for i in sorted(stale):  # a new chunk is inserted after every older one
+        texts[i] = "".join(blocks[i * size:(i + 1) * size])
+    model.seen(ENCODE)  # only now: a refused render leaves every mark for the next encode
+    return "".join(texts.values())
+
+
+#: objects per chunk of kept blocks
+CHUNK = 256
+
+
+class KeptBlocks:
+    """A model's instance-file text, kept for ``encode_model``: one block
+    per object in model order, each object's position among them, and the
+    joined text of every chunk of ``size`` blocks, so an edit re-joins
+    only its own chunk (a rope of one level: Boehm, Atkinson and Plass,
+    "Ropes: an Alternative to Strings", 1995)."""
+
+    __slots__ = ("blocks", "at", "size", "texts")
+
+    def __init__(self, model: InstanceModel):
+        objects = model.objects.values()
+        self.blocks = blocks = [_block(obj, model) for obj in objects]
+        #: object -> its block's index in ``blocks``
+        self.at = {obj: pos for pos, obj in enumerate(objects)}
+        self.size = size = CHUNK
+        #: chunk index -> the chunk's joined blocks, in chunk order
+        self.texts = {i // size: "".join(blocks[i:i + size]) for i in range(0, len(blocks), size)}
 
 
 def keep_blocks(model: InstanceModel):
-    """Keep one text block per object from now on, so each later encode
-    re-renders only what changed; it costs one full render."""
+    """Keep the model's text from now on as ``KeptBlocks``, so each later
+    encode re-renders only the objects that changed and re-joins only
+    their chunks; it costs one full render."""
     if model.blocks is None:
         model.seen(ENCODE)
-        model.blocks = {obj: _block(obj, model) for obj in model.objects.values()}
+        model.blocks = KeptBlocks(model)
 
 
 def _block(obj, model: InstanceModel) -> str:

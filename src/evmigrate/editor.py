@@ -332,7 +332,9 @@ class Editor:
                     )
                 target_id = target_id[0] if target_id else None
             if target_id is not None:
-                target = self.model.objects[target_id]
+                target = self.model.objects.get(target_id)
+                if target is None:  # written past the setters: nothing checked it
+                    self.model.check_target(obj, owner_ref.name, target_id)  # raises
                 owner_id = self._id_of_object.get(target) or self.id_for(target)
                 if target.class_name != owner_ref.target:
                     self.get_or_create(owner_ref.target, owner_id)  # raises, as a run would

@@ -20,8 +20,12 @@ from __future__ import annotations
 import weakref
 from dataclasses import dataclass
 from types import MappingProxyType
+from typing import TYPE_CHECKING
 
 from .errors import ModelError, SchemaError
+
+if TYPE_CHECKING:
+    from .codec import KeptBlocks
 
 KIND_STRING = "string"
 KIND_INT = "int"
@@ -278,7 +282,7 @@ class InstanceModel:
     decides when tracking pays, so a model read once pays nothing."""
 
     #: instance-file text per object, kept by ``codec.encode_model``
-    blocks: dict[DynamicObject, str] | None = None
+    blocks: KeptBlocks | None = None
     _ref = None  # the weak reference bound mappings hold, made on first use
 
     def __init__(self, schema: MetaModel):

@@ -21,8 +21,9 @@ from evmigrate import (
     load_schema,
     model_equals,
 )
-from evmigrate.checks import random_model
-from evmigrate.codec import ENCODE, _decode_canonical, _decode_lines, keep_blocks
+from evmigrate import codec
+from evmigrate.checks import delta_case, random_model
+from evmigrate.codec import CHUNK, ENCODE, _decode_canonical, _decode_lines, keep_blocks
 from evmigrate.metamodel import LINE_BREAKS
 
 from conftest import PETS_SCHEMA_TEXT, data_text
@@ -387,6 +388,87 @@ class TestEncodeModel:
             del p1.id
         text = encode_model(model)
         assert "evil" not in text and text == data_text("pets.inst")
+
+
+def _kept_chunks(schema, chunks):
+    """A kept model of exactly ``chunks`` full chunks: the object at
+    position k is person pk (k even, owning dog dk+1) or dog dk (k odd)."""
+    text = "".join(
+        f"obj p{k} Person\n  name P{k}\n  dogs d{k + 1}\nobj d{k + 1} Dog\n  name D{k + 1}\n  owner p{k}\n"
+        for k in range(0, chunks * CHUNK, 2)
+    )
+    model = decode_model(text, schema)
+    keep_blocks(model)
+    return model
+
+
+def _encode_rejoining(model):
+    """Encode a kept model, check the text against a full render, and
+    return the chunks whose text was joined again."""
+    before = dict(model.blocks.texts)
+    text = encode_model(model)
+    assert text == encode_model(copy_model(model))
+    return [i for i, joined in model.blocks.texts.items() if before.get(i) is not joined]
+
+
+class TestKeptBlocks:
+    """An encode of a kept model re-joins only the chunks holding changed
+    or new objects, and always agrees with a full render."""
+
+    def test_edits_at_chunk_edges_re_join_their_own_chunk(self, pets_schema):
+        model = _kept_chunks(pets_schema, 3)
+        assert len(model.blocks.texts) == 3 and _encode_rejoining(model) == []
+        model.set_attribute(model.get(f"p{CHUNK}"), "name", "First")  # chunk 1's first object
+        assert _encode_rejoining(model) == [1]
+        model.set_attribute(model.get(f"d{2 * CHUNK - 1}"), "age", 7)  # chunk 1's last object
+        assert _encode_rejoining(model) == [1]
+        del model.get(f"d{3 * CHUNK - 1}").attributes["name"]  # the model's last object
+        assert _encode_rejoining(model) == [2]
+        model.set_attribute(model.get("p0"), "name", "Zero")
+        model.set_attribute(model.get(f"d{3 * CHUNK - 1}"), "name", "Last")
+        assert _encode_rejoining(model) == [0, 2]
+
+    def test_many_reference_edits_re_join_their_chunk(self, pets_schema):
+        model = _kept_chunks(pets_schema, 3)
+        person = model.get(f"p{2 * CHUNK - 2}")  # chunk 1's second-to-last object
+        model.set_reference(person, "dogs", "d1")  # replaces the list
+        assert _encode_rejoining(model) == [1]
+        assert f"obj p{2 * CHUNK - 2} Person\n  name P{2 * CHUNK - 2}\n  dogs d{2 * CHUNK - 1}\n  dogs d1\n" in encode_model(model)
+        person.references["dogs"] = ["d3"]
+        assert _encode_rejoining(model) == [1]
+
+    def test_objects_added_at_a_chunk_boundary_open_new_chunks(self, pets_schema):
+        model = _kept_chunks(pets_schema, 2)
+        model.new_object("Dog", "x0")  # the first object past two full chunks
+        assert _encode_rejoining(model) == [2] and len(model.blocks.texts) == 3
+        assert encode_model(model).endswith(f"owner p{2 * CHUNK - 2}\nobj x0 Dog\n")
+        # fill chunk 2, open chunks 3 and 4, and edit chunk 0, in one encode
+        for k in range(1, 2 * CHUNK + 1):
+            model.new_object("Person", f"x{k}")
+        model.set_attribute(model.get("d1"), "name", "Rex")
+        assert _encode_rejoining(model) == [0, 2, 3, 4]
+        assert list(model.blocks.texts) == [0, 1, 2, 3, 4]
+        assert encode_model(model).endswith(f"obj x{2 * CHUNK} Person\n")
+
+    def test_a_refused_encode_loses_no_edit(self, pets_schema):
+        # the encode refuses the line break written past the setter; the
+        # edits marked before and after it still reach the next encode
+        model = _kept_chunks(pets_schema, 3)
+        model.set_attribute(model.get("p0"), "name", "Before")
+        bad = model.get(f"d{CHUNK + 1}")
+        bad.attributes["name"] = "x\nobj evil Person"
+        model.set_attribute(model.get(f"p{2 * CHUNK}"), "name", "After")
+        with pytest.raises(ModelError, match="line break"):
+            encode_model(model)
+        bad.attributes["name"] = "Fixed"
+        assert _encode_rejoining(model) == [0, 1, 2]
+        assert "name Before" in encode_model(model) and "name After" in encode_model(model)
+
+    def test_delta_law_holds_with_chunks_of_two(self, monkeypatch):
+        # the law's models are smaller than one chunk of the real size
+        monkeypatch.setattr(codec, "CHUNK", 2)
+        for seed in range(300):
+            assert delta_case(random.Random(seed)), seed
 
 
 class TestDecodeModel:

@@ -136,6 +136,22 @@ class TestMigrateBackward:
             model.get("p1").id = "a\nb"
         assert sorted(migrate_forward(s, model).objects) == ["d1", "p1"]
 
+    def test_a_dangling_owner_written_past_the_setter_is_a_model_error(self):
+        # nothing validates m2 again before a backward parse: the parse
+        # raises the model's one target error, as validate would
+        s = session_for("identity")
+        migrate_forward(s, pets_model(s.m1.schema))
+        s.m2.model.get("d1").references["owner"] = "nobody"
+        with pytest.raises(ModelError, match=r"^d1\.owner: unknown target 'nobody' \(it does not exist\)$"):
+            migrate_backward(s)
+
+    def test_an_owner_of_the_wrong_class_keeps_its_error(self):
+        s = session_for("identity")
+        migrate_forward(s, pets_model(s.m1.schema))
+        s.m2.model.get("d1").references["owner"] = "d1"
+        with pytest.raises(ModelError, match="'d1' already belongs to class Dog, requested Person"):
+            migrate_backward(s)
+
     def test_ybirth_edit_on_m2_lands_as_age(self):
         s = session_for("ybirth")
         migrate_forward(s, pets_model(s.m1.schema))
@@ -421,6 +437,32 @@ class TestSyncCostsChangedObjectsOnly:
         assert rendered == ["d7"]
         assert "obj d7 Dog\n  name Odie\n  age 7\n  owner p7\n" in text
         assert text == encode_model(copy_model(s.m1.model))  # a full render agrees
+
+    def test_one_rename_re_joins_one_chunk(self, monkeypatch):
+        # m1 keeps its text in chunks of codec.CHUNK blocks: the edited
+        # object's chunk is joined again, the other chunks' texts are kept
+        s = session_for("dog-no-age")
+        migrate_forward(s, decode_model(_bulk_text(2000), s.m1.schema))
+        kept = s.m1.model.blocks
+        assert len(kept.texts) == 8
+        before = dict(kept.texts)
+        sliced = []
+
+        class CountingList(list):
+            def __getitem__(self, index):
+                item = super().__getitem__(index)
+                if isinstance(index, slice):
+                    sliced.append(len(item))
+                return item
+
+        kept.blocks = CountingList(kept.blocks)
+        apply_mutations(s.m2.model, "set d7 name Odie\n")
+        _, rendered = self._count(monkeypatch)
+        text = encode_model(migrate_backward(s))
+        assert rendered == ["d7"]
+        assert sliced == [codec.CHUNK]
+        assert [i for i in kept.texts if kept.texts[i] is not before[i]] == [1007 // codec.CHUNK]
+        assert text == encode_model(copy_model(s.m1.model))
 
     def test_one_rename_sorts_only_the_shipped_delta(self, monkeypatch):
         # the store keeps no order: only the encoder of the 1-command ship
