@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .codec import decode_model, encode_log, encode_model
-from .commands import DEFAULT_REFERENCE_YEAR
+from .commands import DEFAULT_REFERENCE_YEAR, check_reference_year
 from .errors import MigrationError
 from .metamodel import copy_model, load_schema
 from .sync import (
@@ -74,9 +74,9 @@ def resolve_year(arg_year) -> int:
     if env is None:
         return DEFAULT_REFERENCE_YEAR
     try:
-        return int(env, 10)
+        return check_reference_year(int(env, 10))
     except ValueError:
-        raise MigrationError(f"{YEAR_ENV_VAR} must be an integer, got {env!r}") from None
+        raise MigrationError(f"{YEAR_ENV_VAR} must be a positive integer, got {env!r}") from None
 
 
 def _parse_file(path, parse, *args):
@@ -209,10 +209,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "cases", None) is not None and args.cases < 0:
-        parser.error("--cases must be >= 0")
-    if getattr(args, "iterations", None) is not None and args.iterations < 1:
-        parser.error("--iterations must be >= 1")
+    for flag, least in (("cases", 0), ("iterations", 1), ("max_commands", 1), ("year", 1)):
+        value = getattr(args, flag, None)
+        if value is not None and value < least:
+            parser.error(f"--{flag.replace('_', '-')} must be >= {least}")
     try:
         return args.handler(args)
     except MigrationError as e:

@@ -12,22 +12,27 @@ The decoder accepts more than the encoder writes: blank lines and
 full-line ``#`` comments anywhere, any line ending that
 ``str.splitlines`` knows, trailing whitespace, fields in any order inside
 a block, field lines indented four or more spaces, and whitespace around
-keys and values.  Text in the encoder's layout whose values need no
-trimming is read by one regular expression per block; anything else goes
-through the line-by-line reader, which alone defines what is accepted and
-what each error says.
+keys and values.
+
+Both formats have two readers.  Text in the encoder's layout whose values
+need no trimming is read by one regular expression per command block or
+per object; anything else goes through the line-by-line reader, which
+alone defines what is accepted and what each error says.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .commands import SPECS, Command, check_reference_year
 from .editor import EventStore
 from .errors import FormatError, MigrationError, ModelError
 from .metamodel import (
+    KIND_INT,
     LINE_BREAKS,
+    DynamicObject,
     InstanceModel,
     MetaModel,
     has_line_break,
@@ -107,19 +112,22 @@ def _decode_canonical(text) -> CommandLogDocument | None:
     match_block = _CANONICAL_BLOCK.match
     cmds: list[Command] = []
     seen_ids = set()
-    while pos < end:
-        block = match_block(text, pos)
-        if block is None:
-            return None
-        pos = block.end()
-        kind, obj_id, owner_id, name, age = block.groups()
-        if obj_id in seen_ids or (owner_id is not None and "ownerId" not in SPECS[kind][1]):
-            return None
-        seen_ids.add(obj_id)
-        name = None if name is None else name[1:]
-        age = None if age is None else int(age, 10)
-        cmds.append(Command(kind, obj_id, name, age, owner_id))
-    return CommandLogDocument(FORMAT_VERSION, int(head[1], 10), cmds)
+    try:
+        while pos < end:
+            block = match_block(text, pos)
+            if block is None:
+                return None
+            pos = block.end()
+            kind, obj_id, owner_id, name, age = block.groups()
+            if obj_id in seen_ids or (owner_id is not None and "ownerId" not in SPECS[kind][1]):
+                return None
+            seen_ids.add(obj_id)
+            name = None if name is None else name[1:]
+            age = None if age is None else int(age, 10)
+            cmds.append(Command(kind, obj_id, name, age, owner_id))
+        return CommandLogDocument(FORMAT_VERSION, int(head[1], 10), cmds)
+    except ValueError:  # int() refuses too many digits
+        return None
 
 
 def decode_log(text) -> CommandLogDocument:
@@ -312,11 +320,86 @@ def _refuse_line_break(obj, name, line):
         raise ModelError(f"{obj.id}.{name}: no line break may be in {line[len(name) + 3:]!r}")
 
 
+# ``encode_model``'s layout: an object line, then per feature in declaration
+# order at most one line (a run for a many-reference); ids are single tokens.
+_OBJECT_HEAD = re.compile(r"obj (\S+) (\S+)\n")
+
+
+@lru_cache(maxsize=64)
+def _model_readers(schema: MetaModel):
+    """Class name -> (match of its feature lines, per group (feature,
+    conversion, whether a reference)).  A feature line ``#...`` would read
+    as a comment, so such a feature gets no group."""
+    readers = {}
+    for cls in schema.classes.values():
+        parts, groups = [], []
+        for name, feature in (*cls.attributes.items(), *cls.references.items()):
+            if name.startswith("#"):
+                continue
+            line = "  " + re.escape(name)
+            is_reference = name in cls.references
+            if is_reference and feature.many:
+                part = rf"((?:{line} \S+\n)+)?"  # each target once, first seen first
+                convert = lambda run: list(dict.fromkeys(run.split()[1::2]))
+            elif is_reference:
+                part, convert = rf"(?:{line} (\S+)\n)?", str
+            elif feature.kind == KIND_INT:
+                part, convert = rf"(?:{line} (-?[0-9]+)\n)?", int
+            else:  # an empty string is written as "  name"
+                part, convert = rf"(?:{line}( {_VALUE}|)\n)?", lambda value: value[1:]
+            parts.append(part)
+            groups.append((name, convert, is_reference))
+        readers[cls.name] = (re.compile("".join(parts)).match, groups)
+    return readers
+
+
+def _decode_model_canonical(text, schema: MetaModel) -> InstanceModel | None:
+    """Decode text in the encoder's layout; None for anything else: other
+    valid layouts and every input the line reader would reject.  Objects
+    enter through ``add``; targets are checked once all are read."""
+    # Marks the encoder never writes, found by a scan before any object is
+    # built: a carriage return, a trailing space, a blank or comment line,
+    # no final line break.
+    if ("\r" in text or " \n" in text or "\n\n" in text or text[-1:] not in ("\n", "")
+            or "#" in text and ("\n#" in text or "\n  #" in text)):
+        return None
+    readers = _model_readers(schema)
+    model = InstanceModel(schema)
+    pos, end = 0, len(text)
+    try:
+        while pos < end:
+            head = _OBJECT_HEAD.match(text, pos)
+            reader = readers.get(head[2]) if head is not None else None
+            if reader is None:
+                return None
+            match_body, groups = reader
+            body = match_body(text, head.end())  # every line is optional: it matches
+            pos = body.end()
+            features = ({}, {})  # attributes, references
+            for (name, convert, is_reference), value in zip(groups, body.groups()):
+                if value is not None:
+                    features[is_reference][name] = convert(value)
+            model.add(DynamicObject(head[1], head[2], *features))
+        classes = schema.classes
+        for obj in model.objects.values():
+            model.check_targets(obj, classes[obj.class_name])
+    except (MigrationError, ValueError):  # int() refuses too many digits
+        return None
+    return model
+
+
 def decode_model(text, schema: MetaModel) -> InstanceModel:
     """Parse an instance file.  Objects may forward-reference; targets are
-    checked once the whole file is read.  The model layer checks every
-    object, feature and value; an error it raises comes back as a
-    ``FormatError`` naming the line."""
+    checked once the whole file is read.  Text in the encoder's layout is
+    read by one regular expression per object; the line reader alone
+    defines what is accepted, and turns each error of the model layer into
+    a ``FormatError`` naming the line."""
+    model = _decode_model_canonical(text, schema)
+    return model if model is not None else _decode_model_lines(text, schema)
+
+
+def _decode_model_lines(text, schema: MetaModel) -> InstanceModel:
+    """The general instance reader, with a line number on every error."""
     model = InstanceModel(schema)
     obj = None
     pending_refs = []  # (lineno, obj, ref name, target id)

@@ -421,17 +421,22 @@ class InstanceModel:
         ``schema``, by default the model's own.  Ids need no check here:
         ``add`` checked each, and an object's id cannot change."""
         schema = schema or self.schema
-        classes, objects = schema.classes, self._objects
-        for obj in objects.values():
+        classes = schema.classes
+        for obj in self._objects.values():
             # a plain lookup first: the method call is only for its error
             cls = classes.get(obj.class_name) or schema.cls(obj.class_name)
-            attributes, references = cls.attributes, cls.references
+            attributes = cls.attributes
             for name, value in obj.attributes.items():
                 _check_value(obj, attributes.get(name) or cls.attribute(name), value)
-            for name, value in obj.references.items():
-                rdef = references.get(name) or cls.reference(name)
-                for target_id in value if rdef.many else (value,):
-                    _check_target(obj, rdef, target_id, objects.get(target_id))
+            self.check_targets(obj, cls)
+
+    def check_targets(self, obj: DynamicObject, cls: MetaClass):
+        """Check every target of ``obj`` against the references of ``cls``."""
+        references, objects = cls.references, self._objects
+        for name, value in obj.references.items():
+            rdef = references.get(name) or cls.reference(name)
+            for target_id in value if rdef.many else (value,):
+                _check_target(obj, rdef, target_id, objects.get(target_id))
 
 
 def _check_target(obj: DynamicObject, rdef: ReferenceDef, target_id, target):

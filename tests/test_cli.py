@@ -80,6 +80,21 @@ class TestMigrate:
         assert rc == 1
         assert "EVMIGRATE_YEAR" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("year", ["0", "-3"])
+    def test_non_positive_year_flag_is_usage_error(self, tmp_path, capsys, year):
+        for argv in (migrate_args(tmp_path, year=year), ["bench", "--iterations", "2", "--year", year]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+            assert "--year must be >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("year", ["0", "-3"])
+    def test_non_positive_env_year_is_domain_error(self, tmp_path, monkeypatch, capsys, year):
+        monkeypatch.setenv("EVMIGRATE_YEAR", year)
+        for argv in (migrate_args(tmp_path), ["bench", "--iterations", "2"]):
+            assert main(argv) == 1
+            assert f"EVMIGRATE_YEAR must be a positive integer, got {year!r}" in capsys.readouterr().err
+
 
 def roundtrip_args(tmp_path, mutations, m2="dog_no_age.schema"):
     return [
@@ -139,6 +154,13 @@ class TestCheck:
     def test_negative_cases_usage_error(self):
         result = run_cli("check", "--cases", "-1", "--seed", "1")
         assert result.returncode == 2
+
+    @pytest.mark.parametrize("max_commands", ["0", "-1"])
+    def test_non_positive_max_commands_usage_error(self, capsys, max_commands):
+        with pytest.raises(SystemExit) as exc:
+            main(["check", "--cases", "3", "--seed", "1", "--max-commands", max_commands])
+        assert exc.value.code == 2
+        assert "--max-commands must be >= 1" in capsys.readouterr().err
 
 
 class TestLawOracleCatchesBrokenImplementations:

@@ -23,8 +23,17 @@ from evmigrate import (
 )
 from evmigrate import codec
 from evmigrate.checks import delta_case, random_model
-from evmigrate.codec import CHUNK, ENCODE, _decode_canonical, _decode_lines, keep_blocks
-from evmigrate.metamodel import LINE_BREAKS
+from evmigrate.codec import (
+    CHUNK,
+    ENCODE,
+    _decode_canonical,
+    _decode_lines,
+    _decode_model_canonical,
+    _decode_model_lines,
+    keep_blocks,
+)
+from evmigrate.metamodel import KIND_INT, LINE_BREAKS
+from evmigrate.sync import SCENARIOS
 
 from conftest import PETS_SCHEMA_TEXT, data_text
 
@@ -303,6 +312,16 @@ class TestCanonicalFastPath:
         # Edits inside values, ids and ages keep many texts canonical.
         assert taken > 500
 
+    @pytest.mark.parametrize("year, age", [(2020, "1" * 5000), ("1" * 5000, 3)],
+                             ids=["age", "referenceYear"])
+    def test_an_integer_too_long_to_convert_is_the_line_readers_error(self, year, age):
+        text = f"format: 1\nreferenceYear: {year}\ncommands:\n  - command: HavePerson\n" \
+               f"    id: p1\n    age: {age}\n"
+        assert _decode_canonical(text) is None
+        expected = decode_outcome(_decode_lines, text)
+        assert expected[0] == "FormatError" and "must be an integer" in expected[1]
+        assert decode_outcome(decode_log, text) == expected
+
 
 class TestEncodeModel:
     def test_empty_model_empty_document(self, base_schema):
@@ -544,6 +563,132 @@ class TestDecodeModel:
         model = decode_model("obj p1 Person\n  name\n", base_schema)
         assert model.get("p1").attributes["name"] == ""
         assert encode_model(model) == "obj p1 Person\n  name\n"
+
+
+def with_edge_values(rng, model):
+    """Negative ints, empty strings and repeated many-targets, which
+    ``random_model`` does not draw; a repeat is written past the setter."""
+    for obj in model.objects.values():
+        cls = model.schema.cls(obj.class_name)
+        for name, adef in cls.attributes.items():
+            if rng.random() < 0.3:
+                model.set_attribute(obj, name, -rng.randint(1, 99) if adef.kind == KIND_INT else "")
+        for name, targets in obj.references.items():
+            if cls.references[name].many and targets and rng.random() < 0.5:
+                obj.references[name] = [*targets, rng.choice(targets)]
+    return model
+
+
+def perturbed_model(rng, text, class_names) -> str:
+    """``text`` with one character edited or one line repeated (as
+    ``perturbed`` does), one line swapped with the next or deleted, or one
+    object's class renamed to another declared class."""
+    lines = text.splitlines(keepends=True)
+    op = rng.choice(("char", "char", "swap", "delete", "class"))
+    if op == "swap" and len(lines) > 1:
+        i = rng.randrange(len(lines) - 1)
+        lines[i:i + 2] = lines[i + 1], lines[i]
+    elif op == "delete":
+        del lines[rng.randrange(len(lines))]
+    elif op == "class":
+        i = rng.choice([i for i, line in enumerate(lines) if line.startswith("obj ")])
+        lines[i] = f"obj {lines[i].split()[1]} {rng.choice(class_names)}\n"
+    else:
+        return perturbed(rng, text)
+    return "".join(lines)
+
+
+def model_view(model):
+    """Objects in model order, each with its attribute and reference maps."""
+    return [(o.id, o.class_name, o.attributes, o.references) for o in model.objects.values()]
+
+
+def model_outcome(decode, text, schema):
+    try:
+        return model_view(decode(text, schema))
+    except FormatError as e:
+        return ("FormatError", str(e), e.line)
+
+
+class TestCanonicalModelFastPath:
+    """The regular-expression reader for canonical instance files must
+    agree with the line reader on every input it accepts, and decline the
+    rest."""
+
+    SCHEMAS = [load_schema(PETS_SCHEMA_TEXT, name="pets")] + [
+        schema for scenario in SCENARIOS.values()
+        for schema in (scenario.m1_schema, scenario.m2_schema)
+    ]
+
+    def test_agrees_with_line_reader_on_encoded_and_perturbed_models(self):
+        rng = random.Random(20261019)
+        taken = 0
+        for _ in range(120):
+            for schema in self.SCHEMAS:
+                model = random_model(rng, schema)
+                if rng.random() < 0.5:
+                    model = with_edge_values(rng, model)
+                text = encode_model(model)
+                fast = _decode_model_canonical(text, schema)
+                assert fast is not None, text
+                assert model_view(fast) == model_outcome(_decode_model_lines, text, schema)
+                for candidate in [perturbed_model(rng, text, list(schema.classes))
+                                  for _ in range(30 if text else 0)]:
+                    expected = model_outcome(_decode_model_lines, candidate, schema)
+                    fast = _decode_model_canonical(candidate, schema)
+                    if fast is not None:
+                        taken += 1
+                        assert model_view(fast) == expected, repr(candidate)
+                    assert model_outcome(decode_model, candidate, schema) == expected, repr(candidate)
+        # Edits inside values, ids and ints keep many texts canonical.
+        assert taken > 4000
+
+    def test_a_feature_line_read_as_a_comment_is_not_canonical(self):
+        schema = load_schema("class A\n  attr #n int\n  attr m int\n")
+        text = "obj a A\n  #n 5\n  m 6\n"
+        assert _decode_model_canonical(text, schema) is None
+        assert decode_model(text, schema).get("a").attributes == {"m": 6}
+
+    def test_an_integer_too_long_to_convert_is_the_line_readers_error(self, pets_schema):
+        text = "obj p1 Person\n  age " + "1" * 5000 + "\n"
+        assert _decode_model_canonical(text, pets_schema) is None
+        with pytest.raises(FormatError, match="p1.age expects an integer") as exc:
+            decode_model(text, pets_schema)
+        assert exc.value.line == 2
+
+    @pytest.mark.parametrize("edit", [
+        lambda line: "# a comment\n" + line, lambda line: "  # a comment\n" + line,
+        lambda line: "\n" + line, lambda line: line + " ", lambda line: line + "\r",
+    ], ids=["comment", "indented-comment", "blank-line", "trailing-space", "carriage-return"])
+    def test_plainly_edited_text_builds_no_object_before_the_line_reader(self, pets_schema,
+                                                                         monkeypatch, edit):
+        lines = [line for k in range(1000) for line in
+                 (f"obj p{k} Person", f"  name P {k}", f"obj d{k} Dog", f"  owner p{k}")]
+        lines[-1] = edit(lines[-1])
+        text = "\n".join(lines) + "\n"
+        expected = model_view(_decode_model_lines(text, pets_schema))
+
+        def refuse(*args):
+            raise AssertionError("the fast reader built an object")
+
+        monkeypatch.setattr(codec, "DynamicObject", refuse)
+        assert model_view(decode_model(text, pets_schema)) == expected
+        assert model_view(decode_model(text.rstrip("\n"), pets_schema)) == expected
+
+    def test_canonical_text_never_reaches_the_line_reader(self, base_schema, pets_schema,
+                                                          monkeypatch):
+        def refuse(text):
+            raise AssertionError("the line reader ran")
+
+        monkeypatch.setattr(codec, "significant_lines", refuse)
+        big = "".join(
+            f"obj p{k} Person\n  name P {k}\n  age {k - 500}\n  dogs d{k}\n"
+            f"obj d{k} Dog\n  name\n  owner p{k}\n"
+            for k in range(1000)
+        )
+        for text, schema in ((data_text("pets.inst"), base_schema), (big, pets_schema)):
+            model = decode_model(text, schema)
+            assert encode_model(model) == text
 
 
 class TestModelRoundtrip:
