@@ -203,6 +203,8 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--scenario", choices=sorted(SCENARIOS), default="ybirth")
     bench.add_argument("--year", type=int, metavar="N")
     bench.set_defaults(handler=cmd_bench)
+    for subparser in sub.choices.values():  # a bad flag is reported with its own usage
+        subparser.set_defaults(parser=subparser)
     return parser
 
 
@@ -212,7 +214,7 @@ def main(argv=None) -> int:
     for flag, least in (("cases", 0), ("iterations", 1), ("max_commands", 1), ("year", 1)):
         value = getattr(args, flag, None)
         if value is not None and value < least:
-            parser.error(f"--{flag.replace('_', '-')} must be >= {least}")
+            args.parser.error(f"--{flag.replace('_', '-')} must be >= {least}")
     try:
         return args.handler(args)
     except MigrationError as e:

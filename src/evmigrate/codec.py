@@ -26,7 +26,7 @@ import re
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .commands import SPECS, Command, check_reference_year
+from .commands import _OWNED_KINDS, SPECS, Command, _id_of, _trusted, check_reference_year
 from .editor import EventStore
 from .errors import FormatError, MigrationError, ModelError
 from .metamodel import (
@@ -40,6 +40,7 @@ from .metamodel import (
 )
 
 FORMAT_VERSION = 1
+_NL = "\n"  # a line end inside a replacement field, where no backslash may go
 
 
 @dataclass
@@ -61,18 +62,16 @@ def _parse_int(text, lineno, what):
 
 def encode_log(store: EventStore, reference_year) -> str:
     """Canonical text for an event store; stable across calls."""
-    out = [f"format: {FORMAT_VERSION}", f"referenceYear: {reference_year}", "commands:"]
-    for cmd in store.commands():
-        out.append(f"  - command: {cmd.kind}")
-        out.append(f"    id: {cmd.id}")
-        if cmd.owner_id is not None:
-            out.append(f"    ownerId: {cmd.owner_id}")
-        if cmd.name is not None:
-            # empty names leave no trailing blank; the wire trims values anyway
-            out.append(f"    name: {cmd.name}".rstrip())
-        if cmd.age is not None:
-            out.append(f"    age: {cmd.age}")
-    return "\n".join(out) + "\n"
+    out = [f"format: {FORMAT_VERSION}\nreferenceYear: {reference_year}\ncommands:\n"]
+    for kind, obj_id, name, age, owner_id in store.commands():
+        # an empty name leaves no trailing blank: the wire trims values anyway
+        out.append(
+            f"  - command: {kind}\n    id: {obj_id}\n"
+            f"{'' if owner_id is None else f'    ownerId: {owner_id}{_NL}'}"
+            f"{'' if name is None else f'    name: {name}'.rstrip() + _NL}"
+            f"{'' if age is None else f'    age: {age}{_NL}'}"
+        )
+    return "".join(out)
 
 
 _HEADERS = ("format", "referenceYear")
@@ -91,19 +90,28 @@ def _split_entry(line, lineno):
 # lines, keys and values.
 _VALUE = rf"\S(?:[^{LINE_BREAKS}]*\S)?"
 _CANONICAL_HEAD = re.compile(rf"format: {FORMAT_VERSION}\nreferenceYear: ([1-9][0-9]*)\ncommands:\n")
+# Group 2 matches, empty, after a kind that carries an ownerId, and only
+# then may an ownerId line follow; an empty name ("    name:") is group 6.
 _CANONICAL_BLOCK = re.compile(
-    rf"  - command: ({'|'.join(map(re.escape, SPECS))})\n"
+    rf"  - command: ({'|'.join(kind for kind in SPECS if kind not in _OWNED_KINDS)}"
+    rf"|(?:{'|'.join(kind for kind in SPECS if kind in _OWNED_KINDS)})())\n"
     rf"    id: ({_VALUE})\n"
-    rf"(?:    ownerId: ({_VALUE})\n)?"
-    rf"(?:    name:( {_VALUE}|)\n)?"  # an empty name is written as "    name:"
+    rf"(?(2)(?:    ownerId: ({_VALUE})\n)?)"
+    rf"(?:    name:(?: ({_VALUE})|())\n)?"
     rf"(?:    age: (-?[0-9]+)\n)?"
 )
+#: each kind's own string, so that stored commands share it
+_KIND = {kind: kind for kind in SPECS}
 
 
 def _decode_canonical(text) -> CommandLogDocument | None:
     """Decode text in the encoder's layout; None for anything else: other
     valid layouts, values the line reader would trim, and every input it
-    would reject."""
+    would reject.
+
+    The pattern admits only what ``Command`` checks (a known kind, a
+    non-empty id, no line break, ownerId only where allowed), so the
+    commands are built unchecked."""
     head = _CANONICAL_HEAD.match(text)
     if head is None:
         return None
@@ -111,20 +119,17 @@ def _decode_canonical(text) -> CommandLogDocument | None:
     end = len(text)
     match_block = _CANONICAL_BLOCK.match
     cmds: list[Command] = []
-    seen_ids = set()
     try:
         while pos < end:
             block = match_block(text, pos)
             if block is None:
                 return None
             pos = block.end()
-            kind, obj_id, owner_id, name, age = block.groups()
-            if obj_id in seen_ids or (owner_id is not None and "ownerId" not in SPECS[kind][1]):
-                return None
-            seen_ids.add(obj_id)
-            name = None if name is None else name[1:]
-            age = None if age is None else int(age, 10)
-            cmds.append(Command(kind, obj_id, name, age, owner_id))
+            kind, _, obj_id, owner_id, name, empty, age = block.groups()
+            cmds.append(_trusted((_KIND[kind], obj_id, empty if name is None else name,
+                                  None if age is None else int(age, 10), owner_id)))
+        if len(set(map(_id_of, cmds))) != len(cmds):
+            return None
         return CommandLogDocument(FORMAT_VERSION, int(head[1], 10), cmds)
     except ValueError:  # int() refuses too many digits
         return None
@@ -328,8 +333,8 @@ _OBJECT_HEAD = re.compile(r"obj (\S+) (\S+)\n")
 @lru_cache(maxsize=64)
 def _model_readers(schema: MetaModel):
     """Class name -> (match of its feature lines, per group (feature,
-    conversion, whether a reference)).  A feature line ``#...`` would read
-    as a comment, so such a feature gets no group."""
+    conversion, whether a reference), the name for objects to share).
+    A feature line ``#...`` would read as a comment: it gets no group."""
     readers = {}
     for cls in schema.classes.values():
         parts, groups = [], []
@@ -349,7 +354,7 @@ def _model_readers(schema: MetaModel):
                 part, convert = rf"(?:{line}( {_VALUE}|)\n)?", lambda value: value[1:]
             parts.append(part)
             groups.append((name, convert, is_reference))
-        readers[cls.name] = (re.compile("".join(parts)).match, groups)
+        readers[cls.name] = (re.compile("".join(parts)).match, groups, cls.name)
     return readers
 
 
@@ -372,14 +377,14 @@ def _decode_model_canonical(text, schema: MetaModel) -> InstanceModel | None:
             reader = readers.get(head[2]) if head is not None else None
             if reader is None:
                 return None
-            match_body, groups = reader
+            match_body, groups, class_name = reader
             body = match_body(text, head.end())  # every line is optional: it matches
             pos = body.end()
             features = ({}, {})  # attributes, references
             for (name, convert, is_reference), value in zip(groups, body.groups()):
                 if value is not None:
                     features[is_reference][name] = convert(value)
-            model.add(DynamicObject(head[1], head[2], *features))
+            model.add(DynamicObject(head[1], class_name, *features))
         classes = schema.classes
         for obj in model.objects.values():
             model.check_targets(obj, classes[obj.class_name])

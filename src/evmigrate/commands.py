@@ -1,16 +1,18 @@
 """The shared editing vocabulary: HavePerson and HaveDog.
 
 Both editors understand the same two commands; each editor executes them
-against its own schema, querying at runtime which attributes exist.  A
-command field left as None is UNSET: the corresponding write is skipped
-(it never clears an existing value).
+against its own schema, through a runner per kind that ``bind`` makes once
+per schema.  A command field left as None is UNSET: the corresponding
+write is skipped (it never clears an existing value).  A command is
+checked where it is built (``Command``); only the fast log reader and an
+editor's parse build one unchecked, from fields valid by construction.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
-from operator import attrgetter
+from collections import namedtuple
+from functools import lru_cache, partial
+from operator import itemgetter
 from types import MappingProxyType
 from typing import TYPE_CHECKING
 
@@ -38,10 +40,9 @@ _OWNED_KINDS = frozenset(kind for kind, (_, fields) in SPECS.items() if "ownerId
 
 DEFAULT_REFERENCE_YEAR = 2020
 
-_set = object.__setattr__  # fills a frozen dataclass's fields
-#: model writes that ``run`` marks itself
+#: model writes that a runner marks itself
 _update, _set_item = dict.update, dict.__setitem__
-_id_of = attrgetter("id")  # sort key of commands within one kind
+_id_of = itemgetter(1)  # sort key of commands within one kind: the id
 
 
 def check_reference_year(year):
@@ -50,20 +51,17 @@ def check_reference_year(year):
     return year
 
 
-@dataclass(frozen=True, init=False, slots=True)
-class Command:
-    """Immutable edit operation; the unit of storage, exchange and replay."""
+class Command(namedtuple("Command", ("kind", "id", "name", "age", "owner_id"))):
+    """Immutable edit operation; the unit of storage, exchange and replay.
 
-    kind: str
-    id: str
-    name: str | None = None
-    age: int | None = None
-    owner_id: str | None = None  # HaveDog only
+    A tuple of five atoms.  Every public way to build one (the call,
+    ``_make``, ``_replace``, pickle, ``copy``) runs ``__new__``'s checks;
+    only ``_trusted`` skips them, for ``codec._decode_canonical`` and
+    ``Editor._parse``, whose fields are valid by construction."""
 
-    def __init__(self, kind, id, name=None, age=None, owner_id=None):
-        # Written out because every parse and decode builds commands: the
-        # checks run inline, not in a __post_init__ call, and slots keep
-        # each command small and quick to read.
+    __slots__ = ()
+
+    def __new__(cls, kind, id, name=None, age=None, owner_id=None):
         if kind not in SPECS:
             raise ValueError(f"unknown command kind {kind!r}")
         if not id:
@@ -73,15 +71,20 @@ class Command:
         text = f"{id}{name or ''}{owner_id or ''}"
         if not text.isprintable() and has_line_break(text):  # printable text needs no split
             raise ValueError(f"no line break may be in id {id!r}, name {name!r} or ownerId {owner_id!r}")
-        _set(self, "kind", kind)
-        _set(self, "id", id)
-        _set(self, "name", name)
-        _set(self, "age", age)
-        _set(self, "owner_id", owner_id)
+        return tuple.__new__(cls, (kind, id, name, age, owner_id))
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # ``_replace`` builds through it
+
+    def __reduce__(self):
+        return Command, tuple(self)
 
     @property
     def target_class(self) -> str:
         return SPECS[self.kind][0]
+
+
+#: ``Command`` without its checks: ``_trusted((kind, id, name, age, owner_id))``
+_trusted = partial(tuple.__new__, Command)
 
 
 def have_person(obj_id, name=None, age=None) -> Command:
@@ -92,16 +95,16 @@ def have_dog(obj_id, owner_id=None, name=None, age=None) -> Command:
     return Command(HAVE_DOG, obj_id, name, age, owner_id)
 
 
-def canonical_order(cmds) -> list[Command]:
-    """Kinds in SPECS order, each sorted by id.
+def canonical_order(cmds, kinds=SPECS) -> list[Command]:
+    """Kinds in the order of ``kinds`` (SPECS order), each sorted by id.
 
     Grouping by kind and sorting on the id strings themselves builds no
     key tuple per command: a store-wide sort makes no garbage for the
     cyclic collector, so it does not bring on a full collection in the
     middle of a sync."""
-    groups: dict[str, list[Command]] = {kind: [] for kind in SPECS}
+    groups: dict[str, list[Command]] = {kind: [] for kind in kinds}
     for cmd in cmds:
-        groups[cmd.kind].append(cmd)
+        groups[cmd[0]].append(cmd)
     ordered = []
     for group in groups.values():
         group.sort(key=_id_of)
@@ -109,16 +112,25 @@ def canonical_order(cmds) -> list[Command]:
     return ordered
 
 
+_MERGE_KINDS = sorted(SPECS, key=lambda kind: SPECS[kind][0])  # by target class
+
+
+def merge_order(cmds) -> list[Command]:
+    """(target class, id) order, the order ``Editor.merge_all`` runs in."""
+    return canonical_order(cmds, _MERGE_KINDS)
+
+
 @lru_cache(maxsize=64)
 def bind(schema) -> MappingProxyType:
     """Resolve, once per schema, what each kind can write.
 
     Returns kind -> None when the schema lacks the target class, else
-    ``(class, has name, has age, has ybirth, owner ReferenceDef or None)``.
-    An attribute of the wrong kind is rejected here, before any write.
-    Schemas are immutable in use and hash by identity, so the result is
-    cached per schema and shared, read-only, by its editors; a rejected
-    schema is not cached and fails again on every call.
+    ``(class, has name, has age, has ybirth, owner ReferenceDef or None,
+    runner)``; ``run`` calls the runner.  An attribute of the wrong kind
+    is rejected here, before any write.  Schemas are immutable in use and
+    hash by identity, so the result is cached per schema and shared,
+    read-only, by its editors; a rejected schema is not cached and fails
+    again on every call.
     """
     bindings = {}
     for kind, (class_name, fields) in SPECS.items():
@@ -130,59 +142,63 @@ def bind(schema) -> MappingProxyType:
             adef = cls.attributes.get(attr)
             if adef is not None and adef.kind != want:
                 raise ModelError(f"{class_name}.{attr} is declared {adef.kind}, cannot hold {want}")
-        ref = cls.references.get("owner") if "ownerId" in fields else None
-        bindings[kind] = (
+        decisions = (
             class_name,
             "name" in cls.attributes,
             "age" in cls.attributes,
             "ybirth" in cls.attributes,
-            ref,
+            cls.references.get("owner") if "ownerId" in fields else None,
         )
+        bindings[kind] = (*decisions, _runner(*decisions))
     return MappingProxyType(bindings)
 
 
 def run(cmd: Command, editor: Editor) -> str:
-    """Execute a command against an editor's model (no store update).
-
-    Writes are gated twice: on the command field being set and on the
-    schema declaring the attribute.  When the schema carries ybirth, the
-    age is stored as referenceYear - age instead of (or in addition to) a
-    plain age.  Kinds were checked by ``bind``, so writes go straight to
-    the attribute map.  A model that keeps marks (see
-    ``InstanceModel.seen``) gets them through one plain ``dict.update``,
-    not through its tracked mapping write by write, and the object is
-    then marked once, even when nothing was written: the store entry the
-    caller puts next changes what a parse derives from it."""
-    binding = editor.bindings[cmd.kind]
+    """Execute a command against an editor's model (no store update),
+    through its kind's runner in the editor's bindings (see ``bind``)."""
+    binding = editor.bindings[cmd.kind]  # a plain tuple is no command: it has no kind
     if binding is None:
         raise SchemaError(f"schema declares no {cmd.target_class} class")
-    class_name, has_name, has_age, has_ybirth, owner_ref = binding
-    registry = editor.registry
-    obj = registry.get(cmd.id)
-    if obj is None or obj.class_name != class_name:
-        obj = editor.get_or_create(class_name, cmd.id)  # creates it, or rejects the class
-    model = editor.model
-    tracking = bool(model.readers)
-    values = {} if tracking else obj.attributes
-    if cmd.name is not None and has_name:
-        values["name"] = cmd.name
-    if cmd.age is not None:
-        if has_age:
-            values["age"] = cmd.age
-        if has_ybirth:
-            values["ybirth"] = editor.reference_year - cmd.age
-    if tracking:
-        _update(obj.attributes, values)
-    if cmd.owner_id is not None and owner_ref is not None:
-        # Owner may not exist yet; materialize a stub so dogs can be
-        # executed before their owner's HavePerson arrives.
-        owner = registry.get(cmd.owner_id)
-        if owner is None or owner.class_name != owner_ref.target:
-            owner = editor.get_or_create(owner_ref.target, cmd.owner_id)
-        if owner_ref.many:
-            model.set_reference(obj, "owner", owner.id)
-        else:
-            _set_item(obj.references, "owner", owner.id)
-    if tracking:
-        model.mark(obj)
-    return cmd.id
+    return binding[5](cmd, editor)
+
+
+def _runner(class_name, has_name, has_age, has_ybirth, owner_ref):
+    """The runner of one kind on one schema: it writes each field that is
+    set and that the class declares, ybirth as referenceYear - age.  It
+    writes through plain ``dict`` methods and marks the object itself,
+    even when nothing was written: the store entry the caller puts next
+    changes what a parse derives from it."""
+    owner_class = owner_ref and owner_ref.target
+
+    def runner(cmd, editor):
+        _, obj_id, name, age, owner_id = cmd
+        registry = editor.registry
+        obj = registry.get(obj_id)
+        if obj is None or obj.class_name != class_name:
+            obj = editor.get_or_create(class_name, obj_id)  # creates it, or rejects the class
+        readers = editor.model.readers
+        values = {} if readers else obj.attributes  # an untracked model's dict is plain
+        if name is not None and has_name:
+            values["name"] = name
+        if age is not None:
+            if has_age:
+                values["age"] = age
+            if has_ybirth:
+                values["ybirth"] = editor.reference_year - age
+        if readers:
+            _update(obj.attributes, values)
+        if owner_id is not None and owner_ref is not None:
+            # Owner may not exist yet; materialize a stub so dogs can be
+            # executed before their owner's HavePerson arrives.
+            owner = registry.get(owner_id)
+            if owner is None or owner.class_name != owner_class:
+                owner = editor.get_or_create(owner_class, owner_id)
+            if owner_ref.many:
+                editor.model.set_reference(obj, "owner", owner.id)
+            else:
+                _set_item(obj.references, "owner", owner.id)
+        for unseen in readers.values():  # ``InstanceModel.mark``, inline
+            unseen[obj] = None
+        return obj_id
+
+    return runner

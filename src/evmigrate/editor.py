@@ -14,13 +14,16 @@ from .commands import (
     KIND_OF_CLASS,
     SPECS,
     Command,
+    _id_of,
+    _trusted,
     bind,
     canonical_order,
     check_reference_year,
+    merge_order,
     DEFAULT_REFERENCE_YEAR,
 )
 from .errors import MergeError, MigrationError, ModelError
-from .metamodel import DynamicObject, InstanceModel, MetaModel
+from .metamodel import DynamicObject, InstanceModel, MetaModel, has_line_break
 
 #: the model reader ``Editor.parse_model`` keeps its place under
 PARSE = "parse"
@@ -39,9 +42,6 @@ def _holds_every_field(bindings) -> bool:
         for binding, (_, fields) in zip(bindings.values(), SPECS.values())
     )
 
-
-def _merge_order(cmd: Command):
-    return SPECS[cmd.kind][0], cmd.id  # (target class, id)
 
 
 def _kind_of(obj: DynamicObject) -> str:
@@ -85,12 +85,13 @@ class EventStore:
         self._entries[cmd.id] = cmd
         self._unshipped[cmd.id] = cmd
 
-    def put_received(self, cmd: Command):
-        """Insert or replace the entry for ``cmd.id`` with a command the
-        peer sent, so it already holds it: the id no longer ships."""
-        self._entries[cmd.id] = cmd
+    def put_received(self, *cmds: Command):
+        """Insert or replace the entry for each ``cmd.id`` with a command
+        the peer sent, so it already holds it: the id no longer ships."""
+        self._entries.update(zip(map(_id_of, cmds), cmds))
         if self._unshipped:
-            self._unshipped.pop(cmd.id, None)
+            for obj_id in map(_id_of, cmds):
+                self._unshipped.pop(obj_id, None)
 
     def commands(self) -> list[Command]:
         """Snapshot in canonical (kind, id) order, sorted on each call."""
@@ -182,6 +183,8 @@ class Editor:
         while fresh in self.registry or fresh in self.model.objects:
             counter += 1
             fresh = f"{prefix}{counter}"
+        if has_line_break(fresh):  # a class built in code may have any name
+            raise ModelError(f"a minted id may hold no line break, got {fresh!r}")
         self._id_counters[obj.class_name] = counter + 1
         self._register(fresh, obj)
         return fresh
@@ -199,10 +202,10 @@ class Editor:
         """Execute incoming commands in deterministic (class, id) order.
 
         Order does not affect the outcome for distinct-id sets, but a
-        fixed order keeps transcripts reproducible.  The commands come
-        from the peer, so they are stored with ``put_received``: each
-        replaces any unshipped entry for its id.  The first failing
-        command aborts the merge.
+        fixed order keeps transcripts reproducible (``merge_order``: no
+        key per command).  The commands come from the peer, so those that
+        ran are stored with ``put_received``: each replaces any unshipped
+        entry for its id.  The first failing command aborts the merge.
 
         A large merge into an empty editor (the forward's, into m2) builds
         each object from its own command alone.  If the schema holds every
@@ -210,20 +213,23 @@ class Editor:
         each object derives its stored command again, so the parse starts
         tracking here and the first backward visits only what changed."""
         store, model = self.store, self.model
-        ordered = sorted(incoming, key=_merge_order)
+        ordered = merge_order(incoming)
         first = (
             len(ordered) >= self.track_from
             and not (store or model.objects or self.registry)
             and _holds_every_field(self.bindings)
         )
-        for cmd in ordered:
-            try:
+        ran = 0
+        try:
+            for cmd in ordered:
                 _commands.run(cmd, self)
-            except MigrationError as e:
-                raise MergeError(
-                    f"merge failed on {cmd.kind} id={cmd.id!r}: {e}", command=cmd
-                ) from e
-            store.put_received(cmd)
+                ran += 1
+        except MigrationError as e:
+            raise MergeError(
+                f"merge failed on {cmd.kind} id={cmd.id!r}: {e}", command=cmd
+            ) from e
+        finally:
+            store.put_received(*ordered[:ran])
         if first and len(ordered) == len(store) == len(model.objects):
             model.seen(PARSE)
 
@@ -303,11 +309,14 @@ class Editor:
 
     def _parse(self, obj: DynamicObject, kind) -> tuple[Command, bool]:
         """The command for ``obj`` and whether it differs from the stored
-        one (an unchanged object yields the stored command itself)."""
-        _, has_name, has_age, has_ybirth, owner_ref = self.bindings[kind]
+        one (an unchanged object yields the stored command itself).  It is
+        built unchecked unless its name, read from a mapping anyone may
+        write, is not printable text; its ids were checked by the model
+        or by ``id_for``."""
+        _, has_name, has_age, has_ybirth, owner_ref, _ = self.bindings[kind]
         obj_id = self._id_of_object.get(obj) or self.id_for(obj)
-        old = self.store.get(obj_id)
-        if old is not None and old.kind != kind:
+        old = self.store._entries.get(obj_id)
+        if old is not None and old[0] != kind:
             old = None
         values = obj.attributes
         name = values.get("name") if has_name else None
@@ -315,12 +324,12 @@ class Editor:
             age = values.get("age") if has_age else None
             ybirth = values.get("ybirth") if has_ybirth else None
             # with both set, ybirth wins only if age is as stored: it was not edited
-            if ybirth is not None and (age is None or old is not None and age == old.age):
+            if ybirth is not None and (age is None or old is not None and age == old[3]):
                 age = self.reference_year - ybirth
         else:
             # The schema variant cannot hold an age; recover the value
             # from the command that produced this object, if there is one.
-            age = None if old is None else old.age
+            age = None if old is None else old[3]
         owner_id = None
         if owner_ref is not None:
             target_id = obj.references.get("owner")
@@ -338,6 +347,9 @@ class Editor:
                 owner_id = self._id_of_object.get(target) or self.id_for(target)
                 if target.class_name != owner_ref.target:
                     self.get_or_create(owner_ref.target, owner_id)  # raises, as a run would
-        if old is not None and old.name == name and old.age == age and old.owner_id == owner_id:
+        fields = (kind, obj_id, name, age, owner_id)
+        if fields == old:
             return old, False
-        return Command(kind, obj_id, name, age, owner_id), True
+        if name is None or type(name) is str and name.isprintable():
+            return _trusted(fields), True
+        return Command(*fields), True

@@ -142,10 +142,8 @@ def significant_lines(text):
     line loses its trailing whitespace."""
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.rstrip()
-        stripped = line.lstrip()
-        if not stripped or stripped[0] == "#":
-            continue
-        yield lineno, line
+        if line and line.lstrip()[0] != "#":
+            yield lineno, line
 
 
 def load_schema(text, name="model") -> MetaModel:
@@ -191,9 +189,9 @@ def load_schema(text, name="model") -> MetaModel:
 
 class TrackedDict(dict):
     """A dict that, once bound to a model, marks the object it belongs to
-    changed there on every write through its own methods.  ``commands.run``
-    writes through plain ``dict`` methods and marks the object once
-    instead.
+    changed there on every write through its own methods.  The command
+    runners and ``InstanceModel.set_attribute_text`` write through plain
+    ``dict`` methods and mark the object once instead.
 
     The link is a weak reference to the model plus the owner's id: a
     strong one would make every object a reference cycle, which only the
@@ -395,7 +393,12 @@ class InstanceModel:
             except ValueError:
                 pass  # the check below names the expected kind
         _check_value(obj, adef, value)
-        obj.attributes[name] = value
+        if self.readers:  # past the tracked mapping's own marking, marked once
+            dict.__setitem__(obj.attributes, name, value)
+            for unseen in self.readers.values():  # ``mark``, inline: the hot path
+                unseen[obj] = None
+        else:
+            obj.attributes[name] = value
 
     def set_reference(self, obj: DynamicObject, name, target_id):
         """Assign (one) or add-if-absent (many, by replacing the list).

@@ -161,11 +161,11 @@ def migrate_backward(session: MigrationSession) -> InstanceModel:
     return session.m1.model
 
 
-#: mutation -> (token count, syntax); ``set`` may leave the value out
+#: mutation -> (token counts, syntax); ``set`` may leave the value out
 _MUTATIONS = {
-    "set": (4, "set <id> <attr> <value>"),
-    "new": (3, "new <Class> <id>"),
-    "link": (4, "link <id> <ref> <targetId>"),
+    "set": ((3, 4), "set <id> <attr> <value>"),
+    "new": ((3,), "new <Class> <id>"),
+    "link": ((4,), "link <id> <ref> <targetId>"),
 }
 
 
@@ -176,23 +176,24 @@ def apply_mutations(model: InstanceModel, script: str):
     allowed.  A malformed line raises ``FormatError``, a line the model
     refuses raises ``ModelError``; both name the line.
     """
+    objects, set_text = model.objects, model.set_attribute_text
     for lineno, line in significant_lines(script):
         tokens = line.split(None, 3)
         op = tokens[0]
-        if op not in _MUTATIONS:
+        mutation = _MUTATIONS.get(op)
+        if mutation is None:
             raise FormatError(f"unknown mutation {op!r}", line=lineno)
-        arity, syntax = _MUTATIONS[op]
-        if len(tokens) != arity and not (op == "set" and len(tokens) == 3):
-            raise FormatError(f"expected {syntax!r}", line=lineno)
+        if len(tokens) not in mutation[0]:
+            raise FormatError(f"expected {mutation[1]!r}", line=lineno)
         try:
             if op == "new":
                 model.new_object(tokens[1], tokens[2])
                 continue
-            obj = model.objects.get(tokens[1])
+            obj = objects.get(tokens[1])
             if obj is None:
                 raise ModelError(f"unknown object id {tokens[1]!r}")
             if op == "set":
-                model.set_attribute_text(obj, tokens[2], tokens[3] if len(tokens) == 4 else "")
+                set_text(obj, tokens[2], tokens[3] if len(tokens) == 4 else "")
             else:
                 model.check_target(obj, tokens[2], tokens[3])
                 model.set_reference(obj, tokens[2], tokens[3])

@@ -3,6 +3,7 @@ from pathlib import Path
 import pytest
 
 from evmigrate import Editor, load_schema
+from evmigrate import Command
 
 DATA = Path(__file__).parent / "data"
 
@@ -51,3 +52,16 @@ def ybirth_editor(ybirth_schema):
 
 def data_text(name) -> str:
     return (DATA / name).read_text()
+
+
+def count_checked_commands(monkeypatch):
+    """Record the fields of every command built through ``Command``'s checks."""
+    built = []
+    checked_new = Command.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        built.append(args)
+        return checked_new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Command, "__new__", counting_new)
+    return built

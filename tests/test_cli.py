@@ -295,3 +295,24 @@ class TestConsoleEntry:
     def test_no_subcommand_is_usage_error(self):
         result = run_cli()
         assert result.returncode == 2
+
+
+@pytest.mark.parametrize(
+    "subcommand, flags",
+    [
+        ("bench", ["--iterations", "2", "--year", "0"]),
+        ("bench", ["--iterations", "0"]),
+        ("check", ["--cases", "-1", "--seed", "1"]),
+        ("check", ["--cases", "1", "--seed", "1", "--max-commands", "0"]),
+        ("migrate", None),
+    ],
+    ids=["bench-year", "bench-iterations", "check-cases", "check-max-commands", "migrate-year"],
+)
+def test_a_bad_flag_prints_its_subcommands_usage(tmp_path, capsys, subcommand, flags):
+    argv = migrate_args(tmp_path, year=0) if flags is None else [subcommand, *flags]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: evmigrate {subcommand} ")
+    assert f"evmigrate {subcommand}: error: --" in err

@@ -22,6 +22,7 @@ from evmigrate import (
     model_equals,
 )
 from evmigrate import codec
+from evmigrate.commands import Command
 from evmigrate.checks import delta_case, random_model
 from evmigrate.codec import (
     CHUNK,
@@ -36,6 +37,7 @@ from evmigrate.metamodel import KIND_INT, LINE_BREAKS
 from evmigrate.sync import SCENARIOS
 
 from conftest import PETS_SCHEMA_TEXT, data_text
+from conftest import count_checked_commands
 
 PETS_INSTANCE = """\
 obj p1 Person
@@ -321,6 +323,36 @@ class TestCanonicalFastPath:
         expected = decode_outcome(_decode_lines, text)
         assert expected[0] == "FormatError" and "must be an integer" in expected[1]
         assert decode_outcome(decode_log, text) == expected
+
+
+    def test_fast_read_commands_are_what_the_checked_constructor_builds(self):
+        # the fast reader builds its commands unchecked; a plain tuple would
+        # compare equal, so the type is asserted too
+        rng = random.Random(20261019)
+        read = 0
+        for _ in range(200):
+            store = random_store(rng)
+            store.put(have_person("pe", name=""))
+            text = encode_log(store, 2020)
+            for candidate in [text] + [perturbed(rng, text) for _ in range(10)]:
+                doc = _decode_canonical(candidate)
+                for cmd in doc.commands if doc is not None else ():
+                    read += 1
+                    assert type(cmd) is Command, repr(candidate)
+                    assert cmd == Command(cmd.kind, cmd.id, cmd.name, cmd.age, cmd.owner_id)
+        assert read > 1000
+
+    def test_only_the_line_reader_runs_the_checks(self, monkeypatch):
+        text = encode_log(store_of(have_person("p1", name="Alice", age=23),
+                                   have_dog("d1", owner_id="p1", name=""), have_dog("d2")), 2020)
+        built = count_checked_commands(monkeypatch)
+        fast = decode_log(text)
+        assert built == []
+        lines = _decode_lines(text)
+        assert len(built) == len(lines.commands) == 3
+        assert fast == lines
+        assert decode_log(text.replace("\n", "\r\n")) == lines  # not canonical: the line reader
+        assert len(built) == 6
 
 
 class TestEncodeModel:

@@ -1,4 +1,6 @@
+import copy
 import gc
+import pickle
 
 import pytest
 from hypothesis import given, strategies as st
@@ -13,7 +15,10 @@ from evmigrate import (
     model_equals,
 )
 from evmigrate.commands import SPECS, Command, canonical_order, check_reference_year
+from evmigrate.commands import _trusted
 from evmigrate.metamodel import LINE_BREAKS
+
+from conftest import count_checked_commands
 
 
 class TestCommandInvariants:
@@ -175,3 +180,67 @@ def test_canonical_order_of_a_large_store_runs_no_collection():
     ordered = canonical_order(cmds)
     assert gc.get_stats()[0]["collections"] == before
     assert [c.id for c in ordered[:2]] == ["p1", "p10"]
+
+
+class TestCommandTuple:
+    """A command is a tuple of five atoms.  Every public way to build one
+    runs ``Command``'s checks; only ``_trusted`` skips them."""
+
+    CMD = have_dog("d1", owner_id="p1", name="Rex", age=4)
+
+    @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+    def test_a_pickle_round_trip_runs_the_checks(self, monkeypatch, protocol):
+        data = pickle.dumps(self.CMD, protocol)
+        built = count_checked_commands(monkeypatch)
+        assert pickle.loads(data) == self.CMD
+        assert built == [tuple(self.CMD)]
+
+    def test_a_forged_pickle_is_refused(self):
+        data = pickle.dumps(self.CMD).replace(b"Rex", b"R\nx")
+        with pytest.raises(ValueError, match="no line break"):
+            pickle.loads(data)
+
+    @pytest.mark.parametrize("clone", [copy.copy, copy.deepcopy], ids=["copy", "deepcopy"])
+    def test_a_copy_runs_the_checks(self, monkeypatch, clone):
+        built = count_checked_commands(monkeypatch)
+        duplicate = clone(self.CMD)
+        assert duplicate == self.CMD and type(duplicate) is Command
+        assert built == [tuple(self.CMD)]
+
+    def test_make_and_replace_run_the_checks(self):
+        with pytest.raises(ValueError, match="no line break"):
+            self.CMD._replace(name="R\nx")
+        with pytest.raises(ValueError, match="unknown command kind"):
+            Command._make(("HaveCat", "c1", None, None, None))
+        assert self.CMD._replace(age=5) == have_dog("d1", owner_id="p1", name="Rex", age=5)
+
+    def test_fields_repr_and_immutability(self):
+        assert tuple(self.CMD) == ("HaveDog", "d1", "Rex", 4, "p1")
+        assert self.CMD.target_class == "Dog"
+        assert repr(have_person("p1")) == (
+            "Command(kind='HavePerson', id='p1', name=None, age=None, owner_id=None)"
+        )
+        with pytest.raises(AttributeError):
+            self.CMD.name = "Odie"
+
+    def test_a_stored_command_holds_only_atoms(self):
+        # so no command can be part of a reference cycle.  CPython still
+        # tracks it: its collector only untracks exact tuples.
+        editor = Editor(load_schema("class Dog\n  attr name string\n  attr age int\n"))
+        editor.execute(self.CMD)
+        stored = editor.store.get("d1")
+        assert stored == self.CMD
+        referents = [r for r in gc.get_referents(stored) if r is not Command]
+        assert {type(r) for r in referents} <= {str, int, type(None)}
+        assert len(referents) == 5
+
+    def test_a_plain_tuple_is_not_run(self, base_editor):
+        # it compares equal to a command, but never went through the checks
+        with pytest.raises(AttributeError):
+            base_editor.execute(("HavePerson", "p1", "a\n  - command: HaveDog", None, None))
+        assert not base_editor.store and not base_editor.model.objects
+
+    def test_trusted_builds_a_command_without_the_checks(self, monkeypatch):
+        built = count_checked_commands(monkeypatch)
+        cmd = _trusted(("HaveDog", "d1", "Rex", 4, "p1"))
+        assert type(cmd) is Command and cmd == self.CMD and built == []

@@ -3,13 +3,17 @@ import random
 import pytest
 
 from evmigrate import (
+    AttributeDef,
     DynamicObject,
     Editor,
     FormatError,
     InstanceModel,
+    MetaClass,
+    MetaModel,
     MigrationError,
     MigrationSession,
     ModelError,
+    ReferenceDef,
     apply_mutations,
     copy_model,
     decode_model,
@@ -580,3 +584,33 @@ class TestSessionSetup:
             assert "age" in scenario.m1_schema.cls("Person").attributes
         assert "ybirth" in SCENARIOS["ybirth"].m2_schema.cls("Person").attributes
         assert "age" not in SCENARIOS["dog-no-age"].m2_schema.cls("Dog").attributes
+
+
+class TestNoCheckLost:
+    """``Editor._parse`` builds its commands without ``Command``'s checks;
+    what it reads from a mapping anyone can write, and the ids it mints,
+    are still checked before they can reach the wire."""
+
+    @pytest.mark.parametrize("size", [4, 2000], ids=["untracked", "tracked"])
+    def test_a_line_break_written_into_a_name_is_refused_at_the_backward(self, size):
+        s = session_for("ybirth")
+        migrate_forward(s, decode_model(_bulk_text(size), s.m1.schema))
+        assert bool(s.m2.model.readers) == (size >= TRACK_FROM)
+        shipped = len(s.transcripts)
+        s.m2.model.get("d1").attributes["name"] = "Rex\n  - command: HaveDog\n    id: evil"
+        with pytest.raises(ValueError, match="no line break"):
+            migrate_backward(s)
+        assert len(s.transcripts) == shipped
+        assert s.m1.model.get("evil") is None
+
+    def test_a_class_name_with_a_line_break_mints_no_id(self):
+        owner = MetaClass("Own\ner")
+        dog = MetaClass("Dog", [AttributeDef("name", "string")],
+                        [ReferenceDef("owner", "Own\ner", False)])
+        ed = Editor(MetaModel("pets", [dog, owner]))
+        d1 = ed.model.new_object("Dog", "d1")
+        ed.model.new_object("Own\ner", "o1")
+        ed.model.set_reference(d1, "owner", "o1")
+        with pytest.raises(ModelError, match="line break"):
+            ed.parse(d1)  # the owner would need a minted id: "own\ner1"
+        assert not ed.store and list(ed.registry) == ["dog1"]
