@@ -14,9 +14,9 @@ Law boundaries honoured by the generators:
   - delta cases edit m2 and leave m1 alone between forward and backward:
     a ship that carries only the changed entries keeps edits made to m1 in
     that time, a full ship would not.  The edits are a mutation script,
-    then writes past the setters (every mutator of the tracked mappings)
-    and a command that writes nothing, merged on both sides as if the
-    peers had exchanged it.
+    then setter writes, each after the same write tried straight into the
+    object's read-only mappings (it must be refused), and a command that
+    writes nothing, merged on both sides as if the peers had exchanged it.
 """
 
 from __future__ import annotations
@@ -26,11 +26,11 @@ import itertools
 import random
 from dataclasses import dataclass
 
-from .codec import decode_log, encode_log, encode_model
+from .codec import decode_log, decode_model, encode_log, encode_model
 from .commands import HAVE_DOG, HAVE_PERSON, KIND_OF_CLASS, SPECS, Command, have_dog, have_person
 from .editor import Editor
 from .errors import MigrationError
-from .metamodel import InstanceModel, KIND_INT, copy_model, model_equals
+from .metamodel import InstanceModel, KIND_INT, ReferenceDef, copy_model, model_equals
 from .sync import (
     SCENARIOS,
     MigrationSession,
@@ -201,15 +201,19 @@ def commutativity_case(rng, size, n_orders=None, schema=None) -> bool:
 
 
 def roundtrip_case(rng, scenario=None) -> bool:
-    """Forward then backward with no modification reproduces the input."""
+    """Forward then backward with no modification reproduces the input.
+    The backward may parse none of m2's objects, so m2 is checked too:
+    each object the forward's merge built derives its stored command."""
     if scenario is None:
         scenario = SCENARIOS[rng.choice(sorted(SCENARIOS))]
     model = random_model(rng, scenario.m1_schema)
     snapshot = copy_model(model)
     session = MigrationSession.create(scenario.m1_schema, scenario.m2_schema)
     migrate_forward(session, model)
+    full = _copy_session(session)
+    _parse_every_object(full.m2)
     result = migrate_backward(session)
-    return model_equals(result, snapshot)
+    return full.m2.store == session.m2.store and model_equals(result, snapshot)
 
 
 def random_mutations(rng, model, max_lines=6) -> str:
@@ -242,47 +246,55 @@ def random_mutations(rng, model, max_lines=6) -> str:
     return "".join(line + "\n" for line in lines)
 
 
-def _direct_writes(rng, model, max_writes=3):
-    """Writes to ``attributes`` and ``references`` past the setters, each
-    through a mutator drawn from all of the tracked mappings' mutators,
-    with values the schema accepts."""
+#: every mutator of a dict and of a list, each with arguments it takes
+DICT_MUTATORS = {"__setitem__": ("name", "x"), "__delitem__": ("name",), "pop": ("name", None),
+                 "popitem": (), "setdefault": ("name", "x"), "update": ({"name": "x"},),
+                 "clear": (), "__ior__": ({"name": "x"},)}
+LIST_MUTATORS = {"__setitem__": (0, "x"), "__delitem__": (0,), "append": ("x",),
+                 "extend": (["x"],), "insert": (0, "x"), "remove": ("x",), "pop": (),
+                 "clear": (), "sort": (), "reverse": (), "__iadd__": (["x"],), "__imul__": (2,)}
+
+
+def refuses(target, mutator, *args) -> bool:
+    """Whether ``target`` refuses the call of ``mutator`` with ``args``
+    as a read-only value does (by a missing method or a ``TypeError``)."""
+    try:
+        getattr(target, mutator)(*args)
+    except (AttributeError, TypeError):
+        return True
+    except (LookupError, ValueError):  # the call was made: nothing refused it
+        pass
+    return False
+
+
+def _setter_writes(rng, model, max_writes=3) -> bool:
+    """Writes through the setters, with values the schema accepts, each
+    after a write straight into the object's mappings or its
+    many-reference, through a mutator drawn from all of a dict's (a
+    list's); True when every such write was refused."""
     objects = list(model.objects.values())
     for _ in range(rng.randint(0, max_writes) if objects else 0):
         obj = rng.choice(objects)
-        cls = model.schema.cls(obj.class_name)
-        values = obj.attributes
-        adef = rng.choice(list(cls.attributes.values())) if cls.attributes else None
-        value = None
-        if adef is not None:
-            value = rng.randint(0, 150) if adef.kind == KIND_INT else random_name(rng)
-        op = rng.choice(("set", "del", "pop", "popitem", "setdefault", "update", "clear", "ior",
-                         "link"))
-        if op == "link":
-            rdef = rng.choice(list(cls.references.values())) if cls.references else None
-            pool = [o.id for o in objects if rdef is not None and o.class_name == rdef.target]
-            if pool:
-                target = rng.choice(pool)
-                obj.references[rdef.name] = [target] if rdef.many else target
-        elif op == "popitem":
-            if values:
-                values.popitem()
-        elif op == "clear":
-            values.clear()
-        elif adef is None:
-            continue
-        elif op == "set":
-            values[adef.name] = value
-        elif op == "del":
-            if adef.name in values:
-                del values[adef.name]
-        elif op == "pop":
-            values.pop(adef.name, None)
-        elif op == "setdefault":
-            values.setdefault(adef.name, value)
-        elif op == "update":
-            values.update({adef.name: value})
+        many = [value for value in obj.references.values() if type(value) is tuple]
+        if many and rng.random() < 0.3:
+            mutator = rng.choice(sorted(LIST_MUTATORS))
+            target, args = rng.choice(many), LIST_MUTATORS[mutator]
         else:
-            values |= {adef.name: value}
+            mutator = rng.choice(sorted(DICT_MUTATORS))
+            target, args = rng.choice((obj.attributes, obj.references)), DICT_MUTATORS[mutator]
+        if not refuses(target, mutator, *args):
+            return False
+        cls = model.schema.cls(obj.class_name)
+        features = [*cls.attributes.values(), *cls.references.values()]
+        feature = rng.choice(features) if features else None
+        if isinstance(feature, ReferenceDef):
+            pool = [o.id for o in objects if o.class_name == feature.target]
+            if pool:
+                model.set_reference(obj, feature.name, rng.choice(pool))
+        elif feature is not None:
+            value = rng.randint(0, 150) if feature.kind == KIND_INT else random_name(rng)
+            model.set_attribute(obj, feature.name, value)
+    return True
 
 
 def _merge_no_op(rng, session):
@@ -325,7 +337,7 @@ def _parse_every_object(editor):
             if values.get("ybirth") is not None and (age is None or age == old_age):
                 age = editor.reference_year - values["ybirth"]  # ybirth carries the edit
             owner = obj.references.get("owner") if "ownerId" in fields else None
-            if isinstance(owner, list):
+            if isinstance(owner, tuple):
                 owner = owner[0] if owner else None
             if owner is not None:
                 owner = editor.id_for(editor.model.objects[owner])
@@ -338,22 +350,22 @@ def delta_case(rng, scenario=None) -> bool:
     encoded, decoded and merged into a copy of m1 taken before the
     backward.  Both m1 model and m1 store must match, and m1's encode must
     match a full render of the reference, after each of three edits and
-    backwards.  The first backward after a small forward parses every
-    object, later ones only those m2 marked changed; the third edits
-    objects m2 added while it kept marks.  Half the sessions track writes
-    whatever their size (see ``Editor.track_from``): their forward readies
-    the session, so the first backward already parses only what changed,
-    and m1 re-renders only the objects merges marked.  The other half,
-    small, parse and encode in full."""
+    backwards.  The forward readies the session: each backward parses only
+    the objects m2 marked changed, and m1 re-renders only the objects
+    merges marked; the third edits objects m2 added while it kept marks.
+    Half the sessions forward a model decoded from its text, whose kept
+    blocks m1 slices from that text; the other half render them."""
     if scenario is None:
         scenario = SCENARIOS[rng.choice(sorted(SCENARIOS))]
     session = MigrationSession.create(scenario.m1_schema, scenario.m2_schema)
+    model = random_model(rng, scenario.m1_schema)
     if rng.random() < 0.5:
-        session.m1.track_from = session.m2.track_from = 0
-    migrate_forward(session, random_model(rng, scenario.m1_schema))
+        model = decode_model(encode_model(model), scenario.m1_schema)
+    migrate_forward(session, model)
     for _ in range(3):
         apply_mutations(session.m2.model, random_mutations(rng, session.m2.model))
-        _direct_writes(rng, session.m2.model)
+        if not _setter_writes(rng, session.m2.model):
+            return False
         if rng.random() < 0.3:
             _merge_no_op(rng, session)
         full = _copy_session(session)

@@ -23,19 +23,22 @@ alone defines what is accepted and what each error says.
 from __future__ import annotations
 
 import re
+from array import array
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import islice
 
 from .commands import _OWNED_KINDS, SPECS, Command, _id_of, _trusted, check_reference_year
 from .editor import EventStore
-from .errors import FormatError, MigrationError, ModelError
+from .errors import FormatError, MigrationError
 from .metamodel import (
     KIND_INT,
     LINE_BREAKS,
-    DynamicObject,
     InstanceModel,
     MetaModel,
-    has_line_break,
+    _check_target,
+    _object,
+    _set_model,
     significant_lines,
 )
 
@@ -253,7 +256,7 @@ def encode_model(model: InstanceModel) -> str:
         stale.add(pos // size)
     for i in sorted(stale):  # a new chunk is inserted after every older one
         texts[i] = "".join(blocks[i * size:(i + 1) * size])
-    model.seen(ENCODE)  # only now: a refused render leaves every mark for the next encode
+    model.seen(ENCODE)
     return "".join(texts.values())
 
 
@@ -270,11 +273,10 @@ class KeptBlocks:
 
     __slots__ = ("blocks", "at", "size", "texts")
 
-    def __init__(self, model: InstanceModel):
-        objects = model.objects.values()
-        self.blocks = blocks = [_block(obj, model) for obj in objects]
+    def __init__(self, blocks, at):
+        self.blocks = blocks
         #: object -> its block's index in ``blocks``
-        self.at = {obj: pos for pos, obj in enumerate(objects)}
+        self.at = at
         self.size = size = CHUNK
         #: chunk index -> the chunk's joined blocks, in chunk order
         self.texts = {i // size: "".join(blocks[i:i + size]) for i in range(0, len(blocks), size)}
@@ -283,10 +285,22 @@ class KeptBlocks:
 def keep_blocks(model: InstanceModel):
     """Keep the model's text from now on as ``KeptBlocks``, so each later
     encode re-renders only the objects that changed and re-joins only
-    their chunks; it costs one full render."""
-    if model.blocks is None:
+    their chunks.  A model read by the canonical decoder slices the blocks
+    of the objects it read from that text, and leaves the objects written
+    or added since marked for the next encode; any other model costs one
+    full render."""
+    if model.blocks is not None:
+        return
+    objects = model.objects.values()
+    if model.unseen(ENCODE) is None or model.source is None:
+        blocks = [_block(obj, model) for obj in objects]
         model.seen(ENCODE)
-        model.blocks = KeptBlocks(model)
+    else:
+        text, bounds = model.source
+        blocks = [text[start:end] for start, end in zip(bounds, bounds[1:])]
+        objects = islice(objects, len(blocks))
+    model.source = None
+    model.blocks = KeptBlocks(blocks, {obj: pos for pos, obj in enumerate(objects)})
 
 
 def _block(obj, model: InstanceModel) -> str:
@@ -297,32 +311,20 @@ def _block(obj, model: InstanceModel) -> str:
 
 
 def _render(lines, obj, cls):
-    """Append one object's lines.  A value or target holding a line break
-    would forge a line of its own, so it is refused, as the model's
-    setters do."""
+    """Append one object's lines.  The model holds no line break in a
+    value or target (every write checks), so none can forge a line."""
     lines.append(f"obj {obj.id} {obj.class_name}")
-    values = obj.attributes
+    values = obj._attributes
     for name in cls.attributes:
         if name in values:
-            line = f"  {name} {values[name]}"
-            if not line.isprintable():  # printable text needs no split
-                _refuse_line_break(obj, name, line)
-            lines.append(line.rstrip())
-    references = obj.references
+            lines.append(f"  {name} {values[name]}".rstrip())
+    references = obj._references
     for name, rdef in cls.references.items():
         value = references.get(name)
         if value is None:
             continue
         for target in value if rdef.many else (value,):
-            line = f"  {name} {target}"
-            if not line.isprintable():
-                _refuse_line_break(obj, name, line)
-            lines.append(line)
-
-
-def _refuse_line_break(obj, name, line):
-    if has_line_break(line):
-        raise ModelError(f"{obj.id}.{name}: no line break may be in {line[len(name) + 3:]!r}")
+            lines.append(f"  {name} {target}")
 
 
 # ``encode_model``'s layout: an object line, then per feature in declaration
@@ -344,12 +346,12 @@ def _model_readers(schema: MetaModel):
             line = "  " + re.escape(name)
             is_reference = name in cls.references
             if is_reference and feature.many:
-                part = rf"((?:{line} \S+\n)+)?"  # each target once, first seen first
-                convert = lambda run: list(dict.fromkeys(run.split()[1::2]))
+                part = rf"((?:{line} \S+\n)+)?"  # a target written twice fails check_targets
+                convert = lambda run: tuple(run.split()[1::2])
             elif is_reference:
                 part, convert = rf"(?:{line} (\S+)\n)?", str
-            elif feature.kind == KIND_INT:
-                part, convert = rf"(?:{line} (-?[0-9]+)\n)?", int
+            elif feature.kind == KIND_INT:  # as ``str(int)`` writes it
+                part, convert = rf"(?:{line} (0|-?[1-9][0-9]*)\n)?", int
             else:  # an empty string is written as "  name"
                 part, convert = rf"(?:{line}( {_VALUE}|)\n)?", lambda value: value[1:]
             parts.append(part)
@@ -359,9 +361,13 @@ def _model_readers(schema: MetaModel):
 
 
 def _decode_model_canonical(text, schema: MetaModel) -> InstanceModel | None:
-    """Decode text in the encoder's layout; None for anything else: other
-    valid layouts and every input the line reader would reject.  Objects
-    enter through ``add``; targets are checked once all are read."""
+    """Decode text exactly as ``encode_model`` writes it, which it then
+    gives back unchanged; None for anything else: other valid layouts and
+    every input the line reader would reject.  The patterns admit only
+    declared features and values of their kind, so objects go in
+    unchecked but for their ids; targets are checked once all are read.
+    Where each object's text starts and ends is kept (``model.source``,
+    for ``keep_blocks``), and the encoder's reader starts here."""
     # Marks the encoder never writes, found by a scan before any object is
     # built: a carriage return, a trailing space, a blank or comment line,
     # no final line break.
@@ -370,26 +376,31 @@ def _decode_model_canonical(text, schema: MetaModel) -> InstanceModel | None:
         return None
     readers = _model_readers(schema)
     model = InstanceModel(schema)
+    objects, ref, bounds = model._objects, model._ref, array("q", (0,))
     pos, end = 0, len(text)
     try:
         while pos < end:
             head = _OBJECT_HEAD.match(text, pos)
             reader = readers.get(head[2]) if head is not None else None
-            if reader is None:
+            if reader is None or head[1] in objects:
                 return None
             match_body, groups, class_name = reader
             body = match_body(text, head.end())  # every line is optional: it matches
             pos = body.end()
+            bounds.append(pos)
             features = ({}, {})  # attributes, references
             for (name, convert, is_reference), value in zip(groups, body.groups()):
                 if value is not None:
                     features[is_reference][name] = convert(value)
-            model.add(DynamicObject(head[1], class_name, *features))
+            obj = objects[head[1]] = _object(head[1], class_name, *features)
+            _set_model(obj, ref)
         classes = schema.classes
-        for obj in model.objects.values():
+        for obj in objects.values():
             model.check_targets(obj, classes[obj.class_name])
     except (MigrationError, ValueError):  # int() refuses too many digits
         return None
+    model.source = (text, bounds)
+    model.seen(ENCODE)
     return model
 
 
@@ -407,7 +418,7 @@ def _decode_model_lines(text, schema: MetaModel) -> InstanceModel:
     """The general instance reader, with a line number on every error."""
     model = InstanceModel(schema)
     obj = None
-    pending_refs = []  # (lineno, obj, ref name, target id)
+    pending_refs = []  # (lineno, obj, ReferenceDef, target id)
     lineno = 0
     try:
         for lineno, line in significant_lines(text):
@@ -427,12 +438,13 @@ def _decode_model_lines(text, schema: MetaModel) -> InstanceModel:
             if name in references:
                 if not value or " " in value:
                     raise FormatError(f"reference {name!r} needs a single target id")
-                model.set_reference(obj, name, value)
-                pending_refs.append((lineno, obj, name, value))
+                rdef = references[name]
+                model._link(obj, rdef, value)  # its target is checked below
+                pending_refs.append((lineno, obj, rdef, value))
             else:
                 model.set_attribute_text(obj, name, value)
-        for lineno, obj, name, target_id in pending_refs:
-            model.check_target(obj, name, target_id)
+        for lineno, obj, rdef, target_id in pending_refs:
+            _check_target(obj, rdef, target_id, model.get(target_id))
     except MigrationError as e:
         raise FormatError(str(e), line=lineno) from None
     return model

@@ -40,8 +40,6 @@ _OWNED_KINDS = frozenset(kind for kind, (_, fields) in SPECS.items() if "ownerId
 
 DEFAULT_REFERENCE_YEAR = 2020
 
-#: model writes that a runner marks itself
-_update, _set_item = dict.update, dict.__setitem__
 _id_of = itemgetter(1)  # sort key of commands within one kind: the id
 
 
@@ -68,6 +66,12 @@ class Command(namedtuple("Command", ("kind", "id", "name", "age", "owner_id"))):
             raise ValueError("command id must be non-empty")
         if owner_id is not None and kind not in _OWNED_KINDS:
             raise ValueError(f"ownerId is not valid on {kind}")
+        # a runner writes what it is given: each field must be of its kind
+        if (type(id) is not str or name is not None and type(name) is not str
+                or age is not None and type(age) is not int
+                or owner_id is not None and type(owner_id) is not str):
+            raise ValueError(f"ids and name must be strings and age an integer, got "
+                             f"id {id!r}, name {name!r}, age {age!r}, ownerId {owner_id!r}")
         text = f"{id}{name or ''}{owner_id or ''}"
         if not text.isprintable() and has_line_break(text):  # printable text needs no split
             raise ValueError(f"no line break may be in id {id!r}, name {name!r} or ownerId {owner_id!r}")
@@ -116,8 +120,9 @@ _MERGE_KINDS = sorted(SPECS, key=lambda kind: SPECS[kind][0])  # by target class
 
 
 def merge_order(cmds) -> list[Command]:
-    """(target class, id) order, the order ``Editor.merge_all`` runs in."""
-    return canonical_order(cmds, _MERGE_KINDS)
+    """(target class, id) order, the order ``Editor.merge_all`` runs in;
+    a list of at most one command is copied as it is."""
+    return list(cmds) if len(cmds) < 2 else canonical_order(cmds, _MERGE_KINDS)
 
 
 @lru_cache(maxsize=64)
@@ -164,10 +169,11 @@ def run(cmd: Command, editor: Editor) -> str:
 
 def _runner(class_name, has_name, has_age, has_ybirth, owner_ref):
     """The runner of one kind on one schema: it writes each field that is
-    set and that the class declares, ybirth as referenceYear - age.  It
-    writes through plain ``dict`` methods and marks the object itself,
-    even when nothing was written: the store entry the caller puts next
-    changes what a parse derives from it."""
+    set and that the class declares, ybirth as referenceYear - age.  A
+    checked command holds values of the declared kinds and its owner is
+    made here, so it writes the object's dicts itself and marks the
+    object, even when nothing was written: the store entry the caller
+    puts next changes what a parse derives from it."""
     owner_class = owner_ref and owner_ref.target
 
     def runner(cmd, editor):
@@ -176,8 +182,7 @@ def _runner(class_name, has_name, has_age, has_ybirth, owner_ref):
         obj = registry.get(obj_id)
         if obj is None or obj.class_name != class_name:
             obj = editor.get_or_create(class_name, obj_id)  # creates it, or rejects the class
-        readers = editor.model.readers
-        values = {} if readers else obj.attributes  # an untracked model's dict is plain
+        values = obj._attributes
         if name is not None and has_name:
             values["name"] = name
         if age is not None:
@@ -185,8 +190,6 @@ def _runner(class_name, has_name, has_age, has_ybirth, owner_ref):
                 values["age"] = age
             if has_ybirth:
                 values["ybirth"] = editor.reference_year - age
-        if readers:
-            _update(obj.attributes, values)
         if owner_id is not None and owner_ref is not None:
             # Owner may not exist yet; materialize a stub so dogs can be
             # executed before their owner's HavePerson arrives.
@@ -194,10 +197,10 @@ def _runner(class_name, has_name, has_age, has_ybirth, owner_ref):
             if owner is None or owner.class_name != owner_class:
                 owner = editor.get_or_create(owner_class, owner_id)
             if owner_ref.many:
-                editor.model.set_reference(obj, "owner", owner.id)
+                editor.model._link(obj, owner_ref, owner.id)
             else:
-                _set_item(obj.references, "owner", owner.id)
-        for unseen in readers.values():  # ``InstanceModel.mark``, inline
+                obj._references["owner"] = owner.id
+        for unseen in editor.model.readers.values():  # ``InstanceModel.mark``, inline
             unseen[obj] = None
         return obj_id
 

@@ -9,12 +9,13 @@ its entries the peer editor has not been sent yet.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from . import commands as _commands
 from .commands import (
     KIND_OF_CLASS,
     SPECS,
     Command,
-    _id_of,
     _trusted,
     bind,
     canonical_order,
@@ -27,21 +28,18 @@ from .metamodel import DynamicObject, InstanceModel, MetaModel, has_line_break
 
 #: the model reader ``Editor.parse_model`` keeps its place under
 PARSE = "parse"
-#: default ``Editor.track_from``: smaller models are read in full, which
-#: costs less than tracking their writes
-TRACK_FROM = 1000
 
 
-def _holds_every_field(bindings) -> bool:
-    """Whether every field a command carries lands in the model, so an
-    object a command built derives that command again."""
+@lru_cache(maxsize=64)
+def _holds_every_field(schema) -> bool:
+    """Whether every field a command carries lands in a model of
+    ``schema``, so an object a command built derives that command again."""
     return all(
         binding is None
         or (binding[1] or "name" not in fields)
         and (binding[4] is not None or "ownerId" not in fields)
-        for binding, (_, fields) in zip(bindings.values(), SPECS.values())
+        for binding, (_, fields) in zip(bind(schema).values(), SPECS.values())
     )
-
 
 
 def _kind_of(obj: DynamicObject) -> str:
@@ -88,10 +86,12 @@ class EventStore:
     def put_received(self, *cmds: Command):
         """Insert or replace the entry for each ``cmd.id`` with a command
         the peer sent, so it already holds it: the id no longer ships."""
-        self._entries.update(zip(map(_id_of, cmds), cmds))
-        if self._unshipped:
-            for obj_id in map(_id_of, cmds):
-                self._unshipped.pop(obj_id, None)
+        entries, unshipped = self._entries, self._unshipped
+        for cmd in cmds:
+            entries[cmd[1]] = cmd
+        if unshipped:
+            for cmd in cmds:
+                unshipped.pop(cmd[1], None)
 
     def commands(self) -> list[Command]:
         """Snapshot in canonical (kind, id) order, sorted on each call."""
@@ -141,8 +141,6 @@ class Editor:
         self.registry: dict[str, DynamicObject] = {}
         self._id_of_object: dict[DynamicObject, str] = {}
         self._id_counters: dict[str, int] = {}
-        #: the model size from which writes are tracked, see TRACK_FROM
-        self.track_from = TRACK_FROM
 
     # -- registry -----------------------------------------------------
 
@@ -207,18 +205,14 @@ class Editor:
         ran are stored with ``put_received``: each replaces any unshipped
         entry for its id.  The first failing command aborts the merge.
 
-        A large merge into an empty editor (the forward's, into m2) builds
-        each object from its own command alone.  If the schema holds every
+        A merge into an empty editor (the forward's, into m2) builds each
+        object from its own command alone.  If the schema holds every
         field a command carries and no owner stub lacks its own command,
         each object derives its stored command again, so the parse starts
         tracking here and the first backward visits only what changed."""
         store, model = self.store, self.model
         ordered = merge_order(incoming)
-        first = (
-            len(ordered) >= self.track_from
-            and not (store or model.objects or self.registry)
-            and _holds_every_field(self.bindings)
-        )
+        first = not (store or model.objects or self.registry) and _holds_every_field(self.schema)
         ran = 0
         try:
             for cmd in ordered:
@@ -238,15 +232,17 @@ class Editor:
     def adopt_model(self, model: InstanceModel):
         """Take ownership of an externally built model.
 
-        Resets store and registry, validates the objects against this
-        editor's schema, marks every object changed (see
-        ``InstanceModel.mark_all``) and registers every object under its
-        own id."""
-        model.validate(self.schema)
-        model.schema, old_schema = self.schema, model.schema
-        if model.readers and old_schema is not self.schema:
-            model._bind_all()  # a tracking model binds what the new schema declares
-        model.mark_all()
+        Resets store and registry, marks every object for the next parse
+        (its reader restarts, see ``InstanceModel.unseen``) and registers
+        every object under its own id.  A model is valid against its own
+        schema at all times, so it is validated only when that schema is
+        not this editor's: then against this editor's, and every object is
+        marked for every reader."""
+        if model.schema is not self.schema:
+            model.validate(self.schema)
+            model.schema = self.schema
+            model.mark_all()
+        model.readers.pop(PARSE, None)
         self.model = model
         self.store = EventStore()
         self.registry = model.objects.copy()
@@ -260,9 +256,8 @@ class Editor:
         those that differ from the stored ones, and return the store.
 
         Visits the objects the model marked since the last parse (all of
-        them on the first, and on every parse of a model smaller than
-        ``track_from`` or whose first parse started from an empty store),
-        persons first, each kind in the order first
+        them on the first, and on the second if the first started from an
+        empty store), persons first, each kind in the order first
         marked, which is model order for objects added since: new ids are
         minted in that order (objects enter only through ``add``, which
         marks them).  An object's command depends only on its own
@@ -277,8 +272,8 @@ class Editor:
         visit = model.unseen(PARSE)
         # The first parse from an empty store (after adoption) derives
         # every object anyway, and the forward re-adopts before parsing
-        # again: tracking writes for it would not pay, nor for a small model.
-        track = visit is not None or len(self.store) > 0 and len(model.objects) >= self.track_from
+        # again: tracking writes for it would not pay.
+        track = visit is not None or len(self.store) > 0
         if visit is None:
             visit = model.objects.values()
         buckets: dict[str, list[DynamicObject]] = {kind: [] for kind in SPECS}
@@ -297,28 +292,24 @@ class Editor:
             model.seen(PARSE)
         return store
 
-    def parse(self, obj: DynamicObject) -> Command:
-        """The command that reproduces one object.
+    def _parse(self, obj: DynamicObject, kind) -> tuple[Command, bool]:
+        """The command that reproduces ``obj``, and whether it differs
+        from the stored one (an unchanged object yields the stored command
+        itself).
 
         The age comes from ``age``, else from ``referenceYear - ybirth``;
         when both are set and disagree, from ``ybirth`` if only it differs
         from the stored command.  When the schema declares neither, the
         age is recovered from the command that produced this object, if
-        there is one."""
-        return self._parse(obj, _kind_of(obj))[0]
-
-    def _parse(self, obj: DynamicObject, kind) -> tuple[Command, bool]:
-        """The command for ``obj`` and whether it differs from the stored
-        one (an unchanged object yields the stored command itself).  It is
-        built unchecked unless its name, read from a mapping anyone may
-        write, is not printable text; its ids were checked by the model
-        or by ``id_for``."""
+        there is one.  The command is built unchecked: the model checked
+        every value and target it holds, and its ids come from the model
+        or from ``id_for``."""
         _, has_name, has_age, has_ybirth, owner_ref, _ = self.bindings[kind]
         obj_id = self._id_of_object.get(obj) or self.id_for(obj)
         old = self.store._entries.get(obj_id)
         if old is not None and old[0] != kind:
             old = None
-        values = obj.attributes
+        values = obj._attributes
         name = values.get("name") if has_name else None
         if has_age or has_ybirth:
             age = values.get("age") if has_age else None
@@ -332,7 +323,7 @@ class Editor:
             age = None if old is None else old[3]
         owner_id = None
         if owner_ref is not None:
-            target_id = obj.references.get("owner")
+            target_id = obj._references.get("owner")
             if owner_ref.many and target_id is not None:
                 if len(target_id) > 1:
                     raise ModelError(
@@ -341,15 +332,9 @@ class Editor:
                     )
                 target_id = target_id[0] if target_id else None
             if target_id is not None:
-                target = self.model.objects.get(target_id)
-                if target is None:  # written past the setters: nothing checked it
-                    self.model.check_target(obj, owner_ref.name, target_id)  # raises
+                target = self.model._objects[target_id]
                 owner_id = self._id_of_object.get(target) or self.id_for(target)
-                if target.class_name != owner_ref.target:
-                    self.get_or_create(owner_ref.target, owner_id)  # raises, as a run would
         fields = (kind, obj_id, name, age, owner_id)
         if fields == old:
             return old, False
-        if name is None or type(name) is str and name.isprintable():
-            return _trusted(fields), True
-        return Command(*fields), True
+        return _trusted(fields), True

@@ -6,13 +6,18 @@ implementation can serve any schema variant.  Objects are attribute
 maps; an attribute that was never set is UNSET, which is distinct from
 empty string or zero and is represented as the absence of the key.
 
+Every write goes through the model that holds the object: ``add``, the
+setters (``set_attribute``, ``set_attribute_text``, ``set_reference``,
+which ``sync.apply_mutations`` uses) and the editors' commands.  Objects
+are sealed, their ``attributes`` and ``references`` are read-only
+mappings and a many-reference is a tuple, so no write goes past the
+model.  Each write checks what it writes, so a model is valid against
+its own schema at all times: ``Editor.adopt_model`` validates a model
+only when it comes from another schema.
+
 A model records which of its objects were written, so readers that
 derive something per object (the editor's parse, the instance encoder)
-redo only the changed ones.  Objects enter only through ``add`` and are
-sealed; once a model tracks writes, their ``attributes`` and
-``references`` are tracked mappings that mark them changed on every
-write.  Replacing a many-reference list is a write; editing the list in
-place is not.
+redo only the changed ones.
 """
 
 from __future__ import annotations
@@ -25,6 +30,8 @@ from typing import TYPE_CHECKING
 from .errors import ModelError, SchemaError
 
 if TYPE_CHECKING:
+    from array import array
+
     from .codec import KeptBlocks
 
 KIND_STRING = "string"
@@ -187,61 +194,31 @@ def load_schema(text, name="model") -> MetaModel:
     return schema
 
 
-class TrackedDict(dict):
-    """A dict that, once bound to a model, marks the object it belongs to
-    changed there on every write through its own methods.  The command
-    runners and ``InstanceModel.set_attribute_text`` write through plain
-    ``dict`` methods and mark the object once instead.
-
-    The link is a weak reference to the model plus the owner's id: a
-    strong one would make every object a reference cycle, which only the
-    cyclic collector can free.  A copy is an unbound, plain-content copy."""
-
-    __slots__ = ("model_ref", "owner_id")  # both unset until bound
-
-    def __reduce__(self):
-        return TrackedDict, (dict(self),)
-
-
-def _marking(write):
-    def tracked_write(self, *args, **kwargs):
-        result = write(self, *args, **kwargs)
-        try:
-            model = self.model_ref()
-        except AttributeError:  # not bound to a model
-            return result
-        if model is not None:  # objects never leave a model: the owner is there
-            model.mark(model._objects[self.owner_id])
-        return result
-
-    tracked_write.__name__ = write.__name__
-    return tracked_write
-
-
-for _name in ("__setitem__", "__delitem__", "pop", "popitem", "setdefault", "update",
-              "clear", "__ior__"):
-    setattr(TrackedDict, _name, _marking(getattr(dict, _name)))
-
-
 class DynamicObject:
-    """A schema-conforming instance, sealed: the constructor sets its four
+    """A schema-conforming instance, sealed: the constructor sets its
     fields and nothing rebinds or deletes them, so an object keeps the id
-    and class its model checked.  Identity hashing lets editors key
-    registries by the object; ``model_equals`` compares values.  The
-    mappings are plain dicts until the object's model tracks writes (see
-    ``InstanceModel.seen``), which makes them ``TrackedDict``s."""
+    and class its model checked.  ``attributes`` and ``references`` are
+    read-only views of the object's own plain dicts; only its model writes
+    them.  Identity hashing lets editors key registries by the object;
+    ``model_equals`` compares values."""
 
-    __slots__ = ("id", "class_name", "attributes", "references")
+    __slots__ = ("id", "class_name", "_attributes", "_references", "_model")
 
     def __init__(self, id, class_name, attributes=None, references=None):
-        _set_id(self, id)
-        _set_class_name(self, class_name)
-        # name -> str | int (absent = UNSET) and name -> id | list[id]; another
-        # object's tracked mapping is copied, or it would mark only one of them
-        _set_attributes(self, {} if attributes is None else
-                        attributes if type(attributes) is dict else dict(attributes))
-        _set_references(self, {} if references is None else
-                        references if type(references) is dict else dict(references))
+        # name -> str | int (absent = UNSET) and name -> id | tuple of ids,
+        # copied: no caller keeps a mapping it could write past the model
+        _object(id, class_name, dict(attributes) if attributes else {}, {
+            name: tuple(value) if isinstance(value, list) else value
+            for name, value in references.items()
+        } if references else {}, self)
+
+    @property
+    def attributes(self) -> MappingProxyType:
+        return MappingProxyType(self._attributes)
+
+    @property
+    def references(self) -> MappingProxyType:
+        return MappingProxyType(self._references)
 
     def _refuse(self, name, value=None):
         raise AttributeError(f"{self!r} is sealed: {name!r} cannot change")
@@ -249,39 +226,55 @@ class DynamicObject:
     __setattr__ = __delattr__ = _refuse
 
     def __reduce__(self):
-        return DynamicObject, (self.id, self.class_name, self.attributes, self.references)
+        """A copy belongs to no model until one adds it or copies it along."""
+        return DynamicObject, (self.id, self.class_name, self._attributes, self._references)
 
     def __repr__(self):
         return f"DynamicObject({self.id!r}, {self.class_name!r})"
 
 
-#: the slots' own setters, which only the constructor and binding use
-_set_id = DynamicObject.id.__set__
-_set_class_name = DynamicObject.class_name.__set__
-_set_attributes = DynamicObject.attributes.__set__
-_set_references = DynamicObject.references.__set__
+#: the slots' own setters, which only ``_object`` and ``InstanceModel`` use
+_set_id, _set_class_name, _set_attributes, _set_references, _set_model = (
+    getattr(DynamicObject, slot).__set__ for slot in DynamicObject.__slots__)
+
+
+def _object(obj_id, class_name, attributes, references, obj=None) -> DynamicObject:
+    """Set the fields of ``obj``, a new object by default, which takes
+    both dicts as they are: the one place fields are set.  The constructor
+    copies them first; the decoders and ``copy_model`` build them and keep
+    no other reference."""
+    obj = object.__new__(DynamicObject) if obj is None else obj
+    _set_id(obj, obj_id)
+    _set_class_name(obj, class_name)
+    _set_attributes(obj, attributes)
+    _set_references(obj, references)
+    _set_model(obj, None)
+    return obj
 
 
 class InstanceModel:
     """Objects keyed by id, governed by one schema.  Every check of an
     object against the schema lives here.  Objects enter only through
-    ``add`` (``objects`` is a read-only view) and are sealed, so every
-    write is ``add``, a setter or a write into an object's mappings.
+    ``add`` (``objects`` is a read-only view) and are sealed, and their
+    mappings are read-only, so every write is ``add`` or a setter, and
+    each checks what it writes: a model is valid against its own schema
+    at all times.  An object belongs to the one model that added it.
 
     The model also records which objects changed, per reader: a reader
     (a name, say ``"parse"``) takes ``unseen(reader)``, the objects marked
     since it last called ``seen(reader)``, so each reader keeps its own
-    place.  An object is marked when it is added, when a write to its
-    tracked mappings changes it (the setters write through them), and
-    when ``mark_all`` marks every object; a reader that never called
-    ``seen`` gets None, meaning every object.  Marks are kept only once
-    some reader has called ``seen``: that is when the model binds its
-    objects' mappings, which stay plain dicts until then.  Each reader
-    decides when tracking pays, so a model read once pays nothing."""
+    place.  An object is marked when it is added, when a setter writes
+    it, and when ``mark_all`` marks every object; a reader that never
+    called ``seen`` gets None, meaning every object.  Marks are kept only
+    once some reader has called ``seen``; each reader decides when
+    tracking pays."""
 
     #: instance-file text per object, kept by ``codec.encode_model``
     blocks: KeptBlocks | None = None
-    _ref = None  # the weak reference bound mappings hold, made on first use
+    #: the text a canonical decode read the model from, and the offsets
+    #: at which each object's block of it starts, then where the last
+    #: ends, until ``codec.keep_blocks`` takes it
+    source: tuple[str, array] | None = None
 
     def __init__(self, schema: MetaModel):
         self.schema = schema
@@ -291,16 +284,20 @@ class InstanceModel:
         #: reader -> the objects marked since it last called ``seen`` (a
         #: dict as an ordered set); empty while the model tracks no writes
         self.readers: dict[str, dict[DynamicObject, None]] = {}
+        #: what each object holds of the model that added it: a weak
+        #: reference, so an object makes no reference cycle
+        self._ref = weakref.ref(self)
 
     def __getstate__(self):
-        """A copy (``copy.deepcopy``) makes its own view and binds its own objects."""
+        """A copy (``copy.deepcopy``, pickle) makes its own view and holds its own objects."""
         return {k: v for k, v in self.__dict__.items() if k not in ("objects", "_ref")}
 
     def __setstate__(self, state):
         self.__dict__.update(state)
         self.objects = MappingProxyType(self._objects)
-        if self.readers:
-            self._bind_all()
+        self._ref = ref = weakref.ref(self)
+        for obj in self._objects.values():
+            _set_model(obj, ref)
 
     def __len__(self):
         return len(self._objects)
@@ -309,51 +306,42 @@ class InstanceModel:
         return self._objects.get(obj_id)
 
     def add(self, obj: DynamicObject) -> DynamicObject:
-        """Add an object of a declared class.  The one check of an id (new,
-        non-empty, no line break), as an object's id never changes."""
-        if obj.class_name not in self.schema.classes:
-            self.schema.cls(obj.class_name)  # raises the error
-        obj_id = obj.id
+        """Add an object that no model holds, checked as ``validate``
+        checks it, and its id once (an object's id never changes): a
+        declared class, an id that is new, non-empty and without line
+        breaks, declared features, values of their kind and targets in
+        the model (the object itself included)."""
+        cls = self.schema.classes.get(obj.class_name) or self.schema.cls(obj.class_name)
+        obj_id, objects = obj.id, self._objects
         # printable ids need no split
         if not obj_id or not obj_id.isprintable() and has_line_break(obj_id):
             raise ModelError(f"object id must be non-empty and hold no line break, got {obj_id!r}")
-        if obj_id in self._objects:
+        if obj._model is not None and obj._model() is not None:
+            raise ModelError(f"object {obj_id!r} already belongs to a model")
+        if obj_id in objects:
             raise ModelError(f"duplicate object id {obj_id!r}")
-        self._objects[obj_id] = obj
-        if self.readers:
-            self._bind_all((obj,))
-            self.mark(obj)
+        objects[obj_id] = obj  # it may be its own target
+        if obj._attributes or obj._references:
+            try:
+                self._check(obj, cls)
+            except ModelError:
+                del objects[obj_id]
+                raise
+        _set_model(obj, self._ref)
+        for unseen in self.readers.values():  # ``mark``, inline: the hot path
+            unseen[obj] = None
         return obj
 
     def new_object(self, class_name, obj_id) -> DynamicObject:
         """Create an object with all attributes UNSET and add it."""
-        return self.add(DynamicObject(obj_id, class_name))
+        return self.add(_object(obj_id, class_name, {}, {}))
 
-    def _bind_all(self, objects=None):
-        """Give every object (or each of ``objects``) tracked mappings
-        bound here: the one rebinding of an object's fields.  The
-        references of a class that declares none stay as they are: no
-        reader reads an undeclared feature."""
-        ref = self._ref
-        if ref is None:
-            ref = self._ref = weakref.ref(self)
-        classes = self.schema.classes
-        for obj in self._objects.values() if objects is None else objects:
-            attributes = obj.attributes
-            if type(attributes) is not TrackedDict:
-                attributes = TrackedDict(attributes)
-                _set_attributes(obj, attributes)
-            attributes.model_ref = ref
-            attributes.owner_id = obj.id
-            cls = classes.get(obj.class_name)
-            if cls is not None and not cls.references:
-                continue
-            references = obj.references
-            if type(references) is not TrackedDict:
-                references = TrackedDict(references)
-                _set_references(obj, references)
-            references.model_ref = ref
-            references.owner_id = obj.id
+    def _owned(self, obj: DynamicObject) -> MetaClass:
+        """The class of ``obj``, which must belong to this model: a setter
+        of another model would write it unseen by its own."""
+        if obj._model is not self._ref:
+            raise ModelError(f"object {obj.id!r} does not belong to this model")
+        return self.schema.classes[obj.class_name]
 
     def mark_all(self):
         """Mark every object changed."""
@@ -372,19 +360,17 @@ class InstanceModel:
 
     def seen(self, reader):
         """``reader`` is up to date: its ``unseen`` restarts empty."""
-        if not self.readers:  # the first reader: track writes from now on
-            self._bind_all()
         self.readers[reader] = {}
 
     def set_attribute(self, obj: DynamicObject, name, value):
-        adef = self.schema.cls(obj.class_name).attribute(name)
-        _check_value(obj, adef, value)
-        obj.attributes[name] = value
+        _check_value(obj, self._owned(obj).attribute(name), value)
+        obj._attributes[name] = value
+        self.mark(obj)
 
     def set_attribute_text(self, obj: DynamicObject, name, text):
         """Set attribute ``name`` of ``obj`` from its text form: an int
         attribute takes ``text`` as a base-10 integer."""
-        cls = self.schema.classes.get(obj.class_name) or self.schema.cls(obj.class_name)
+        cls = self._owned(obj)
         adef = cls.attributes.get(name) or cls.attribute(name)
         value = text
         if adef.kind == KIND_INT:
@@ -393,51 +379,56 @@ class InstanceModel:
             except ValueError:
                 pass  # the check below names the expected kind
         _check_value(obj, adef, value)
-        if self.readers:  # past the tracked mapping's own marking, marked once
-            dict.__setitem__(obj.attributes, name, value)
-            for unseen in self.readers.values():  # ``mark``, inline: the hot path
-                unseen[obj] = None
-        else:
-            obj.attributes[name] = value
+        obj._attributes[name] = value
+        for unseen in self.readers.values():  # ``mark``, inline: the hot path
+            unseen[obj] = None
 
     def set_reference(self, obj: DynamicObject, name, target_id):
-        """Assign (one) or add-if-absent (many, by replacing the list).
-        Targets are checked by ``check_target``, not here, so files may
-        forward-reference."""
-        cls = self.schema.classes.get(obj.class_name) or self.schema.cls(obj.class_name)
-        if (cls.references.get(name) or cls.reference(name)).many:
-            targets = obj.references.get(name, [])
+        """Assign (one) or add-if-absent (many) a target, which must be in
+        the model and of the declared class."""
+        rdef = self._owned(obj).reference(name)
+        _check_target(obj, rdef, target_id, self._objects.get(target_id))
+        self._link(obj, rdef, target_id)
+
+    def _link(self, obj: DynamicObject, rdef: ReferenceDef, target_id):
+        """``set_reference`` with the target left unchecked, for writers
+        that check every target once all objects are in (the decoders)
+        or that made it themselves (the command runners)."""
+        references = obj._references
+        if rdef.many:
+            targets = references.get(rdef.name, ())
             if target_id in targets:
                 return
-            target_id = [*targets, target_id]
-        obj.references[name] = target_id
-
-    def check_target(self, obj: DynamicObject, name, target_id):
-        """Check that ``target_id`` may be a target of reference ``name`` of
-        ``obj``: the object exists and is of the declared target class."""
-        cls = self.schema.classes.get(obj.class_name) or self.schema.cls(obj.class_name)
-        _check_target(obj, cls.references.get(name) or cls.reference(name), target_id,
-                      self._objects.get(target_id))
+            target_id = (*targets, target_id)
+        references[rdef.name] = target_id
+        self.mark(obj)
 
     def validate(self, schema: MetaModel | None = None):
         """Check every object's features, values and targets against
-        ``schema``, by default the model's own.  Ids need no check here:
-        ``add`` checked each, and an object's id cannot change."""
+        ``schema``, by default the model's own (which every write already
+        kept it valid against).  Ids need no check here: ``add`` checked
+        each, and an object's id cannot change."""
         schema = schema or self.schema
         classes = schema.classes
         for obj in self._objects.values():
             # a plain lookup first: the method call is only for its error
-            cls = classes.get(obj.class_name) or schema.cls(obj.class_name)
-            attributes = cls.attributes
-            for name, value in obj.attributes.items():
-                _check_value(obj, attributes.get(name) or cls.attribute(name), value)
-            self.check_targets(obj, cls)
+            self._check(obj, classes.get(obj.class_name) or schema.cls(obj.class_name))
+
+    def _check(self, obj: DynamicObject, cls: MetaClass):
+        """Check the values and targets of ``obj`` against ``cls``."""
+        attributes = cls.attributes
+        for name, value in obj._attributes.items():
+            _check_value(obj, attributes.get(name) or cls.attribute(name), value)
+        self.check_targets(obj, cls)
 
     def check_targets(self, obj: DynamicObject, cls: MetaClass):
         """Check every target of ``obj`` against the references of ``cls``."""
         references, objects = cls.references, self._objects
-        for name, value in obj.references.items():
+        for name, value in obj._references.items():
             rdef = references.get(name) or cls.reference(name)
+            if rdef.many is not (type(value) is tuple) or rdef.many and len(set(value)) < len(value):
+                raise ModelError(f"{obj.id}.{name} expects "
+                                 f"{'a tuple of distinct ids' if rdef.many else 'one id'}, got {value!r}")
             for target_id in value if rdef.many else (value,):
                 _check_target(obj, rdef, target_id, objects.get(target_id))
 
@@ -469,8 +460,8 @@ def _check_value(obj: DynamicObject, adef: AttributeDef, value):
 def _reference_view(obj: DynamicObject):
     # many-references compare as sets; single references as plain ids
     return {
-        name: frozenset(value) if isinstance(value, list) else value
-        for name, value in obj.references.items()
+        name: frozenset(value) if type(value) is tuple else value
+        for name, value in obj._references.items()
     }
 
 
@@ -486,7 +477,7 @@ def model_equals(a: InstanceModel, b: InstanceModel) -> bool:
         ob = b.objects[obj_id]
         if oa.class_name != ob.class_name:
             return False
-        if oa.attributes != ob.attributes:
+        if oa._attributes != ob._attributes:
             return False
         if _reference_view(oa) != _reference_view(ob):
             return False
@@ -496,9 +487,9 @@ def model_equals(a: InstanceModel, b: InstanceModel) -> bool:
 def copy_model(model: InstanceModel) -> InstanceModel:
     """Deep-copy objects (shares the schema, which is immutable in use)."""
     out = InstanceModel(model.schema)
-    for obj in model._objects.values():
-        dup = DynamicObject(obj.id, obj.class_name, dict(obj.attributes), {})
-        for name, value in obj.references.items():
-            dup.references[name] = list(value) if isinstance(value, list) else value
-        out._objects[dup.id] = dup
+    objects, ref = out._objects, out._ref
+    for obj_id, obj in model._objects.items():  # a valid model: nothing to check
+        dup = objects[obj_id] = _object(obj_id, obj.class_name, obj._attributes.copy(),
+                                        obj._references.copy())  # tuples of ids are shared
+        _set_model(dup, ref)
     return out

@@ -147,9 +147,7 @@ def migrate_forward(session: MigrationSession, m1_input: InstanceModel) -> Insta
     # new to m1 again (nothing, in a fresh session)
     session.m2.store.mark_unshipped()
     _ship(session, session.m1, session.m2)
-    if len(session.m1.model) >= session.m1.track_from:
-        # every backward ends in an encode of m1: render it here, once
-        keep_blocks(session.m1.model)
+    keep_blocks(session.m1.model)  # every backward ends in an encode of m1
     return session.m2.model
 
 
@@ -195,7 +193,6 @@ def apply_mutations(model: InstanceModel, script: str):
             if op == "set":
                 set_text(obj, tokens[2], tokens[3] if len(tokens) == 4 else "")
             else:
-                model.check_target(obj, tokens[2], tokens[3])
                 model.set_reference(obj, tokens[2], tokens[3])
         except MigrationError as e:
             raise ModelError(str(e), line=lineno) from None

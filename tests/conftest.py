@@ -65,3 +65,9 @@ def count_checked_commands(monkeypatch):
 
     monkeypatch.setattr(Command, "__new__", counting_new)
     return built
+
+
+def parsed(editor, obj):
+    """The command ``editor.parse_model`` derives for ``obj``, from the store."""
+    editor.parse_model()
+    return editor.store.get(editor.id_for(obj))

@@ -4,6 +4,7 @@ import sys
 import pytest
 
 from evmigrate import Editor, EventStore, commands as commands_mod
+from evmigrate.commands import KIND_OF_CLASS
 from evmigrate.checks import check_delta, check_overwrite, check_roundtrip
 from evmigrate.cli import BenchReport, main, run_bench
 
@@ -229,7 +230,7 @@ class TestLawOracleCatchesBrokenImplementations:
             # takes every object that has a stored command to be unchanged
             for obj in list(editor.model.objects.values()):
                 if editor.store.get(editor.id_for(obj)) is None:
-                    editor.execute(editor.parse(obj))
+                    editor.execute(editor._parse(obj, KIND_OF_CLASS[obj.class_name])[0])
             return editor.store
 
         monkeypatch.setattr(Editor, "parse_model", stale_parse_model)

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from evmigrate import (
     Editor,
@@ -377,17 +377,23 @@ class TestEncodeModel:
 
     @pytest.mark.parametrize("brk", list(LINE_BREAKS))
     def test_line_break_written_past_the_setter_is_refused(self, base_schema, brk):
+        # no line break reaches the encoder, so it cannot forge a line
         model = decode_model(data_text("pets.inst"), base_schema)
-        model.get("p1").attributes["name"] = f"x{brk}obj evil Person"  # past the setter
+        with pytest.raises(TypeError):
+            model.get("p1").attributes["name"] = f"x{brk}obj evil Person"  # past the setter
         with pytest.raises(ModelError, match="line break"):
-            encode_model(model)
+            model.set_attribute(model.get("p1"), "name", f"x{brk}obj evil Person")
+        assert encode_model(model) == data_text("pets.inst")
 
     def test_line_break_is_refused_on_a_re_render_too(self, base_schema):
         model = decode_model(data_text("pets.inst"), base_schema)
         keep_blocks(model)
-        model.get("d1").references["owner"] = "p1\nobj evil Person"  # past the setter
-        with pytest.raises(ModelError, match="line break"):
-            encode_model(model)
+        with pytest.raises(TypeError):
+            model.get("d1").references["owner"] = "p1\nobj evil Person"  # past the setter
+        with pytest.raises(ModelError, match="does not exist"):
+            model.set_reference(model.get("d1"), "owner", "p1\nobj evil Person")
+        model.set_attribute(model.get("d1"), "name", "Odie")
+        assert encode_model(model) == data_text("pets.inst").replace("Rex", "Odie")
 
     def test_writes_past_the_setter_reach_the_next_encode(self, pets_schema):
         model = decode_model(PETS_INSTANCE, pets_schema)
@@ -396,13 +402,19 @@ class TestEncodeModel:
         assert encode_model(model) == PETS_INSTANCE
         assert model.blocks is not None
         p1, d1 = model.get("p1"), model.get("d1")
-        p1.attributes["name"] = "Bob"
-        del d1.attributes["age"]
-        p1.references["dogs"] = ["d1"]
+        for write in (lambda: p1.attributes.__setitem__("name", "Bob"),
+                      lambda: d1.attributes.pop("age"),
+                      lambda: p1.references["dogs"].remove("d2")):
+            with pytest.raises((TypeError, AttributeError)):
+                write()  # past the setter: refused
+        assert encode_model(model) == PETS_INSTANCE
+        model.set_attribute(p1, "name", "Bob")
+        model.set_attribute_text(d1, "age", "5")
         model.new_object("Dog", "d3")
+        model.set_reference(p1, "dogs", "d3")
         expected = (
-            "obj p1 Person\n  name Bob\n  age 23\n  dogs d1\n"
-            "obj d1 Dog\n  name Rex\n  owner p1\nobj d2 Dog\nobj d3 Dog\n"
+            "obj p1 Person\n  name Bob\n  age 23\n  dogs d1\n  dogs d2\n  dogs d3\n"
+            "obj d1 Dog\n  name Rex\n  age 5\n  owner p1\nobj d2 Dog\nobj d3 Dog\n"
         )
         assert encode_model(model) == expected
         assert encode_model(model) == expected
@@ -413,7 +425,7 @@ class TestEncodeModel:
         for obj in source.objects.values():
             model.add(DynamicObject(obj.id, obj.class_name, dict(obj.attributes)))
         assert encode_model(model) == "obj p1 Person\n  name Alice\n  age 23\nobj d1 Dog\n  name Rex\n  age 4\n"
-        model.get("d1").attributes["name"] = "Odie"  # the object is not tracked
+        model.set_attribute(model.get("d1"), "name", "Odie")  # the model tracks no writes
         assert "name Odie" in encode_model(model)
         assert model.blocks is None and model.unseen(ENCODE) is None
 
@@ -473,7 +485,7 @@ class TestKeptBlocks:
         assert _encode_rejoining(model) == [1]
         model.set_attribute(model.get(f"d{2 * CHUNK - 1}"), "age", 7)  # chunk 1's last object
         assert _encode_rejoining(model) == [1]
-        del model.get(f"d{3 * CHUNK - 1}").attributes["name"]  # the model's last object
+        model.set_attribute(model.get(f"d{3 * CHUNK - 1}"), "age", 3)  # the model's last object
         assert _encode_rejoining(model) == [2]
         model.set_attribute(model.get("p0"), "name", "Zero")
         model.set_attribute(model.get(f"d{3 * CHUNK - 1}"), "name", "Last")
@@ -485,7 +497,7 @@ class TestKeptBlocks:
         model.set_reference(person, "dogs", "d1")  # replaces the list
         assert _encode_rejoining(model) == [1]
         assert f"obj p{2 * CHUNK - 2} Person\n  name P{2 * CHUNK - 2}\n  dogs d{2 * CHUNK - 1}\n  dogs d1\n" in encode_model(model)
-        person.references["dogs"] = ["d3"]
+        model.set_reference(person, "dogs", "d3")
         assert _encode_rejoining(model) == [1]
 
     def test_objects_added_at_a_chunk_boundary_open_new_chunks(self, pets_schema):
@@ -501,19 +513,18 @@ class TestKeptBlocks:
         assert list(model.blocks.texts) == [0, 1, 2, 3, 4]
         assert encode_model(model).endswith(f"obj x{2 * CHUNK} Person\n")
 
-    def test_a_refused_encode_loses_no_edit(self, pets_schema):
-        # the encode refuses the line break written past the setter; the
-        # edits marked before and after it still reach the next encode
+    def test_a_refused_write_loses_no_edit(self, pets_schema):
+        # a setter refuses a line break before it writes or marks; the
+        # edits marked before and after it reach the next encode
         model = _kept_chunks(pets_schema, 3)
         model.set_attribute(model.get("p0"), "name", "Before")
         bad = model.get(f"d{CHUNK + 1}")
-        bad.attributes["name"] = "x\nobj evil Person"
-        model.set_attribute(model.get(f"p{2 * CHUNK}"), "name", "After")
         with pytest.raises(ModelError, match="line break"):
-            encode_model(model)
-        bad.attributes["name"] = "Fixed"
-        assert _encode_rejoining(model) == [0, 1, 2]
+            model.set_attribute(bad, "name", "x\nobj evil Person")
+        model.set_attribute(model.get(f"p{2 * CHUNK}"), "name", "After")
+        assert _encode_rejoining(model) == [0, 2]
         assert "name Before" in encode_model(model) and "name After" in encode_model(model)
+        assert "evil" not in encode_model(model)
 
     def test_delta_law_holds_with_chunks_of_two(self, monkeypatch):
         # the law's models are smaller than one chunk of the real size
@@ -598,16 +609,13 @@ class TestDecodeModel:
 
 
 def with_edge_values(rng, model):
-    """Negative ints, empty strings and repeated many-targets, which
-    ``random_model`` does not draw; a repeat is written past the setter."""
+    """Negative ints and empty strings, which ``random_model`` does not
+    draw.  (A many-reference holds each target once.)"""
     for obj in model.objects.values():
         cls = model.schema.cls(obj.class_name)
         for name, adef in cls.attributes.items():
             if rng.random() < 0.3:
                 model.set_attribute(obj, name, -rng.randint(1, 99) if adef.kind == KIND_INT else "")
-        for name, targets in obj.references.items():
-            if cls.references[name].many and targets and rng.random() < 0.5:
-                obj.references[name] = [*targets, rng.choice(targets)]
     return model
 
 
@@ -703,7 +711,7 @@ class TestCanonicalModelFastPath:
         def refuse(*args):
             raise AssertionError("the fast reader built an object")
 
-        monkeypatch.setattr(codec, "DynamicObject", refuse)
+        monkeypatch.setattr(codec, "_object", refuse)
         assert model_view(decode_model(text, pets_schema)) == expected
         assert model_view(decode_model(text.rstrip("\n"), pets_schema)) == expected
 
@@ -721,6 +729,45 @@ class TestCanonicalModelFastPath:
         for text, schema in ((data_text("pets.inst"), base_schema), (big, pets_schema)):
             model = decode_model(text, schema)
             assert encode_model(model) == text
+
+
+#: per class, each feature with values the encoder writes and, drawn less
+#: often, values it never writes (``007``, ``-0``) or targets it refuses
+_PETS_LINES = {
+    "Person": [("name", ["", " Alice", " a  b"], []), ("age", [" 23", " 0", " -5"], [" 007", " -0"]),
+               ("dogs", [" d1", " d2"], [])],
+    "Dog": [("name", [" Rex"], []), ("age", [" 4"], [" 04"]), ("owner", [" p1", " p2"], [" d1"])],
+}
+
+
+@st.composite
+def pets_texts(draw):
+    """Instance text for the pets schema, in the encoder's layout or near
+    it: an id may repeat, and so may a feature's line (for a
+    many-reference, with the same target or another)."""
+    objects = draw(st.permutations([("p1", "Person"), ("p2", "Person"), ("d1", "Dog"), ("d2", "Dog")]))
+    objects = objects[:draw(st.sampled_from((0, 1, 2, 3, 4, 4, 4, 4)))]
+    if objects and draw(st.integers(0, 9)) == 0:
+        objects.append(objects[0])
+    lines = []
+    for obj_id, class_name in objects:
+        lines.append(f"obj {obj_id} {class_name}")
+        for name, plain, edge in _PETS_LINES[class_name]:
+            for _ in range(draw(st.sampled_from((0, 1, 1, 1, 1, 1, 1, 2)))):
+                rare = edge and draw(st.integers(0, 3)) == 0
+                lines.append(f"  {name}{draw(st.sampled_from(edge if rare else plain))}")
+    return "".join(line + "\n" for line in lines)
+
+
+@settings(max_examples=400)
+@given(text=pets_texts())
+def test_every_text_the_canonical_reader_accepts_is_what_the_encoder_writes(text):
+    schema = load_schema(PETS_SCHEMA_TEXT)
+    model = _decode_model_canonical(text, schema)
+    if model is not None:
+        assert encode_model(model) == text
+    # whichever reader reads it, the model is the line reader's
+    assert model_outcome(decode_model, text, schema) == model_outcome(_decode_model_lines, text, schema)
 
 
 class TestModelRoundtrip:

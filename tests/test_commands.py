@@ -18,7 +18,7 @@ from evmigrate.commands import SPECS, Command, canonical_order, check_reference_
 from evmigrate.commands import _trusted
 from evmigrate.metamodel import LINE_BREAKS
 
-from conftest import count_checked_commands
+from conftest import count_checked_commands, parsed
 
 
 class TestCommandInvariants:
@@ -151,7 +151,7 @@ def test_age_ybirth_involution(age, year):
     ed = Editor(schema, reference_year=year)
     ed.execute(have_person("p1", age=age))
     assert ed.model.get("p1").attributes["ybirth"] == year - age
-    recovered = ed.parse(ed.model.get("p1"))
+    recovered = parsed(ed, ed.model.get("p1"))
     assert recovered.age == age
 
 

@@ -20,7 +20,7 @@ from evmigrate import (
 from evmigrate import commands
 from evmigrate.checks import seed_commands
 
-from conftest import data_text
+from conftest import data_text, parsed
 
 
 class TestGetOrCreate:
@@ -211,7 +211,7 @@ class TestParseModel:
         runs = []
         original = commands.run
         monkeypatch.setattr(commands, "run", lambda cmd, ed: runs.append(cmd) or original(cmd, ed))
-        base_editor.model.get("d1").attributes["name"] = "Odie"
+        base_editor.model.set_attribute(base_editor.model.get("d1"), "name", "Odie")
         cmds = base_editor.parse_model()
         renamed = have_dog("d1", owner_id="p1", name="Odie", age=4)
         assert runs == []  # it would write back what it was read from
@@ -249,17 +249,17 @@ class TestParsePerson:
     def test_ybirth_branch(self, ybirth_editor):
         p = ybirth_editor.get_or_create("Person", "p1")
         ybirth_editor.model.set_attribute(p, "ybirth", 1997)
-        cmd = ybirth_editor.parse(p)
+        cmd = parsed(ybirth_editor, p)
         assert cmd.age == 23
 
     def test_age_branch(self, base_editor):
         p = base_editor.get_or_create("Person", "p1")
         base_editor.model.set_attribute(p, "age", 23)
-        assert base_editor.parse(p).age == 23
+        assert parsed(base_editor, p).age == 23
 
     def test_stub_parses_to_all_unset(self, base_editor):
         p = base_editor.get_or_create("Person", "p1")
-        cmd = base_editor.parse(p)
+        cmd = parsed(base_editor, p)
         assert cmd == have_person("p1")
 
 
@@ -269,33 +269,37 @@ class TestParseDog:
         ed.execute(have_dog("d1", name="Rex", age=4))  # as arrived from the source side
         dog = ed.model.get("d1")
         assert "age" not in dog.attributes  # schema cannot hold it
-        cmd = ed.parse(dog)
+        cmd = parsed(ed, dog)
         assert cmd.age == 4
 
     def test_fresh_dog_without_old_command(self, dog_no_age_schema):
         ed = Editor(dog_no_age_schema)
         dog = ed.model.new_object("Dog", "temp")
         ed.model.set_attribute(dog, "name", "Fifi")
-        cmd = ed.parse(dog)
+        cmd = parsed(ed, dog)
         assert cmd.age is None
         assert cmd.name == "Fifi"
 
     def test_direct_read_when_schema_has_age(self, base_editor):
         ed = base_editor
         ed.execute(have_dog("d1", name="Rex", age=4))
-        assert ed.parse(ed.model.get("d1")).age == 4
+        assert parsed(ed, ed.model.get("d1")).age == 4
 
-    def test_declared_but_unset_age_is_not_recovered(self, base_editor):
+    def test_declared_but_unset_age_is_not_recovered(self, base_editor, base_schema):
         # recovery applies only when the schema lacks the attribute
-        base_editor.execute(have_dog("d1", name="Rex", age=4))
-        dog = base_editor.model.get("d1")
-        del dog.attributes["age"]  # simulate an external clear
-        assert base_editor.parse(dog).age is None
+        model = InstanceModel(base_schema)
+        dog = model.new_object("Dog", "d1")
+        model.set_attribute(dog, "name", "Rex")
+        with pytest.raises(TypeError):
+            del dog.attributes["name"]  # no clear goes past the model
+        base_editor.adopt_model(model)
+        base_editor.store.put(have_dog("d1", name="Rex", age=4))  # a stored age the model lacks
+        assert parsed(base_editor, dog).age is None
 
     def test_owner_id_from_reference(self, base_editor):
         base_editor.execute(have_person("p1", name="A"))
         base_editor.execute(have_dog("d1", owner_id="p1", name="Rex"))
-        cmd = base_editor.parse(base_editor.model.get("d1"))
+        cmd = parsed(base_editor, base_editor.model.get("d1"))
         assert cmd.owner_id == "p1"
 
 
@@ -314,7 +318,8 @@ def many_owner_editor(owners) -> Editor:
     model.new_object("Person", "p1")
     model.new_object("Person", "p2")
     dog = model.new_object("Dog", "d1")
-    dog.references["owner"] = list(owners)
+    for owner in owners:
+        model.set_reference(dog, "owner", owner)
     ed = Editor(schema)
     ed.adopt_model(model)
     return ed
@@ -412,15 +417,19 @@ class TestAdoptModel:
         assert foreign.schema is ybirth_schema and base_editor.model is not foreign
 
     def test_a_tracking_model_binds_what_the_new_schema_declares(self, base_schema, pets_schema):
-        # base persons declare no references, so they stay plain dicts
-        # until a schema that declares some adopts the model
+        # adopted across schemas, a model is validated against the new one,
+        # every reader reads every object again, and the new schema's
+        # references are written through its setter and seen
         model = decode_model(data_text("pets.inst"), base_schema)
         model.seen("reader")
         Editor(pets_schema).adopt_model(model)
+        assert list(model.unseen("reader")) == list(model.objects.values())
         model.seen("reader")
         p1 = model.get("p1")
-        p1.references["dogs"] = ["d1"]
-        assert list(model.unseen("reader")) == [p1]
+        with pytest.raises(TypeError):
+            p1.references["dogs"] = ("d1",)
+        model.set_reference(p1, "dogs", "d1")
+        assert list(model.unseen("reader")) == [p1] and p1.references == {"dogs": ("d1",)}
 
     def test_adoption_resets_prior_state(self, base_editor, base_schema):
         base_editor.execute(have_person("old", name="Zoe"))

@@ -119,12 +119,11 @@ def test_delta_ship_equals_full_ship(seed, scenario):
 
 def test_session_copy_tracks_its_own_writes():
     session = MigrationSession.for_scenario("identity")
-    session.m2.track_from = 0  # track writes whatever the model's size
     migrate_forward(session, decode_model(PETS_TEXT, session.m1.schema))
     migrate_backward(session)  # m2's parse now reads only what changes
     dup = _copy_session(session)
     assert dup.m2.schema is session.m2.schema
-    dup.m2.model.get("d1").attributes["name"] = "Odie"
+    dup.m2.model.set_attribute(dup.m2.model.get("d1"), "name", "Odie")
     assert session.m2.model.unseen("parse") == {}
     assert list(dup.m2.model.unseen("parse")) == [dup.m2.model.get("d1")]
     dup.m2.parse_model()
@@ -133,12 +132,20 @@ def test_session_copy_tracks_its_own_writes():
 
 
 def test_oracle_catches_an_untracked_write(monkeypatch):
-    # the delta law fails when a write past the setters goes unseen
-    from evmigrate.checks import check_delta
-    from evmigrate.metamodel import TrackedDict
+    # the delta law fails when a setter's write goes unseen, and when a
+    # write straight into an object's mappings is not refused
+    from evmigrate import checks
+    from evmigrate.metamodel import InstanceModel
 
-    monkeypatch.setattr(TrackedDict, "__setitem__", dict.__setitem__)
-    assert check_delta(seed=42, cases=200).failures > 0
+    def unmarked_set_attribute(model, obj, name, value):
+        obj._attributes[name] = value
+
+    monkeypatch.setattr(InstanceModel, "set_attribute", unmarked_set_attribute)
+    assert checks.check_delta(seed=42, cases=200).failures > 0
+    monkeypatch.undo()
+    assert checks.check_delta(seed=42, cases=200).failures == 0
+    monkeypatch.setattr(checks, "refuses", lambda target, mutator, *args: False)
+    assert checks.check_delta(seed=42, cases=200).failures > 0
 
 
 def test_commutativity_oracle_catches_missing_stub_creation(monkeypatch):

@@ -1,5 +1,6 @@
 import copy
 import pickle
+from types import MappingProxyType
 
 import pytest
 from hypothesis import given, strategies as st
@@ -13,7 +14,7 @@ from evmigrate import (
     load_schema,
     model_equals,
 )
-from evmigrate.metamodel import LINE_BREAKS, TrackedDict
+from evmigrate.metamodel import LINE_BREAKS
 
 from conftest import PETS_SCHEMA_TEXT
 
@@ -149,9 +150,11 @@ class TestAttributes:
             with pytest.raises(ModelError, match="line break"):
                 model.set_attribute(p, "name", f"x{brk}obj evil Person")
             assert p.attributes == {}
-            p.attributes["name"] = f"x{brk}obj evil Person"  # past the setter
-            with pytest.raises(ModelError, match="line break"):
-                model.validate()
+            with pytest.raises(TypeError):
+                p.attributes["name"] = f"x{brk}obj evil Person"  # past the setter
+            with pytest.raises(ModelError, match="line break"):  # add checks as validate
+                model.add(DynamicObject("p3", "Person", {"name": f"x{brk}obj evil Person"}))
+            assert p.attributes == {} and model.get("p3") is None
             with pytest.raises(ModelError, match="line break"):
                 model.new_object("Person", f"p2{brk}")
         model.set_attribute(p, "name", "tab\tand \x00 are kept")
@@ -201,7 +204,7 @@ class TestReferences:
         model.new_object("Dog", "d1")
         model.set_reference(p, "dogs", "d1")
         model.set_reference(p, "dogs", "d1")
-        assert p.references.get("dogs") == ["d1"]
+        assert p.references.get("dogs") == ("d1",)
 
     def test_undeclared_reference(self, pets_schema):
         model = InstanceModel(pets_schema)
@@ -209,20 +212,33 @@ class TestReferences:
         with pytest.raises(ModelError, match="no reference"):
             model.set_reference(p, "cats", "d1")
 
+    # no write leaves a target to a later validate: the setter and add
+    # refuse it with validate's error, and the model stays valid
+
     def test_validate_rejects_dangling_target(self, pets_schema):
         model = InstanceModel(pets_schema)
         d = model.new_object("Dog", "d1")
-        model.set_reference(d, "owner", "ghost")
+        with pytest.raises(ModelError, match="'ghost' \\(it does not exist\\)"):
+            model.set_reference(d, "owner", "ghost")
         with pytest.raises(ModelError, match="does not exist"):
-            model.validate()
+            model.add(DynamicObject("d2", "Dog", references={"owner": "ghost"}))
+        assert d.references == {} and len(model) == 1
+        model.validate()
 
     def test_validate_rejects_wrong_target_class(self, pets_schema):
         model = InstanceModel(pets_schema)
         d = model.new_object("Dog", "d1")
         model.new_object("Dog", "d2")
-        model.set_reference(d, "owner", "d2")
         with pytest.raises(ModelError, match="expected Person"):
-            model.validate()
+            model.set_reference(d, "owner", "d2")
+        with pytest.raises(ModelError, match="expected Person"):
+            model.add(DynamicObject("d3", "Dog", references={"owner": "d2"}))
+        with pytest.raises(ModelError, match="expects a tuple of distinct ids"):
+            model.add(DynamicObject("p1", "Person", references={"dogs": "d1"}))
+        with pytest.raises(ModelError, match="expects a tuple of distinct ids"):
+            model.add(DynamicObject("p1", "Person", references={"dogs": ["d1", "d1"]}))
+        assert d.references == {} and len(model) == 2
+        model.validate()
 
     def test_duplicate_object_id(self, base_schema):
         model = InstanceModel(base_schema)
@@ -304,20 +320,24 @@ class TestCopyModel:
         assert not model_equals(a, b)
 
 
-#: each mutator of the tracked mappings, as a write to an object's attributes
+#: each mutator of a dict, as a write straight into an object's attributes,
+#: and the setter call that makes the same edit where the model has one
 _WRITES = {
-    "__setitem__": lambda values: values.__setitem__("name", "Bob"),
-    "__delitem__": lambda values: values.__delitem__("age"),
-    "pop": lambda values: values.pop("age"),
-    "popitem": lambda values: values.popitem(),
-    "setdefault": lambda values: values.setdefault("nick", "B"),
-    "update": lambda values: values.update(name="Bob"),
-    "clear": lambda values: values.clear(),
-    "__ior__": lambda values: values.__ior__({"name": "Bob"}),
+    "__setitem__": (lambda values: values.__setitem__("name", "Bob"), ("name", "Bob")),
+    "__delitem__": (lambda values: values.__delitem__("age"), None),
+    "pop": (lambda values: values.pop("age"), None),
+    "popitem": (lambda values: values.popitem(), None),
+    "setdefault": (lambda values: values.setdefault("name", "B"), ("name", "B")),
+    "update": (lambda values: values.update(name="Bob"), ("name", "Bob")),
+    "clear": (lambda values: values.clear(), None),
+    "__ior__": (lambda values: values.__ior__({"name": "Bob"}), ("name", "Bob")),
 }
 
 
 class TestWriteTracking:
+    """Every write goes through the model, which marks what it writes;
+    a write straight into an object's mappings is refused."""
+
     def _read_model(self, schema):
         model = _pets_pair(schema)
         assert model.unseen("reader") is None  # never read: every object is unseen
@@ -327,23 +347,33 @@ class TestWriteTracking:
 
     @pytest.mark.parametrize("mutator", sorted(_WRITES))
     def test_every_mutator_marks_its_object(self, base_schema, mutator):
+        # refused, so it cannot go unseen; the setter's edit is seen
         model = self._read_model(base_schema)
-        _WRITES[mutator](model.get("p1").attributes)
-        assert list(model.unseen("reader")) == [model.get("p1")]
+        p1 = model.get("p1")
+        write, edit = _WRITES[mutator]
+        with pytest.raises((TypeError, AttributeError)):
+            write(p1.attributes)
+        assert p1.attributes == {"name": "Alice", "age": 23} and model.unseen("reader") == {}
+        model.set_attribute(p1, *(edit or ("age", 23)))
+        assert list(model.unseen("reader")) == [p1]
+        assert p1.attributes["name"] == (edit[1] if edit else "Alice")
 
     @pytest.mark.parametrize("mutator", sorted(_WRITES))
     def test_reference_writes_mark_too(self, base_schema, mutator):
         model = self._read_model(base_schema)
-        references = model.get("d1").references
-        references["age"] = 1  # any key: every mutator needs something to act on
+        d1 = model.get("d1")
+        with pytest.raises((TypeError, AttributeError)):
+            _WRITES[mutator][0](d1.references)
+        assert d1.references == {"owner": "p1"} and model.unseen("reader") == {}
+        model.new_object("Person", "p2")
         model.seen("reader")
-        _WRITES[mutator](references)
-        assert list(model.unseen("reader")) == [model.get("d1")]
+        model.set_reference(d1, "owner", "p2")
+        assert list(model.unseen("reader")) == [d1] and d1.references == {"owner": "p2"}
 
     def test_readers_keep_their_own_place(self, base_schema):
         model = self._read_model(base_schema)
         model.seen("other")
-        model.get("d1").attributes["name"] = "Odie"
+        model.set_attribute(model.get("d1"), "name", "Odie")
         model.seen("reader")
         model.set_attribute(model.get("p1"), "age", 30)
         model.new_object("Dog", "d2")
@@ -352,13 +382,13 @@ class TestWriteTracking:
 
     def test_objects_first_marked_come_first(self, base_schema):
         model = self._read_model(base_schema)
-        model.get("d1").attributes["name"] = "Odie"
-        model.get("p1").attributes["name"] = "Bob"
-        model.get("d1").attributes["age"] = 5
+        model.set_attribute(model.get("d1"), "name", "Odie")
+        model.set_attribute_text(model.get("p1"), "name", "Bob")
+        model.set_attribute(model.get("d1"), "age", 5)
         assert list(model.unseen("reader")) == [model.get("d1"), model.get("p1")]
 
     def test_mappings_cannot_be_rebound(self, base_schema):
-        # so no plain dict can be put on an object, where writes go unseen
+        # so no writable dict can be put on an object, where writes go unseen
         model = self._read_model(base_schema)
         p1 = model.get("p1")
         for name in ("attributes", "references"):
@@ -366,7 +396,7 @@ class TestWriteTracking:
                 setattr(p1, name, {"name": "Bob"})
         assert p1.attributes == {"name": "Alice", "age": 23}
         assert model.unseen("reader") == {}
-        p1.attributes["age"] = 4
+        model.set_attribute(p1, "age", 4)
         assert list(model.unseen("reader")) == [p1]
         model.mark_all()
         assert list(model.unseen("reader")) == [p1, model.get("d1")]
@@ -378,14 +408,19 @@ class TestWriteTracking:
         model.new_object("Dog", "d2")
         model.set_reference(p, "dogs", "d1")
         first = p.references["dogs"]
+        model.seen("reader")
+        with pytest.raises(AttributeError):  # a tuple: no in-place edit goes unseen
+            p.references["dogs"].append("d2")
+        assert model.unseen("reader") == {}
         model.set_reference(p, "dogs", "d2")
-        assert first == ["d1"] and p.references["dogs"] == ["d1", "d2"]
+        assert first == ("d1",) and p.references["dogs"] == ("d1", "d2")
+        assert list(model.unseen("reader")) == [p]
 
     def test_copies_are_untracked_and_equal(self, base_schema):
         model = self._read_model(base_schema)
         dup = copy_model(model)
-        assert model_equals(model, dup)
-        dup.get("p1").attributes["name"] = "Bob"
+        assert model_equals(model, dup) and dup.readers == {}
+        dup.set_attribute(dup.get("p1"), "name", "Bob")
         assert model.unseen("reader") == {}
         assert model.get("p1").attributes["name"] == "Alice"
         assert not model_equals(model, dup)
@@ -394,10 +429,12 @@ class TestWriteTracking:
         model = self._read_model(base_schema)
         dup = copy.deepcopy(model)
         assert model_equals(model, dup)
-        dup.get("p1").attributes["name"] = "Bob"
+        dup.set_attribute(dup.get("p1"), "name", "Bob")
         assert model.unseen("reader") == {}
         assert list(dup.unseen("reader")) == [dup.get("p1")]
-        values = copy.deepcopy(model.get("d1").attributes)
+        with pytest.raises(ModelError, match="does not belong to this model"):
+            model.set_attribute(dup.get("p1"), "name", "Zed")  # its own model would not see it
+        values = dict(model.get("d1").attributes)
         values["name"] = "Odie"  # a copy of a mapping alone is bound to nothing
         assert values == {"name": "Odie"} and model.unseen("reader") == {}
 
@@ -405,9 +442,51 @@ class TestWriteTracking:
         a = self._read_model(base_schema)
         b = InstanceModel(base_schema)
         for obj in a.objects.values():
-            b.add(DynamicObject(obj.id, obj.class_name, dict(obj.attributes), dict(obj.references)))
-        assert type(a.get("p1").attributes) is TrackedDict and type(b.get("p1").attributes) is dict
+            b.add(DynamicObject(obj.id, obj.class_name, obj.attributes, obj.references))
+        assert a.readers and not b.readers
+        assert type(a.get("p1").attributes) is MappingProxyType
         assert model_equals(a, b) and model_equals(b, a)
+
+
+class TestOneOwner:
+    """An object belongs to the one model that added it, so the setters of
+    no other model can write it past its own model's marks."""
+
+    def test_a_second_model_cannot_add_an_object(self, base_schema):
+        a, b = _pets_pair(base_schema), InstanceModel(base_schema)
+        a.seen("reader")
+        with pytest.raises(ModelError, match="'p1' already belongs to a model"):
+            b.add(a.get("p1"))
+        assert len(b) == 0
+        with pytest.raises(ModelError, match="does not belong to this model"):
+            b.set_attribute(a.get("p1"), "name", "Z")
+        a.set_attribute(a.get("p1"), "name", "Z")
+        assert list(a.unseen("reader")) == [a.get("p1")]
+
+    def test_an_object_of_a_dropped_model_may_join_another(self, base_schema):
+        p1 = _pets_pair(base_schema).get("p1")  # its model is gone
+        b = InstanceModel(base_schema)
+        assert b.add(p1) is p1 and b.get("p1").attributes["name"] == "Alice"
+        b.set_attribute(p1, "name", "Z")
+
+
+@pytest.mark.parametrize("size", [4, 2000])
+def test_every_mutator_of_a_mapping_or_many_reference_is_refused(pets_schema, size):
+    from evmigrate.checks import DICT_MUTATORS, LIST_MUTATORS, refuses
+
+    model = InstanceModel(pets_schema)
+    for i in range(size // 2):
+        model.set_reference(model.new_object("Person", f"p{i}"), "dogs", model.new_object("Dog", f"d{i}").id)
+        model.set_attribute(model.get(f"p{i}"), "name", "Ann")
+    model.seen("reader")
+    before = copy_model(model)
+    for obj in model.objects.values():
+        for mapping in (obj.attributes, obj.references):
+            for mutator, args in DICT_MUTATORS.items():
+                assert refuses(mapping, mutator, *args), mutator
+        for mutator, args in LIST_MUTATORS.items():
+            assert refuses(obj.references.get("dogs", ()), mutator, *args), mutator
+    assert model_equals(model, before) and model.unseen("reader") == {}
 
 
 class TestSealed:
@@ -432,18 +511,21 @@ class TestSealed:
             setattr(obj, field, before)
         with pytest.raises(AttributeError, match="sealed"):
             delattr(obj, field)
-        assert getattr(obj, field) is before
+        assert getattr(obj, field) == before
 
     def test_an_object_built_from_another_ones_mapping_gets_its_own(self, base_schema):
-        # a shared tracked mapping would mark only one of the two objects
+        # a shared mapping would change both objects and mark only one
         model = _pets_pair(base_schema)
         model.seen("reader")
         p1 = model.get("p1")
+        values = {"name": "Alice", "age": 23}
         x = model.add(DynamicObject("x", "Person", p1.attributes, p1.references))
+        y = model.add(DynamicObject("y", "Person", values))
+        values["name"] = "Eve"  # the caller's dict is not the object's
         model.seen("reader")
-        p1.attributes["name"] = "Zed"
+        model.set_attribute(p1, "name", "Zed")
         assert list(model.unseen("reader")) == [p1]
-        assert x.attributes == {"name": "Alice", "age": 23}
+        assert x.attributes == y.attributes == {"name": "Alice", "age": 23}
 
     def test_copies_rebuild_through_the_constructor(self, base_schema):
         model = _pets_pair(base_schema)
@@ -452,9 +534,12 @@ class TestSealed:
         dup = copy.deepcopy(d1)
         assert (dup.id, dup.class_name, dup.attributes, dup.references) == (
             "d1", "Dog", {"name": "Rex"}, {"owner": "p1"})
-        assert dup.attributes is not d1.attributes
-        dup.attributes["name"] = "Odie"  # the copy's mapping is bound to nothing
-        assert model.unseen("reader") == {} and d1.attributes["name"] == "Rex"
+        with pytest.raises(TypeError):
+            dup.attributes["name"] = "Odie"
+        fresh = InstanceModel(base_schema)
+        copied_p1 = fresh.add(copy.deepcopy(model.get("p1")))  # a copy belongs to no model
+        fresh.set_attribute(copied_p1, "name", "Odie")
+        assert model.unseen("reader") == {} and model.get("p1").attributes["name"] == "Alice"
         with pytest.raises(AttributeError, match="sealed"):
             dup.id = "d2"
         again = pickle.loads(pickle.dumps(model))
@@ -502,11 +587,14 @@ def test_model_equals_is_an_equivalence_relation(seed):
     schema = load_schema(PETS_SCHEMA_TEXT)
     a = random_model(_random.Random(seed), schema, max_objects=5)
 
-    # b: same content, different insertion order
-    src = copy_model(a)
+    # b: same content, different insertion order (targets once all are in)
     b = InstanceModel(schema)
-    for obj in reversed(list(src.objects.values())):
-        b.add(obj)
+    for obj in reversed(list(a.objects.values())):
+        b.add(DynamicObject(obj.id, obj.class_name, obj.attributes))
+    for obj in a.objects.values():
+        for name, value in obj.references.items():
+            for target in value if isinstance(value, tuple) else (value,):
+                b.set_reference(b.get(obj.id), name, target)
     c = copy_model(b)
 
     assert model_equals(a, a)

@@ -27,7 +27,6 @@ from evmigrate import codec, commands
 from evmigrate import editor as editor_module
 from evmigrate.checks import random_model
 from evmigrate.commands import have_dog, have_person
-from evmigrate.editor import TRACK_FROM
 from evmigrate.sync import SCENARIOS, TRANSCRIPT_LIMIT
 
 from conftest import data_text
@@ -125,10 +124,10 @@ class TestMigrateBackward:
         model = pets_model(s.m1.schema)
         with pytest.raises(MigrationError, match="line break"):
             model.set_attribute(model.get("p1"), "name", forged)
-        model.get("p1").attributes["name"] = forged  # past the setter
-        with pytest.raises(MigrationError, match="line break"):
-            migrate_forward(s, model)
-        assert s.m2.model.get("evil") is None
+        with pytest.raises(TypeError):
+            model.get("p1").attributes["name"] = forged  # past the setter
+        migrate_forward(s, model)
+        assert s.m2.model.get("evil") is None and "evil" not in s.transcripts[-1]
 
     def test_line_break_in_an_object_id_is_a_model_error(self):
         # such an id can neither enter a model nor be rebound into one
@@ -141,20 +140,26 @@ class TestMigrateBackward:
         assert sorted(migrate_forward(s, model).objects) == ["d1", "p1"]
 
     def test_a_dangling_owner_written_past_the_setter_is_a_model_error(self):
-        # nothing validates m2 again before a backward parse: the parse
-        # raises the model's one target error, as validate would
+        # nothing validates m2 again before a backward parse: the write is
+        # refused, and the setter raises the model's one target error
         s = session_for("identity")
         migrate_forward(s, pets_model(s.m1.schema))
-        s.m2.model.get("d1").references["owner"] = "nobody"
+        d1 = s.m2.model.get("d1")
+        with pytest.raises(TypeError):
+            d1.references["owner"] = "nobody"
         with pytest.raises(ModelError, match=r"^d1\.owner: unknown target 'nobody' \(it does not exist\)$"):
-            migrate_backward(s)
+            s.m2.model.set_reference(d1, "owner", "nobody")
+        assert model_equals(migrate_backward(s), pets_model(s.m1.schema))
 
     def test_an_owner_of_the_wrong_class_keeps_its_error(self):
         s = session_for("identity")
         migrate_forward(s, pets_model(s.m1.schema))
-        s.m2.model.get("d1").references["owner"] = "d1"
-        with pytest.raises(ModelError, match="'d1' already belongs to class Dog, requested Person"):
-            migrate_backward(s)
+        d1 = s.m2.model.get("d1")
+        with pytest.raises(TypeError):
+            d1.references["owner"] = "d1"
+        with pytest.raises(ModelError, match=r"^d1\.owner: target 'd1' is a Dog, expected Person$"):
+            s.m2.model.set_reference(d1, "owner", "d1")
+        assert model_equals(migrate_backward(s), pets_model(s.m1.schema))
 
     def test_ybirth_edit_on_m2_lands_as_age(self):
         s = session_for("ybirth")
@@ -398,6 +403,10 @@ class TestTransportProperties:
             assert model_equals(model, snapshot)
 
 
+#: a model size at which a full pass would show in the counts below
+LARGE = 1000
+
+
 def _bulk_text(size):
     """An instance file with ``size`` objects: persons, then dogs each owned by one."""
     persons = size // 2
@@ -429,6 +438,27 @@ class TestSyncCostsChangedObjectsOnly:
         monkeypatch.setattr(Editor, "_parse", counting_parse)
         monkeypatch.setattr(codec, "_render", counting_render)
         return parsed, rendered
+
+    def test_a_forward_from_canonical_text_validates_and_renders_nothing(self, monkeypatch):
+        # m1 is valid by construction, and keep_blocks slices its blocks
+        # from the text it was read from: only an object written after the
+        # decode, through a setter, is rendered
+        text = _bulk_text(2000)
+        validated = []
+        original_validate = InstanceModel.validate
+        monkeypatch.setattr(InstanceModel, "validate", lambda model, schema=None:
+                            validated.append(model) or original_validate(model, schema))
+        _, rendered = self._count(monkeypatch)
+        for edit in (None, "set d7 name Odie\n"):
+            s = session_for("dog-no-age")
+            m1 = decode_model(text, s.m1.schema)
+            if edit:
+                apply_mutations(m1, edit)
+            rendered.clear()
+            migrate_forward(s, m1)
+            assert validated == [] and rendered == []
+            assert encode_model(m1) == (text if edit is None else text.replace("D7\n", "Odie\n", 1))
+            assert rendered == ([] if edit is None else ["d7"])  # the one block m1 renders
 
     def test_one_rename_parses_and_renders_one_object(self, monkeypatch):
         s = session_for("dog-no-age")
@@ -501,7 +531,9 @@ class TestSyncCostsChangedObjectsOnly:
             s.m2.model.objects["p1"] = DynamicObject("p1", "Person", {"name": "Zed"})
         with pytest.raises(AttributeError, match="sealed"):
             s.m2.model.get("p1").attributes = {"name": "Zed", "age": 1}
-        s.m2.model.get("p1").attributes.update(name="Zed", age=1)  # the writes that are seen
+        with pytest.raises(AttributeError):
+            s.m2.model.get("p1").attributes.update(name="Zed", age=1)
+        apply_mutations(s.m2.model, "set p1 name Zed\nset p1 age 1\n")  # the writes that are seen
         text = encode_model(migrate_backward(s))
         assert "obj p1 Person\n  name Zed\n  age 1\n" in text
         assert text == encode_model(copy_model(s.m1.model))
@@ -522,12 +554,12 @@ class TestSyncCostsChangedObjectsOnly:
     def test_a_large_forward_runs_each_command_once(self, monkeypatch):
         # on m2, merging; m1's parse would only write back what it read
         s = session_for("dog-no-age")
-        m1 = decode_model(_bulk_text(TRACK_FROM), s.m1.schema)
+        m1 = decode_model(_bulk_text(LARGE), s.m1.schema)
         runs = []
         original = commands.run
         monkeypatch.setattr(commands, "run", lambda cmd, editor: runs.append(editor) or original(cmd, editor))
         migrate_forward(s, m1)
-        assert runs == [s.m2] * TRACK_FROM
+        assert runs == [s.m2] * LARGE
 
     def test_a_large_forward_still_runs_where_age_and_ybirth_disagree(self):
         both = load_schema(
@@ -536,18 +568,20 @@ class TestSyncCostsChangedObjectsOnly:
             name="m1",
         )
         s = MigrationSession.create(both, SCENARIOS["ybirth"].m2_schema)
-        m1 = decode_model("".join(f"obj p{i} Person\n  age 5\n  ybirth 1990\n" for i in range(TRACK_FROM)), both)
+        m1 = decode_model("".join(f"obj p{i} Person\n  age 5\n  ybirth 1990\n" for i in range(LARGE)), both)
         migrate_forward(s, m1)
         assert m1.get("p7").attributes == {"age": 5, "ybirth": 2015}  # ybirth follows the age
 
-    def test_a_small_session_tracks_nothing(self):
-        # below track_from a full pass costs less than tracking writes
+    def test_a_small_session_tracks_as_a_large_one(self, monkeypatch):
+        # a mark is one dict insert per write, so every model tracks: a
+        # 4-object forward readies the first backward too
         s = session_for("dog-no-age")
-        migrate_forward(s, decode_model(_bulk_text(TRACK_FROM - 2), s.m1.schema))
-        assert not s.m2.model.readers and not s.m1.model.readers
-        apply_mutations(s.m2.model, "set d7 name Odie\n")
-        assert "obj d7 Dog\n  name Odie\n" in encode_model(migrate_backward(s))
-        assert not s.m2.model.readers and s.m1.model.blocks is None
+        migrate_forward(s, decode_model(_bulk_text(4), s.m1.schema))
+        assert s.m2.model.unseen("parse") == {} and s.m1.model.blocks is not None
+        apply_mutations(s.m2.model, "set d1 name Odie\n")
+        parsed, rendered = self._count(monkeypatch)
+        assert "obj d1 Dog\n  name Odie\n" in encode_model(migrate_backward(s))
+        assert parsed == rendered == ["d1"]
 
     def test_a_schema_that_drops_a_field_keeps_the_full_first_parse(self):
         # m2 cannot hold the dogs' names: each dog derives a command that
@@ -566,7 +600,7 @@ class TestSyncCostsChangedObjectsOnly:
 
     def test_an_owner_stub_without_its_own_command_keeps_the_full_first_parse(self):
         editor = Editor(SCENARIOS["identity"].m2_schema)
-        dogs = [have_dog(f"d{i}", "p0", f"D{i}", 1) for i in range(TRACK_FROM)]
+        dogs = [have_dog(f"d{i}", "p0", f"D{i}", 1) for i in range(LARGE)]
         editor.merge_all(dogs)  # p0 is a stub no command built
         assert editor.model.unseen("parse") is None
         editor.merge_all([have_person("p0", "Ann", 30)])
@@ -595,12 +629,15 @@ class TestNoCheckLost:
     def test_a_line_break_written_into_a_name_is_refused_at_the_backward(self, size):
         s = session_for("ybirth")
         migrate_forward(s, decode_model(_bulk_text(size), s.m1.schema))
-        assert bool(s.m2.model.readers) == (size >= TRACK_FROM)
-        shipped = len(s.transcripts)
-        s.m2.model.get("d1").attributes["name"] = "Rex\n  - command: HaveDog\n    id: evil"
-        with pytest.raises(ValueError, match="no line break"):
-            migrate_backward(s)
-        assert len(s.transcripts) == shipped
+        assert s.m2.model.readers
+        forged = "Rex\n  - command: HaveDog\n    id: evil"
+        d1 = s.m2.model.get("d1")
+        with pytest.raises(TypeError):
+            d1.attributes["name"] = forged
+        with pytest.raises(ModelError, match="without line breaks"):
+            s.m2.model.set_attribute(d1, "name", forged)
+        migrate_backward(s)
+        assert "evil" not in s.transcripts[-1]
         assert s.m1.model.get("evil") is None
 
     def test_a_class_name_with_a_line_break_mints_no_id(self):
@@ -612,5 +649,5 @@ class TestNoCheckLost:
         ed.model.new_object("Own\ner", "o1")
         ed.model.set_reference(d1, "owner", "o1")
         with pytest.raises(ModelError, match="line break"):
-            ed.parse(d1)  # the owner would need a minted id: "own\ner1"
+            ed._parse(d1, "HaveDog")  # the owner would need a minted id: "own\ner1"
         assert not ed.store and list(ed.registry) == ["dog1"]

@@ -32,6 +32,15 @@ def test_a_bulk_churn_sync_counts_the_same_twice(tool):
     assert first.layers["editor.merge_all"] > 0 and first.layers["codec.encode_model"] > 0
 
 
+def test_a_bulk_forward_counts_the_same_twice(tool, capsys):
+    first, second = (tool.count_bulk_forward(seed=1, size=200) for _ in range(2))
+    assert first.layers == second.layers and first.functions == second.functions
+    assert first.layers["sync.migrate_forward"] > 0 and first.layers["codec.decode_model"] > 0
+    # m1 is valid by construction: the forward does not validate it
+    assert first.layers["metamodel.validate"] == 0 and first.functions["evmigrate.codec.keep_blocks"]
+    assert tool.report("f", first, 5) == tool.report("f", second, 5)
+
+
 def test_the_report_lists_layers_then_functions(tool):
     count = tool.count_tiny()
     lines = tool.report("tiny", count, functions=3)

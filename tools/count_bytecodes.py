@@ -5,12 +5,14 @@ Run from the repository root:
     python3 tools/count_bytecodes.py
     python3 tools/count_bytecodes.py --seed 1 --sync 4 --functions 15
 
-Two operations are counted, each after untraced warm-up: one tiny cycle
+Three operations are counted, each after untraced warm-up: one tiny cycle
 (the ``evmigrate bench`` fixture through ybirth, as perfbench's
 ``tiny-cycles`` runs it: session, decode, forward, encode, mutate,
-backward, encode) and one sync of perfbench's ``bulk-churn`` workload
+backward, encode), one sync of perfbench's ``bulk-churn`` workload
 (20,000 objects through ybirth; the ``--sync``-th backward of a seeded
-mutation stream, each an apply, a backward and an encode of m1).
+mutation stream, each an apply, a backward and an encode of m1), and one
+forward of perfbench's ``bulk-1edit`` workload at 2,000 objects (dog-no-age;
+decode, forward and encode of m2, as perfbench times a forward).
 
 A count is the number of ``opcode`` trace events (``sys.settrace`` with
 ``frame.f_trace_opcodes``), so it does not depend on the machine's speed:
@@ -159,6 +161,27 @@ def count_bulk_churn(seed, sync_number, size=20_000) -> Count:
     return count
 
 
+def count_bulk_forward(seed, size=2_000) -> Count:
+    """Count one forward of perfbench's ``bulk-1edit`` workload in a fresh
+    session, after one untraced forward; both outputs are checked."""
+    work = workloads.BulkWorkload(seed, "dog-no-age", size, churn=False)
+    scenario = evmigrate.SCENARIOS["dog-no-age"]
+
+    def forward(session):
+        model = evmigrate.decode_model(work.input_text, scenario.m1_schema)
+        return evmigrate.encode_model(evmigrate.migrate_forward(session, model))
+
+    def session():
+        return evmigrate.MigrationSession.create(
+            scenario.m1_schema, scenario.m2_schema, workloads.REFERENCE_YEAR
+        )
+
+    work.check_forward(forward(session()))
+    count, counted = Count(), session()
+    work.check_forward(count.run(lambda: forward(counted)))
+    return count
+
+
 def report(title, count: Count, functions) -> list[str]:
     lines = [title, f"  {'layer':<28} {'bytecodes':>10}"]
     for name in (*LAYERS, BENCH):
@@ -176,7 +199,7 @@ def report(title, count: Count, functions) -> list[str]:
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--seed", type=int, default=1, help="bulk-churn seed (default 1)")
+    parser.add_argument("--seed", type=int, default=1, help="seed of the bulk workloads (default 1)")
     parser.add_argument("--sync", type=int, default=4,
                         help="which bulk-churn sync to count (default 4)")
     parser.add_argument("--functions", type=int, default=10,
@@ -187,6 +210,8 @@ def main(argv=None):
     lines = report("tiny-cycles: one cycle", count_tiny(), args.functions)
     lines += report(f"bulk-churn: sync {args.sync}, seed {args.seed}",
                     count_bulk_churn(args.seed, args.sync), args.functions)
+    lines += report(f"bulk-1edit: one forward at 2,000 objects, seed {args.seed}",
+                    count_bulk_forward(args.seed), args.functions)
     print("\n".join(lines))
     return 0
 
