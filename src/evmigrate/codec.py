@@ -17,7 +17,10 @@ keys and values.
 Both formats have two readers.  Text in the encoder's layout whose values
 need no trimming is read by one regular expression per command block or
 per object; anything else goes through the line-by-line reader, which
-alone defines what is accepted and what each error says.
+alone defines what is accepted and what each error says.  An instance
+file is read fast up to its first object outside the layout, and by the
+line reader from there.  Its pattern and a build and a render function
+per class are generated once per schema, on first use (``_kernels``).
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from .metamodel import (
     MetaModel,
     _check_target,
     _object,
-    _set_model,
+    compile_kernel,
     significant_lines,
 )
 
@@ -234,25 +237,22 @@ def encode_model(model: InstanceModel) -> str:
     A model that keeps its blocks (see ``keep_blocks``) re-renders only
     the objects it marked changed since the last encode and re-joins only
     their chunks, so copying the text out is the one step that grows with
-    the model; any other model is rendered in full."""
+    the model; any other model is rendered in full, one call of its class's
+    renderer per object."""
     changed = model.unseen(ENCODE)
     kept = model.blocks
+    render = _kernels(model.schema)[2]
     if changed is None or kept is None:
-        classes = model.schema.classes
-        lines = []
-        for obj in model.objects.values():
-            _render(lines, obj, classes.get(obj.class_name) or model.schema.cls(obj.class_name))
-        lines.append("")
-        return "\n".join(lines) if len(lines) > 1 else ""
+        return "".join([render[obj.class_name](obj) for obj in model.objects.values()])
     blocks, at, size, texts = kept.blocks, kept.at, kept.size, kept.texts
     stale = set()
     for obj in changed:
         pos = at.get(obj)
         if pos is None:  # a new object: ``add`` put it last in the model
             pos = at[obj] = len(blocks)
-            blocks.append(_block(obj, model))
+            blocks.append(render[obj.class_name](obj))
         else:
-            blocks[pos] = _block(obj, model)
+            blocks[pos] = render[obj.class_name](obj)
         stale.add(pos // size)
     for i in sorted(stale):  # a new chunk is inserted after every older one
         texts[i] = "".join(blocks[i * size:(i + 1) * size])
@@ -293,7 +293,8 @@ def keep_blocks(model: InstanceModel):
         return
     objects = model.objects.values()
     if model.unseen(ENCODE) is None or model.source is None:
-        blocks = [_block(obj, model) for obj in objects]
+        render = _kernels(model.schema)[2]
+        blocks = [render[obj.class_name](obj) for obj in objects]
         model.seen(ENCODE)
     else:
         text, bounds = model.source
@@ -303,125 +304,143 @@ def keep_blocks(model: InstanceModel):
     model.blocks = KeptBlocks(blocks, {obj: pos for pos, obj in enumerate(objects)})
 
 
-def _block(obj, model: InstanceModel) -> str:
-    lines = []
-    _render(lines, obj, model.schema.classes.get(obj.class_name) or model.schema.cls(obj.class_name))
-    lines.append("")
-    return "\n".join(lines)
-
-
-def _render(lines, obj, cls):
-    """Append one object's lines.  The model holds no line break in a
-    value or target (every write checks), so none can forge a line."""
-    lines.append(f"obj {obj.id} {obj.class_name}")
-    values = obj._attributes
-    for name in cls.attributes:
-        if name in values:
-            lines.append(f"  {name} {values[name]}".rstrip())
-    references = obj._references
-    for name, rdef in cls.references.items():
-        value = references.get(name)
-        if value is None:
-            continue
-        for target in value if rdef.many else (value,):
-            lines.append(f"  {name} {target}")
-
-
-# ``encode_model``'s layout: an object line, then per feature in declaration
-# order at most one line (a run for a many-reference); ids are single tokens.
-_OBJECT_HEAD = re.compile(r"obj (\S+) (\S+)\n")
+#: a feature or class name the canonical reader reads: one token, no comment
+_READABLE = re.compile(r"[^#\s]\S*")
 
 
 @lru_cache(maxsize=64)
-def _model_readers(schema: MetaModel):
-    """Class name -> (match of its feature lines, per group (feature,
-    conversion, whether a reference), the name for objects to share).
-    A feature line ``#...`` would read as a comment: it gets no group."""
-    readers = {}
+def _kernels(schema: MetaModel):
+    """The instance format's per-object kernels, generated at first use
+    and shared, never written: (the match of one object as ``encode_model``
+    writes it, a class per alternative; alternative's closing empty group
+    (``match.lastindex``) -> the ``build`` of its objects; class -> the
+    renderer of an object's block).  A name ``_READABLE`` refuses is left
+    to the line reader.  Names reach the source as ``repr`` literals."""
+    alternatives, builds, renderers, group = [], {}, {}, 2  # group 1 is the id
     for cls in schema.classes.values():
-        parts, groups = [], []
-        for name, feature in (*cls.attributes.items(), *cls.references.items()):
-            if name.startswith("#"):
-                continue
-            line = "  " + re.escape(name)
-            is_reference = name in cls.references
-            if is_reference and feature.many:
-                part = rf"((?:{line} \S+\n)+)?"  # a target written twice fails check_targets
-                convert = lambda run: tuple(run.split()[1::2])
-            elif is_reference:
-                part, convert = rf"(?:{line} (\S+)\n)?", str
-            elif feature.kind == KIND_INT:  # as ``str(int)`` writes it
-                part, convert = rf"(?:{line} (0|-?[1-9][0-9]*)\n)?", int
-            else:  # an empty string is written as "  name"
-                part, convert = rf"(?:{line}( {_VALUE}|)\n)?", lambda value: value[1:]
-            parts.append(part)
-            groups.append((name, convert, is_reference))
-        readers[cls.name] = (re.compile("".join(parts)).match, groups, cls.name)
-    return readers
+        features = (*cls.attributes.items(), *cls.references.items())
+        fields, parts, build = ["obj_id"], [], ["    attributes, references = {}, {}"]
+        render = ["    values, references = obj._attributes, obj._references"]
+        defaults = [f"H={f' {cls.name}{_NL}'!r}"]
+        for k, (name, feature) in enumerate(features):
+            prefix, line, v = f"  {name} ", "  " + re.escape(name), f"v{k}"
+            into = "references" if name in cls.references else "attributes"
+            defaults.append(f"F{k}={prefix!r}")
+            got = f"(v := {'values' if into == 'attributes' else into}.get({name!r}))"
+            piece = f"    p{k} = '' if {got} is None else f'{{F{k}}}{{v}}\\n'"
+            if into == "attributes" and feature.kind != KIND_INT:  # "" is written "  name"
+                part, value = rf"(?:{line}( {_VALUE}|)\n)?", f"{v}[1:]"
+                piece = f"    p{k} = '' if {got} is None else f'{{F{k}}}{{v}}'.rstrip() + '\\n'"
+            elif into == "attributes":  # as ``str(int)`` writes it
+                part, value = rf"(?:{line} (0|-?[1-9][0-9]*)\n)?", f"int({v}, 10)"
+            elif feature.many:
+                part, value = rf"((?:{line} \S+\n)+)?", f"tuple({v}[{len(prefix)}:-1].split({_NL + prefix!r}))"
+                defaults.append(f"J{k}={_NL + prefix!r}")
+                piece = f"    p{k} = f'{{F{k}}}{{J{k}.join(v)}}\\n' if {got} else ''"
+            else:
+                part, value = rf"(?:{line} (\S+)\n)?", v
+            render.append(piece)
+            if _READABLE.fullmatch(name) is not None:
+                parts.append(part)
+                fields.append(v)
+                build += [f"    if {v} is not None:", f"        {into}[{name!r}] = {value}"]
+        fields.append("_")  # the closing group: ``group`` then gives a tuple
+        groups = (1, *range(group, group + len(fields) - 1))
+        source = "\n".join([
+            "def build(match, ref):", f"    {', '.join(fields)} = match.group{groups}", *build,
+            f"    return _object(obj_id, {cls.name!r}, attributes, references, ref)", "", "",
+            f"def render(obj, {', '.join(defaults)}):", *render,
+            "    return f'obj {obj.id}{H}" + "".join(f"{{p{k}}}" for k in range(len(features))) + "'", ""])
+        kernel = compile_kernel(f"{schema.name}.{cls.name}", source, {"_object": _object})
+        renderers[cls.name] = kernel["render"]
+        if _READABLE.fullmatch(cls.name) is not None:
+            alternatives.append(f"{re.escape(cls.name)}\\n{''.join(parts)}()")
+            builds[groups[-1]] = kernel["build"]
+            group = groups[-1] + 1
+    # an object's text ends where the next starts, or the text does: what
+    # else follows may go on with its features for the line reader
+    match = re.compile(rf"obj (\S+) (?:{'|'.join(alternatives) or '(?!)'})(?=obj |\Z)").match
+    return match, builds, renderers
 
 
-def _decode_model_canonical(text, schema: MetaModel) -> InstanceModel | None:
-    """Decode text exactly as ``encode_model`` writes it, which it then
-    gives back unchanged; None for anything else: other valid layouts and
-    every input the line reader would reject.  The patterns admit only
-    declared features and values of their kind, so objects go in
-    unchecked but for their ids; targets are checked once all are read.
-    Where each object's text starts and ends is kept (``model.source``,
-    for ``keep_blocks``), and the encoder's reader starts here."""
+def _read_canonical(text, schema: MetaModel) -> tuple[InstanceModel | None, int]:
+    """(The model of the first objects exactly as ``encode_model`` writes
+    them, one match each, targets unchecked, with ``model.source`` for
+    ``keep_blocks`` and the encoder's reader started; the offset after
+    them), or (None, -1) if an id repeats or a scan finds foreign marks."""
     # Marks the encoder never writes, found by a scan before any object is
     # built: a carriage return, a trailing space, a blank or comment line,
     # no final line break.
     if ("\r" in text or " \n" in text or "\n\n" in text or text[-1:] not in ("\n", "")
             or "#" in text and ("\n#" in text or "\n  #" in text)):
-        return None
-    readers = _model_readers(schema)
+        return None, -1
+    match_object, builds, _ = _kernels(schema)
     model = InstanceModel(schema)
     objects, ref, bounds = model._objects, model._ref, array("q", (0,))
     pos, end = 0, len(text)
     try:
-        while pos < end:
-            head = _OBJECT_HEAD.match(text, pos)
-            reader = readers.get(head[2]) if head is not None else None
-            if reader is None or head[1] in objects:
-                return None
-            match_body, groups, class_name = reader
-            body = match_body(text, head.end())  # every line is optional: it matches
-            pos = body.end()
+        while pos < end and (match := match_object(text, pos)) is not None:
+            obj = builds[match.lastindex](match, ref)
+            objects[obj.id] = obj
+            pos = match.end()
             bounds.append(pos)
-            features = ({}, {})  # attributes, references
-            for (name, convert, is_reference), value in zip(groups, body.groups()):
-                if value is not None:
-                    features[is_reference][name] = convert(value)
-            obj = objects[head[1]] = _object(head[1], class_name, *features)
-            _set_model(obj, ref)
-        classes = schema.classes
-        for obj in objects.values():
-            model.check_targets(obj, classes[obj.class_name])
-    except (MigrationError, ValueError):  # int() refuses too many digits
-        return None
+    except ValueError:  # int() refuses too many digits: the line reader says so
+        pass
+    if len(objects) < len(bounds) - 1:
+        return None, -1
     model.source = (text, bounds)
     model.seen(ENCODE)
-    return model
+    return model, pos
+
+
+def _targets_hold(model: InstanceModel, count) -> bool:
+    """Whether the first ``count`` objects pass ``check_targets``."""
+    classes = model.schema.classes
+    try:
+        for obj in islice(model.objects.values(), count):
+            if obj._references:
+                model.check_targets(obj, classes[obj.class_name])
+    except MigrationError:
+        return False
+    return True
+
+
+def _decode_model_canonical(text, schema: MetaModel) -> InstanceModel | None:
+    """Decode text exactly as ``encode_model`` writes it, which it then
+    gives back unchanged; None for anything else."""
+    model, pos = _read_canonical(text, schema)
+    return model if pos == len(text) and _targets_hold(model, len(model)) else None
 
 
 def decode_model(text, schema: MetaModel) -> InstanceModel:
     """Parse an instance file.  Objects may forward-reference; targets are
-    checked once the whole file is read.  Text in the encoder's layout is
-    read by one regular expression per object; the line reader alone
-    defines what is accepted, and turns each error of the model layer into
-    a ``FormatError`` naming the line."""
-    model = _decode_model_canonical(text, schema)
-    return model if model is not None else _decode_model_lines(text, schema)
+    checked once the whole file is read.  Objects in the encoder's layout
+    are read by one regular expression each, the rest by the line reader,
+    which alone defines what is accepted, and turns each error of the
+    model layer into a ``FormatError`` naming the line."""
+    model, pos = _read_canonical(text, schema)
+    if model is None:
+        return _decode_model_lines(text, schema)
+    read = len(model)  # first in the model
+    if pos < len(text):
+        try:
+            _decode_model_lines(text[pos:], schema, model, text.count("\n", 0, pos))
+        except FormatError:  # the first error, unless a target read fast fails first
+            if _targets_hold(model, read):
+                raise
+            return _decode_model_lines(text, schema)
+    return model if _targets_hold(model, read) else _decode_model_lines(text, schema)
 
 
-def _decode_model_lines(text, schema: MetaModel) -> InstanceModel:
-    """The general instance reader, with a line number on every error."""
-    model = InstanceModel(schema)
+def _decode_model_lines(text, schema: MetaModel, model=None, lines_before=0) -> InstanceModel:
+    """The general instance reader, with a line number on every error.  It
+    may go on into ``model`` from ``lines_before`` lines into a file."""
+    model = InstanceModel(schema) if model is None else model
     obj = None
     pending_refs = []  # (lineno, obj, ReferenceDef, target id)
     lineno = 0
     try:
-        for lineno, line in significant_lines(text):
+        for lineno, line in significant_lines(text, lines_before + 1):
             if not line.startswith(" "):
                 tokens = line.split()
                 if len(tokens) != 3 or tokens[0] != "obj":

@@ -1,11 +1,11 @@
 """The shared editing vocabulary: HavePerson and HaveDog.
 
-Both editors understand the same two commands; each editor executes them
-against its own schema, through a runner per kind that ``bind`` makes once
-per schema.  A command field left as None is UNSET: the corresponding
-write is skipped (it never clears an existing value).  A command is
-checked where it is built (``Command``); only the fast log reader and an
-editor's parse build one unchecked, from fields valid by construction.
+Each editor executes both commands against its own schema, through a
+runner per kind generated for the schema at the kind's first run
+(``bind``).  A command field left None is UNSET: its write is skipped (it
+never clears a value).  A command is checked where it is built
+(``Command``); only the fast log reader and an editor's parse build one
+unchecked, from fields valid by construction.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from types import MappingProxyType
 from typing import TYPE_CHECKING
 
 from .errors import ModelError, SchemaError
-from .metamodel import KIND_INT, KIND_STRING, has_line_break
+from .metamodel import KIND_INT, KIND_STRING, _object, compile_kernel, has_line_break
 
 if TYPE_CHECKING:
     from .editor import Editor
@@ -131,11 +131,11 @@ def bind(schema) -> MappingProxyType:
 
     Returns kind -> None when the schema lacks the target class, else
     ``(class, has name, has age, has ybirth, owner ReferenceDef or None,
-    runner)``; ``run`` calls the runner.  An attribute of the wrong kind
-    is rejected here, before any write.  Schemas are immutable in use and
-    hash by identity, so the result is cached per schema and shared,
-    read-only, by its editors; a rejected schema is not cached and fails
-    again on every call.
+    runner)``; ``run`` calls the runner, generated at its first run.  An
+    attribute of the wrong kind is rejected here, before any write.
+    Schemas are immutable in use and hash by identity, so the result is
+    cached per schema and shared, read-only, by its editors; a rejected
+    schema is not cached and fails again on every call.
     """
     bindings = {}
     for kind, (class_name, fields) in SPECS.items():
@@ -147,14 +147,14 @@ def bind(schema) -> MappingProxyType:
             adef = cls.attributes.get(attr)
             if adef is not None and adef.kind != want:
                 raise ModelError(f"{class_name}.{attr} is declared {adef.kind}, cannot hold {want}")
-        decisions = (
+        bindings[kind] = (
             class_name,
             "name" in cls.attributes,
             "age" in cls.attributes,
             "ybirth" in cls.attributes,
             cls.references.get("owner") if "ownerId" in fields else None,
+            partial(_first_run, schema.name, bindings, kind),
         )
-        bindings[kind] = (*decisions, _runner(*decisions))
     return MappingProxyType(bindings)
 
 
@@ -167,41 +167,44 @@ def run(cmd: Command, editor: Editor) -> str:
     return binding[5](cmd, editor)
 
 
-def _runner(class_name, has_name, has_age, has_ybirth, owner_ref):
-    """The runner of one kind on one schema: it writes each field that is
-    set and that the class declares, ybirth as referenceYear - age.  A
-    checked command holds values of the declared kinds and its owner is
-    made here, so it writes the object's dicts itself and marks the
-    object, even when nothing was written: the store entry the caller
-    puts next changes what a parse derives from it."""
-    owner_class = owner_ref and owner_ref.target
+def _first_run(schema_name, bindings, kind, cmd, editor):
+    """Generate the kind's runner, put it in its binding and run it."""
+    binding = bindings[kind]
+    bindings[kind] = (*binding[:5], _runner(schema_name, *binding[:5]))
+    return bindings[kind][5](cmd, editor)
 
-    def runner(cmd, editor):
-        _, obj_id, name, age, owner_id = cmd
-        registry = editor.registry
-        obj = registry.get(obj_id)
-        if obj is None or obj.class_name != class_name:
-            obj = editor.get_or_create(class_name, obj_id)  # creates it, or rejects the class
-        values = obj._attributes
-        if name is not None and has_name:
-            values["name"] = name
-        if age is not None:
-            if has_age:
-                values["age"] = age
-            if has_ybirth:
-                values["ybirth"] = editor.reference_year - age
-        if owner_id is not None and owner_ref is not None:
-            # Owner may not exist yet; materialize a stub so dogs can be
-            # executed before their owner's HavePerson arrives.
-            owner = registry.get(owner_id)
-            if owner is None or owner.class_name != owner_class:
-                owner = editor.get_or_create(owner_class, owner_id)
-            if owner_ref.many:
-                editor.model._link(obj, owner_ref, owner.id)
-            else:
-                obj._references["owner"] = owner.id
-        for unseen in editor.model.readers.values():  # ``InstanceModel.mark``, inline
-            unseen[obj] = None
-        return obj_id
 
-    return runner
+def _runner(schema_name, class_name, has_name, has_age, has_ybirth, owner_ref):
+    """The generated runner of one kind on one schema.  It writes each set
+    field the class declares, ybirth as referenceYear - age: into a new
+    object, built complete and admitted (a checked or trusted command holds
+    values of the declared kinds), or in place, marking the object even if
+    nothing changed (its next store entry changes what a parse derives).
+    Then the owner, made a stub if need be, so dogs may run before their
+    owner's HavePerson.  Names reach the source as ``repr`` literals."""
+    owner = [] if owner_ref is None else [
+        "    if owner_id is not None:",
+        "        owner = registry.get(owner_id)",
+        f"        if owner is None or owner.class_name != {owner_ref.target!r}:",
+        f"            owner = editor.get_or_create({owner_ref.target!r}, owner_id)",
+        "        editor.model._link(obj, OWNER, owner.id)" if owner_ref.many else
+        "        obj._references['owner'] = owner.id"]
+    source = "\n".join([
+        "def run(cmd, editor):",
+        "    _, obj_id, name, age, owner_id = cmd",
+        "    registry = editor.registry",
+        "    obj = registry.get(obj_id)",
+        f"    if obj is not None and obj.class_name != {class_name!r}:",
+        f"        editor.get_or_create({class_name!r}, obj_id)  # refuses the class",
+        "    values = {} if obj is None else obj._attributes",
+        *[f"    if {arg} is not None:\n        values[{field!r}] = {value}" for field, arg, value, declared in (
+            ("name", "name", "name", has_name), ("age", "age", "age", has_age),
+            ("ybirth", "age", "editor.reference_year - age", has_ybirth)) if declared],
+        "    if obj is None:",
+        f"        obj = editor.model._admit(_object(obj_id, {class_name!r}, values, {{}}))",
+        "        editor._register(obj_id, obj)",
+        "    else:",
+        "        for unseen in editor.model.readers.values():\n            unseen[obj] = None", *owner,
+        "    return obj_id", ""])
+    namespace = {"_object": _object, "OWNER": owner_ref}
+    return compile_kernel(f"{schema_name}.{class_name} run", source, namespace)["run"]

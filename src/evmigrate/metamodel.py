@@ -22,6 +22,7 @@ redo only the changed ones.
 
 from __future__ import annotations
 
+import linecache
 import weakref
 from dataclasses import dataclass
 from types import MappingProxyType
@@ -144,10 +145,10 @@ class MetaModel:
         return f"MetaModel({self.name!r}, classes={list(self.classes)})"
 
 
-def significant_lines(text):
+def significant_lines(text, start=1):
     """Yield (lineno, line) skipping blanks and full-line # comments; each
-    line loses its trailing whitespace."""
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    line loses its trailing whitespace.  The first line is number ``start``."""
+    for lineno, raw in enumerate(text.splitlines(), start):
         line = raw.rstrip()
         if line and line.lstrip()[0] != "#":
             yield lineno, line
@@ -210,7 +211,7 @@ class DynamicObject:
         _object(id, class_name, dict(attributes) if attributes else {}, {
             name: tuple(value) if isinstance(value, list) else value
             for name, value in references.items()
-        } if references else {}, self)
+        } if references else {}, obj=self)
 
     @property
     def attributes(self) -> MappingProxyType:
@@ -238,18 +239,29 @@ _set_id, _set_class_name, _set_attributes, _set_references, _set_model = (
     getattr(DynamicObject, slot).__set__ for slot in DynamicObject.__slots__)
 
 
-def _object(obj_id, class_name, attributes, references, obj=None) -> DynamicObject:
+def _object(obj_id, class_name, attributes, references, model=None, obj=None) -> DynamicObject:
     """Set the fields of ``obj``, a new object by default, which takes
-    both dicts as they are: the one place fields are set.  The constructor
-    copies them first; the decoders and ``copy_model`` build them and keep
-    no other reference."""
+    both dicts as they are, and its ``model``: the one place fields are
+    set.  The constructor copies the dicts first; the decoders, the runners
+    and ``copy_model`` build them and keep no other reference."""
     obj = object.__new__(DynamicObject) if obj is None else obj
     _set_id(obj, obj_id)
     _set_class_name(obj, class_name)
     _set_attributes(obj, attributes)
     _set_references(obj, references)
-    _set_model(obj, None)
+    _set_model(obj, model)
     return obj
+
+
+def compile_kernel(label, source, namespace) -> dict:
+    """Run generated ``source`` in ``namespace``, which it returns, as the
+    file ``<evmigrate kernel label>`` (numbered if another source has that
+    name), registered with ``linecache``: tracebacks show generated lines."""
+    lines, n, filename = source.splitlines(True), 1, f"<evmigrate kernel {label}>"
+    while linecache.cache.setdefault(filename, (len(source), None, lines, filename))[2] != lines:
+        n, filename = n + 1, f"<evmigrate kernel {label} #{n + 1}>"
+    exec(compile(source, filename, "exec"), namespace)
+    return namespace
 
 
 class InstanceModel:
@@ -320,21 +332,28 @@ class InstanceModel:
             raise ModelError(f"object {obj_id!r} already belongs to a model")
         if obj_id in objects:
             raise ModelError(f"duplicate object id {obj_id!r}")
-        objects[obj_id] = obj  # it may be its own target
         if obj._attributes or obj._references:
+            objects[obj_id] = obj  # it may be its own target
             try:
                 self._check(obj, cls)
-            except ModelError:
+            finally:
                 del objects[obj_id]
-                raise
-        _set_model(obj, self._ref)
-        for unseen in self.readers.values():  # ``mark``, inline: the hot path
-            unseen[obj] = None
-        return obj
+        return self._admit(obj)
 
     def new_object(self, class_name, obj_id) -> DynamicObject:
         """Create an object with all attributes UNSET and add it."""
         return self.add(_object(obj_id, class_name, {}, {}))
+
+    def _admit(self, obj: DynamicObject) -> DynamicObject:
+        """Insert, own and mark an object valid by construction (``add``
+        checked it, or a runner built it from a command) if its id is new."""
+        if obj.id in self._objects:
+            raise ModelError(f"duplicate object id {obj.id!r}")
+        self._objects[obj.id] = obj
+        _set_model(obj, self._ref)
+        for unseen in self.readers.values():  # ``mark``, inline: the hot path
+            unseen[obj] = None
+        return obj
 
     def _owned(self, obj: DynamicObject) -> MetaClass:
         """The class of ``obj``, which must belong to this model: a setter
@@ -489,7 +508,6 @@ def copy_model(model: InstanceModel) -> InstanceModel:
     out = InstanceModel(model.schema)
     objects, ref = out._objects, out._ref
     for obj_id, obj in model._objects.items():  # a valid model: nothing to check
-        dup = objects[obj_id] = _object(obj_id, obj.class_name, obj._attributes.copy(),
-                                        obj._references.copy())  # tuples of ids are shared
-        _set_model(dup, ref)
+        objects[obj_id] = _object(obj_id, obj.class_name, obj._attributes.copy(),
+                                  obj._references.copy(), ref)  # tuples of ids are shared
     return out

@@ -67,6 +67,16 @@ def count_checked_commands(monkeypatch):
     return built
 
 
+def patch_builds(monkeypatch, schema, make_object):
+    """Make the canonical reader's generated ``build`` functions of
+    ``schema`` make their objects through ``make_object``
+    (``metamodel._object``'s signature)."""
+    from evmigrate import codec
+
+    for build in codec._kernels(schema)[1].values():
+        monkeypatch.setitem(build.__globals__, "_object", make_object)
+
+
 def parsed(editor, obj):
     """The command ``editor.parse_model`` derives for ``obj``, from the store."""
     editor.parse_model()

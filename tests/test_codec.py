@@ -37,7 +37,7 @@ from evmigrate.metamodel import KIND_INT, LINE_BREAKS
 from evmigrate.sync import SCENARIOS
 
 from conftest import PETS_SCHEMA_TEXT, data_text
-from conftest import count_checked_commands
+from conftest import count_checked_commands, patch_builds
 
 PETS_INSTANCE = """\
 obj p1 Person
@@ -711,7 +711,7 @@ class TestCanonicalModelFastPath:
         def refuse(*args):
             raise AssertionError("the fast reader built an object")
 
-        monkeypatch.setattr(codec, "_object", refuse)
+        patch_builds(monkeypatch, pets_schema, refuse)
         assert model_view(decode_model(text, pets_schema)) == expected
         assert model_view(decode_model(text.rstrip("\n"), pets_schema)) == expected
 

@@ -1,0 +1,258 @@
+"""The per-schema kernels: the instance reader's build functions, the renderers and
+the command runners are generated source, so names that are not Python
+identifiers, or that look like Python, must reach it as data only."""
+
+import os
+import random
+import subprocess
+import sys
+import traceback
+from collections import Counter
+from pathlib import Path
+
+import pytest
+
+from evmigrate import (
+    AttributeDef,
+    FormatError,
+    InstanceModel,
+    MetaClass,
+    MetaModel,
+    MigrationSession,
+    ReferenceDef,
+    copy_model,
+    decode_model,
+    encode_model,
+    migrate_backward,
+    migrate_forward,
+    model_equals,
+)
+from evmigrate import codec
+from evmigrate.checks import random_model, roundtrip_case
+from evmigrate.codec import _decode_model_canonical, _decode_model_lines
+from evmigrate.metamodel import KIND_INT, _object
+from evmigrate.sync import SCENARIOS
+
+from conftest import patch_builds
+
+#: characters that mean something in Python source, in f-strings and in
+#: regular expressions
+HOSTILE = ("'", '"', "\\", "{", "}", "(", ")", "+", ".", "*")
+#: a name that would run if it were pasted into source between quotes
+CODE = "x'+__import__('os').getpid()+'"
+
+
+def _features(k, targets):
+    """A string, an int, a one- and a many-reference (to ``targets``), a
+    feature named ``#x`` and one named like code; ``k`` varies the names."""
+    a, b, c = HOSTILE[k % 10], HOSTILE[(k + 3) % 10], HOSTILE[(k + 6) % 10]
+    return ([AttributeDef(f"s{a}{b}{c}", "string"), AttributeDef(f"i{c}{b}{a}", "int"),
+             AttributeDef("#x", "int"), AttributeDef(CODE, "string")],
+            [ReferenceDef(f"o{b}{a}", targets[0], False), ReferenceDef(f"m{c}{a}*", targets[1], True)])
+
+
+def hostile_schema(name, ybirth=False):
+    """Person and Dog with the command vocabulary's features (ybirth in
+    place of age, and a many owner, when ``ybirth``) and four classes with
+    names built from ``HOSTILE`` and ``CODE``, one of them with no feature;
+    every class but that one carries ``_features``."""
+    odd = ["K'{\\}", 'L"(+).*', CODE]
+    classes = []
+    for k, class_name in enumerate(odd):
+        attributes, references = _features(k, (odd[(k + 1) % 3], odd[(k + 2) % 3]))
+        classes.append(MetaClass(class_name, attributes, references))
+    classes.append(MetaClass("E.*{}()"))
+    attributes, references = _features(4, ("Dog", odd[0]))
+    classes.append(MetaClass("Person", [AttributeDef("name", "string"),
+                                        AttributeDef("ybirth" if ybirth else "age", "int"), *attributes],
+                             references))
+    attributes, references = _features(5, ("Person", odd[1]))
+    vocabulary = [AttributeDef("name", "string")] + ([] if ybirth else [AttributeDef("age", "int")])
+    classes.append(MetaClass("Dog", vocabulary + attributes,
+                             [ReferenceDef("owner", "Person", ybirth), *references]))
+    return MetaModel(name, classes)
+
+
+def hostile_value(rng):
+    text = "".join(rng.choice((*HOSTILE, "a", "b", " ", CODE)) for _ in range(rng.randint(0, 8)))
+    return text.strip()
+
+
+def hostile_model(rng, schema, class_names, max_objects=12):
+    """A random model of objects of ``class_names``, ids and string values
+    drawn from ``HOSTILE``: every feature set with probability 0.8 but
+    ``#x``, which a file would read back as a comment."""
+    model = InstanceModel(schema)
+    for k in range(rng.randint(0, max_objects)):
+        cls = schema.classes[rng.choice(class_names)]
+        obj = model.new_object(cls.name, f"{k}{rng.choice(HOSTILE)}{rng.choice(HOSTILE)}")
+        for adef in cls.attributes.values():
+            if adef.name != "#x" and rng.random() < 0.8:
+                model.set_attribute(obj, adef.name, rng.randint(-150, 150) if adef.kind == KIND_INT
+                                    else hostile_value(rng))
+    for obj in model.objects.values():
+        for rdef in schema.classes[obj.class_name].references.values():
+            pool = [o.id for o in model.objects.values() if o.class_name == rdef.target]
+            if pool and rng.random() < 0.8:
+                for target in rng.sample(pool, k=rng.randint(1, min(2 if rdef.many else 1, len(pool)))):
+                    model.set_reference(obj, rdef.name, target)
+    return model
+
+
+def check_codec(model):
+    """The model reads back equal, and its text is read by the canonical
+    reader and written again unchanged."""
+    text = encode_model(model)
+    assert model_equals(decode_model(text, model.schema), model), text
+    fast = _decode_model_canonical(text, model.schema)
+    assert fast is not None, text
+    assert encode_model(fast) == text and encode_model(decode_model(text, model.schema)) == text
+
+
+class TestHostileNames:
+    @pytest.mark.parametrize("ybirth", [False, True], ids=["age", "ybirth"])
+    def test_every_model_reads_back_and_its_text_unchanged(self, ybirth):
+        schema = hostile_schema(f"hostile-{ybirth}", ybirth)
+        rng = random.Random(20261019)
+        seen = Counter()
+        for _ in range(150):
+            model = hostile_model(rng, schema, list(schema.classes))
+            check_codec(model)
+            seen.update(obj.class_name for obj in model.objects.values())
+        assert set(seen) == set(schema.classes)  # every class, the empty one too
+
+    @pytest.mark.parametrize("ybirth", [False, True], ids=["identity", "ybirth"])
+    def test_forward_then_backward_roundtrips(self, ybirth):
+        m1_schema, m2_schema = hostile_schema("hostile-m1"), hostile_schema("hostile-m2", ybirth)
+        rng = random.Random(7)
+        for _ in range(80):
+            model = hostile_model(rng, m1_schema, ["Person", "Dog"])
+            snapshot = copy_model(model)
+            session = MigrationSession.create(m1_schema, m2_schema)
+            m2 = migrate_forward(session, decode_model(encode_model(model), m1_schema))
+            check_codec(m2)
+            assert model_equals(migrate_backward(session), snapshot)
+            check_codec(session.m1.model)
+
+    def test_a_name_that_looks_like_code_is_data(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(os, "getpid", lambda: calls.append("ran") or 0)
+        m1_schema, m2_schema = hostile_schema(CODE), hostile_schema(CODE, ybirth=True)
+        rng = random.Random(3)
+        model = hostile_model(rng, m1_schema, list(m1_schema.classes), max_objects=40)
+        check_codec(model)
+        text = encode_model(model)
+        assert "obj 0" in text and f" {CODE}\n" in text and f"  {CODE} " in text
+        vocabulary = hostile_model(rng, m1_schema, ["Person", "Dog"], max_objects=20)
+        session = MigrationSession.create(m1_schema, m2_schema)
+        migrate_forward(session, decode_model(encode_model(vocabulary), m1_schema))
+        assert model_equals(migrate_backward(session), vocabulary)
+        assert calls == []
+        build = codec._kernels(m1_schema)[1]
+        assert {f.__code__.co_filename for f in build.values()} >= {f"<evmigrate kernel {CODE}.{CODE}>"}
+
+    @pytest.mark.parametrize("name", sorted(SCENARIOS))
+    def test_every_bundled_scenario_schema_passes_the_same_checks(self, name):
+        scenario = SCENARIOS[name]
+        rng = random.Random(name)
+        for _ in range(60):
+            for schema in (scenario.m1_schema, scenario.m2_schema):
+                check_codec(random_model(rng, schema))
+            assert roundtrip_case(rng, scenario)
+
+
+class TestGeneratedCode:
+    def test_kernels_are_built_on_first_use_not_at_import_or_session_creation(self):
+        src = Path(codec.__file__).resolve().parent.parent
+        script = (
+            "import linecache, evmigrate\n"
+            "def kernels(): return sorted(f for f in linecache.cache if f.startswith('<evmigrate kernel'))\n"
+            "s = evmigrate.MigrationSession.for_scenario('ybirth')\n"
+            "print(kernels())\n"
+            "evmigrate.migrate_forward(s, evmigrate.decode_model('obj d1 Dog\\n  age 4\\n', s.m1.schema))\n"
+            "print(kernels())\n"
+        )
+        out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, check=True,
+                             env={**os.environ, "PYTHONPATH": str(src)}).stdout.splitlines()
+        assert out[0] == "[]"
+        # m1's codec kernels (the decode), m2's Dog runner (the merge)
+        assert eval(out[1]) == ["<evmigrate kernel m1.Dog>", "<evmigrate kernel m1.Person>",
+                                "<evmigrate kernel m2.Dog run>"]
+
+    def test_a_traceback_shows_the_generated_line(self, pets_schema):
+        render = codec._kernels(pets_schema)[2]["Dog"]
+        with pytest.raises(AttributeError) as exc:
+            render(None)
+        frame = traceback.extract_tb(exc.value.__traceback__)[-1]
+        assert frame.filename.startswith("<evmigrate kernel pets.Dog")
+        assert frame.line == "values, references = obj._attributes, obj._references"
+
+    def test_a_label_naming_another_source_gets_a_number(self):
+        one = MetaModel("same", [MetaClass("A", [AttributeDef("x", "int")])])
+        other = MetaModel("same", [MetaClass("A", [AttributeDef("y", "int")])])
+        names = {codec._kernels(schema)[2]["A"].__code__.co_filename for schema in (one, other)}
+        assert names == {"<evmigrate kernel same.A>", "<evmigrate kernel same.A #2>"}
+
+
+def _text(size):
+    """Canonical pets text: persons, each with one dog, then the dogs."""
+    persons = [f"obj p{k} Person\n  name P {k}\n  age {k % 90}\n  dogs d{k}\n" for k in range(size // 2)]
+    dogs = [f"obj d{k} Dog\n  name D{k}\n  age {k % 15}\n  owner p{k}\n" for k in range(size // 2)]
+    return "".join(persons + dogs)
+
+
+def _outcome(decode, text, schema):
+    try:
+        model = decode(text, schema)
+    except FormatError as e:
+        return ("FormatError", str(e), e.line)
+    return [(o.id, o.class_name, dict(o.attributes), dict(o.references)) for o in model.objects.values()]
+
+
+class TestResume:
+    """The line reader goes on from the first object the canonical reader
+    cannot read, with the objects read so far."""
+
+    SWAPPED = "  owner p999\n  name D999\n  age 9\n"
+
+    def test_fields_out_of_order_in_the_last_object_build_each_object_once(self, pets_schema,
+                                                                          monkeypatch):
+        text = _text(2000)
+        last = text.rindex("obj d999 Dog\n")
+        text = text[:last] + "obj d999 Dog\n" + self.SWAPPED
+        expected = _outcome(_decode_model_lines, text, pets_schema)
+        built = Counter()
+
+        def counting(obj_id, *rest):
+            built[obj_id] += 1
+            return _object(obj_id, *rest)
+
+        patch_builds(monkeypatch, pets_schema, counting)
+        original_new = InstanceModel.new_object
+        monkeypatch.setattr(InstanceModel, "new_object", lambda model, class_name, obj_id:
+                            built.update(["line:" + obj_id]) or original_new(model, class_name, obj_id))
+        model = decode_model(text, pets_schema)
+        assert _outcome(lambda *_: model, text, pets_schema) == expected
+        assert len(built) == 2000 and set(built.values()) == {1}
+        assert [key for key in built if key.startswith("line:")] == ["line:d999"]
+        assert encode_model(model) == encode_model(copy_model(model)) == _text(2000)
+        # a forward keeps the blocks read fast and renders the one read by lines
+        migrate_forward(MigrationSession.create(pets_schema, pets_schema), model)
+        assert encode_model(model) == _text(2000)
+
+    @pytest.mark.parametrize("edit", [
+        lambda text: text + "  age x\n",                                   # a value error after
+        lambda text: text + "  owner p5000\n",                             # a dangling target after
+        lambda text: text.replace("  dogs d0\n", "  dogs d0\n  dogs q\n", 1),   # read fast, fails later
+        lambda text: text.replace("  dogs d0\n", "  dogs q\n", 1) + "  owner p5000\n",  # both: the first
+        lambda text: text + "obj p1 Person\n",                             # an id read fast, again
+        lambda text: text + "   age 4\n",                                  # three spaces
+        lambda text: text.replace("obj d5 Dog\n", "obj d5 Dog\n\x0c", 1),  # a line break at a boundary
+        lambda text: text.replace("  age 5\n", "  age 5\n  name again\n", 1),
+        lambda text: text + "obj x Cat\n",
+    ], ids=["value", "target", "fast-target", "both-targets", "duplicate", "indent", "form-feed", "repeat", "class"])
+    def test_every_error_and_line_number_is_the_line_readers(self, pets_schema, edit):
+        text = _text(400)
+        last = text.rindex("obj d199 Dog\n")
+        text = edit(text[:last] + "obj d199 Dog\n" + self.SWAPPED.replace("999", "199"))
+        assert _outcome(decode_model, text, pets_schema) == _outcome(_decode_model_lines, text, pets_schema)

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -425,18 +426,21 @@ class TestSyncCostsChangedObjectsOnly:
 
     def _count(self, monkeypatch):
         parsed, rendered = [], []
-        original_parse, original_render = Editor._parse, codec._render
+        original_parse = Editor._parse
 
         def counting_parse(editor, obj, kind):
             parsed.append(obj.id)
             return original_parse(editor, obj, kind)
 
-        def counting_render(lines, obj, cls):
-            rendered.append(obj.id)
-            return original_render(lines, obj, cls)
+        def counting(render):
+            return lambda obj: rendered.append(obj.id) or render(obj)
 
         monkeypatch.setattr(Editor, "_parse", counting_parse)
-        monkeypatch.setattr(codec, "_render", counting_render)
+        for scenario in SCENARIOS.values():  # every class renderer of every bundled schema
+            for schema in (scenario.m1_schema, scenario.m2_schema):
+                renderers = codec._kernels(schema)[2]
+                for class_name, render in list(renderers.items()):
+                    monkeypatch.setitem(renderers, class_name, counting(render))
         return parsed, rendered
 
     def test_a_forward_from_canonical_text_validates_and_renders_nothing(self, monkeypatch):
@@ -560,6 +564,25 @@ class TestSyncCostsChangedObjectsOnly:
         monkeypatch.setattr(commands, "run", lambda cmd, editor: runs.append(editor) or original(cmd, editor))
         migrate_forward(s, m1)
         assert runs == [s.m2] * LARGE
+
+    def test_a_forward_admits_each_object_once_and_makes_only_owner_stubs(self, monkeypatch):
+        # a runner builds a new object complete and admits it; only an owner
+        # whose dog runs first (dogs run before persons) is made empty
+        persons = [f"obj p{i} Person\n  name P{i}\n  age {i % 90}\n" for i in range(1000)]
+        dogs = [f"obj d{i} Dog\n  name D{i}\n  owner p{i % 600}\n" for i in range(1000)]
+        s = session_for("dog-no-age")
+        m1 = decode_model("".join(persons + dogs), s.m1.schema)
+        admitted, made = Counter(), []
+        original_admit, original_new = InstanceModel._admit, InstanceModel.new_object
+        monkeypatch.setattr(InstanceModel, "_admit", lambda model, obj:
+                            admitted.update([(model, obj.id)]) or original_admit(model, obj))
+        monkeypatch.setattr(InstanceModel, "new_object", lambda model, class_name, obj_id:
+                            made.append((model, class_name, obj_id)) or original_new(model, class_name, obj_id))
+        m2 = migrate_forward(s, m1)
+        assert set(admitted.values()) == {1} and set(admitted) == {(m2, obj_id) for obj_id in m2.objects}
+        assert sorted(made) == sorted((m2, "Person", f"p{i}") for i in range(600))
+        assert encode_model(m2) == encode_model(copy_model(m2))  # model order as before: p0..p599 follow their dogs
+        assert list(m2.objects)[:3] == ["d0", "p0", "d1"]
 
     def test_a_large_forward_still_runs_where_age_and_ybirth_disagree(self):
         both = load_schema(

@@ -19,7 +19,9 @@ A count is the number of ``opcode`` trace events (``sys.settrace`` with
 two runs of one tree print the same output.  Each bytecode is charged to
 the innermost layer on the call stack (the layers are the functions
 perfbench's ``--trace 1`` times), or to ``bench`` outside every layer, and
-to the function executing it.  Standard library only; evmigrate is
+to the function executing it: a generated kernel is listed under its
+file name, such as ``<evmigrate kernel m1.Dog>.build``, one per schema and
+class.  Standard library only; evmigrate is
 imported from ``src/`` of this checkout and the workloads from
 ``perfbench/workloads.py``.
 """
@@ -62,6 +64,13 @@ LAYERS = {
 }
 _LAYER_OF_CODE = {fn.__code__: name for name, fn in LAYERS.items()}
 
+def _module(frame) -> str:
+    """A function's module, or for generated code (a per-schema kernel of
+    ``codec`` or ``commands``) its file name, which names schema and class."""
+    filename = frame.f_code.co_filename
+    return filename if filename.startswith("<evmigrate kernel") else frame.f_globals.get("__name__")
+
+
 #: untraced tiny cycles before the counted one
 TINY_WARMUP = 20
 
@@ -85,7 +94,7 @@ class Count:
         def on_call(frame, event, arg):
             code = frame.f_code
             layer = _LAYER_OF_CODE.get(code) or layer_of.get(frame.f_back, BENCH)
-            function = f"{frame.f_globals.get('__name__')}.{code.co_qualname}"
+            function = f"{_module(frame)}.{code.co_qualname}"
             layer_of[frame] = layer
             frame.f_trace_opcodes = True
 
