@@ -30,6 +30,7 @@ from array import array
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice
+from operator import attrgetter
 
 from .commands import _OWNED_KINDS, SPECS, Command, _id_of, _trusted, check_reference_year
 from .editor import EventStore
@@ -40,7 +41,6 @@ from .metamodel import (
     InstanceModel,
     MetaModel,
     _check_target,
-    _object,
     compile_kernel,
     significant_lines,
 )
@@ -313,17 +313,19 @@ def _kernels(schema: MetaModel):
     """The instance format's per-object kernels, generated at first use
     and shared, never written: (the match of one object as ``encode_model``
     writes it, a class per alternative; alternative's closing empty group
-    (``match.lastindex``) -> the ``build`` of its objects; class -> the
-    renderer of an object's block).  A name ``_READABLE`` refuses is left
-    to the line reader.  Names reach the source as ``repr`` literals."""
+    (``match.lastindex``) -> the ``build`` of its objects, which adds each
+    target to ``targets[its class]`` and refuses a repeated one; class ->
+    the renderer of an object's block).  A name ``_READABLE`` refuses is
+    left to the line reader.  Names reach the source as ``repr`` literals."""
     alternatives, builds, renderers, group = [], {}, {}, 2  # group 1 is the id
     for cls in schema.classes.values():
         features = (*cls.attributes.items(), *cls.references.items())
-        fields, parts, build = ["obj_id"], [], ["    attributes, references = {}, {}"]
+        fields, parts = ["obj_id"], []
+        build = [f"    attributes, references = {{}}, {'{}' if cls.references else 'NO_REFERENCES'}"]
         render = ["    values, references = obj._attributes, obj._references"]
         defaults = [f"H={f' {cls.name}{_NL}'!r}"]
         for k, (name, feature) in enumerate(features):
-            prefix, line, v = f"  {name} ", "  " + re.escape(name), f"v{k}"
+            prefix, line, v, collect = f"  {name} ", "  " + re.escape(name), f"v{k}", []
             into = "references" if name in cls.references else "attributes"
             defaults.append(f"F{k}={prefix!r}")
             got = f"(v := {'values' if into == 'attributes' else into}.get({name!r}))"
@@ -334,24 +336,27 @@ def _kernels(schema: MetaModel):
             elif into == "attributes":  # as ``str(int)`` writes it
                 part, value = rf"(?:{line} (0|-?[1-9][0-9]*)\n)?", f"int({v}, 10)"
             elif feature.many:
-                part, value = rf"((?:{line} \S+\n)+)?", f"tuple({v}[{len(prefix)}:-1].split({_NL + prefix!r}))"
+                part, value = rf"((?:{line} \S+\n)+)?", f"{v} = tuple({v}[{len(prefix)}:-1].split({_NL + prefix!r}))"
                 defaults.append(f"J{k}={_NL + prefix!r}")
                 piece = f"    p{k} = f'{{F{k}}}{{J{k}.join(v)}}\\n' if {got} else ''"
+                collect = [f"        if len(set({v})) < len({v}):", "            raise ValueError('a repeated target')",
+                         f"        targets[{feature.target!r}].extend({v})"]
             else:
                 part, value = rf"(?:{line} (\S+)\n)?", v
+                collect = [f"        targets[{feature.target!r}].append({v})"]
             render.append(piece)
             if _READABLE.fullmatch(name) is not None:
                 parts.append(part)
                 fields.append(v)
-                build += [f"    if {v} is not None:", f"        {into}[{name!r}] = {value}"]
+                build += [f"    if {v} is not None:", f"        {into}[{name!r}] = {value}", *collect]
         fields.append("_")  # the closing group: ``group`` then gives a tuple
         groups = (1, *range(group, group + len(fields) - 1))
         source = "\n".join([
-            "def build(match, ref):", f"    {', '.join(fields)} = match.group{groups}", *build,
+            "def build(match, ref, targets):", f"    {', '.join(fields)} = match.group{groups}", *build,
             f"    return _object(obj_id, {cls.name!r}, attributes, references, ref)", "", "",
             f"def render(obj, {', '.join(defaults)}):", *render,
             "    return f'obj {obj.id}{H}" + "".join(f"{{p{k}}}" for k in range(len(features))) + "'", ""])
-        kernel = compile_kernel(f"{schema.name}.{cls.name}", source, {"_object": _object})
+        kernel = compile_kernel(f"{schema.name}.{cls.name}", source)
         renderers[cls.name] = kernel["render"]
         if _READABLE.fullmatch(cls.name) is not None:
             alternatives.append(f"{re.escape(cls.name)}\\n{''.join(parts)}()")
@@ -363,53 +368,52 @@ def _kernels(schema: MetaModel):
     return match, builds, renderers
 
 
-def _read_canonical(text, schema: MetaModel) -> tuple[InstanceModel | None, int]:
+def _read_canonical(text, schema: MetaModel) -> tuple[InstanceModel | None, int, dict | None]:
     """(The model of the first objects exactly as ``encode_model`` writes
     them, one match each, targets unchecked, with ``model.source`` for
     ``keep_blocks`` and the encoder's reader started; the offset after
-    them), or (None, -1) if an id repeats or a scan finds foreign marks."""
+    them; target class -> the targets they read), or (None, -1, None) if an
+    id repeats or a scan finds foreign marks."""
     # Marks the encoder never writes, found by a scan before any object is
     # built: a carriage return, a trailing space, a blank or comment line,
     # no final line break.
     if ("\r" in text or " \n" in text or "\n\n" in text or text[-1:] not in ("\n", "")
             or "#" in text and ("\n#" in text or "\n  #" in text)):
-        return None, -1
+        return None, -1, None
     match_object, builds, _ = _kernels(schema)
     model = InstanceModel(schema)
-    objects, ref, bounds = model._objects, model._ref, array("q", (0,))
+    objects, ref, bounds, targets = model._objects, model._ref, array("q", (0,)), {c: [] for c in schema.classes}
     pos, end = 0, len(text)
     try:
         while pos < end and (match := match_object(text, pos)) is not None:
-            obj = builds[match.lastindex](match, ref)
+            obj = builds[match.lastindex](match, ref, targets)
             objects[obj.id] = obj
             pos = match.end()
             bounds.append(pos)
-    except ValueError:  # int() refuses too many digits: the line reader says so
+    except ValueError:  # too many digits or a repeated target: the line reader decides
         pass
     if len(objects) < len(bounds) - 1:
-        return None, -1
+        return None, -1, None
     model.source = (text, bounds)
     model.seen(ENCODE)
-    return model, pos
+    return model, pos, targets
 
 
-def _targets_hold(model: InstanceModel, count) -> bool:
-    """Whether the first ``count`` objects pass ``check_targets``."""
-    classes = model.schema.classes
+def _targets_hold(model: InstanceModel, targets) -> bool:
+    """Whether each of ``targets`` (target class -> ids) is an object of
+    its class, as ``InstanceModel.add`` checks it: one pass in C per class."""
+    get = model._objects.get
     try:
-        for obj in islice(model.objects.values(), count):
-            if obj._references:
-                model.check_targets(obj, classes[obj.class_name])
-    except MigrationError:
+        return all(set(map(attrgetter("class_name"), map(get, ids))) <= {cls} for cls, ids in targets.items())
+    except AttributeError:  # None has no class: a target that is no object
         return False
-    return True
 
 
 def _decode_model_canonical(text, schema: MetaModel) -> InstanceModel | None:
     """Decode text exactly as ``encode_model`` writes it, which it then
     gives back unchanged; None for anything else."""
-    model, pos = _read_canonical(text, schema)
-    return model if pos == len(text) and _targets_hold(model, len(model)) else None
+    model, pos, targets = _read_canonical(text, schema)
+    return model if pos == len(text) and _targets_hold(model, targets) else None
 
 
 def decode_model(text, schema: MetaModel) -> InstanceModel:
@@ -418,18 +422,17 @@ def decode_model(text, schema: MetaModel) -> InstanceModel:
     are read by one regular expression each, the rest by the line reader,
     which alone defines what is accepted, and turns each error of the
     model layer into a ``FormatError`` naming the line."""
-    model, pos = _read_canonical(text, schema)
+    model, pos, targets = _read_canonical(text, schema)
     if model is None:
         return _decode_model_lines(text, schema)
-    read = len(model)  # first in the model
     if pos < len(text):
         try:
             _decode_model_lines(text[pos:], schema, model, text.count("\n", 0, pos))
         except FormatError:  # the first error, unless a target read fast fails first
-            if _targets_hold(model, read):
+            if _targets_hold(model, targets):
                 raise
             return _decode_model_lines(text, schema)
-    return model if _targets_hold(model, read) else _decode_model_lines(text, schema)
+    return model if _targets_hold(model, targets) else _decode_model_lines(text, schema)
 
 
 def _decode_model_lines(text, schema: MetaModel, model=None, lines_before=0) -> InstanceModel:

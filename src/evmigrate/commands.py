@@ -17,7 +17,7 @@ from types import MappingProxyType
 from typing import TYPE_CHECKING
 
 from .errors import ModelError, SchemaError
-from .metamodel import KIND_INT, KIND_STRING, _object, compile_kernel, has_line_break
+from .metamodel import KIND_INT, KIND_STRING, compile_kernel, has_line_break
 
 if TYPE_CHECKING:
     from .editor import Editor
@@ -153,7 +153,7 @@ def bind(schema) -> MappingProxyType:
             "age" in cls.attributes,
             "ybirth" in cls.attributes,
             cls.references.get("owner") if "ownerId" in fields else None,
-            partial(_first_run, schema.name, bindings, kind),
+            partial(_first_run, schema, bindings, kind),
         )
     return MappingProxyType(bindings)
 
@@ -167,19 +167,21 @@ def run(cmd: Command, editor: Editor) -> str:
     return binding[5](cmd, editor)
 
 
-def _first_run(schema_name, bindings, kind, cmd, editor):
+def _first_run(schema, bindings, kind, cmd, editor):
     """Generate the kind's runner, put it in its binding and run it."""
     binding = bindings[kind]
-    bindings[kind] = (*binding[:5], _runner(schema_name, *binding[:5]))
+    bindings[kind] = (*binding[:5], _runner(schema, *binding[:5]))
     return bindings[kind][5](cmd, editor)
 
 
-def _runner(schema_name, class_name, has_name, has_age, has_ybirth, owner_ref):
+def _runner(schema, class_name, has_name, has_age, has_ybirth, owner_ref):
     """The generated runner of one kind on one schema.  It writes each set
     field the class declares, ybirth as referenceYear - age: into a new
-    object, built complete and admitted (a checked or trusted command holds
-    values of the declared kinds), or in place, marking the object even if
-    nothing changed (its next store entry changes what a parse derives).
+    object, built complete, admitted and registered under its id (a checked
+    or trusted command holds values of the declared kinds; a class that
+    declares no reference shares ``NO_REFERENCES``), or in place, marking
+    the object even if nothing changed (its next store entry changes what a
+    parse derives).
     Then the owner, made a stub if need be, so dogs may run before their
     owner's HavePerson.  Names reach the source as ``repr`` literals."""
     owner = [] if owner_ref is None else [
@@ -201,10 +203,9 @@ def _runner(schema_name, class_name, has_name, has_age, has_ybirth, owner_ref):
             ("name", "name", "name", has_name), ("age", "age", "age", has_age),
             ("ybirth", "age", "editor.reference_year - age", has_ybirth)) if declared],
         "    if obj is None:",
-        f"        obj = editor.model._admit(_object(obj_id, {class_name!r}, values, {{}}))",
-        "        editor._register(obj_id, obj)",
+        f"        obj = registry[obj_id] = editor.model._admit(_object(obj_id, {class_name!r}, values, "
+        f"{'{}' if schema.classes[class_name].references else 'NO_REFERENCES'}))",
         "    else:",
         "        for unseen in editor.model.readers.values():\n            unseen[obj] = None", *owner,
         "    return obj_id", ""])
-    namespace = {"_object": _object, "OWNER": owner_ref}
-    return compile_kernel(f"{schema_name}.{class_name} run", source, namespace)["run"]
+    return compile_kernel(f"{schema.name}.{class_name} run", source, {"OWNER": owner_ref})["run"]

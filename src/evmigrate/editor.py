@@ -24,7 +24,7 @@ from .commands import (
     DEFAULT_REFERENCE_YEAR,
 )
 from .errors import MergeError, MigrationError, ModelError
-from .metamodel import DynamicObject, InstanceModel, MetaModel, has_line_break
+from .metamodel import DynamicObject, InstanceModel, MetaModel, _fit, has_line_break
 
 #: the model reader ``Editor.parse_model`` keeps its place under
 PARSE = "parse"
@@ -57,12 +57,13 @@ class EventStore:
     came from the peer) marks it shipped, and a ship sends ``unshipped()``
     and then calls ``mark_shipped()``.  By the overwrite law the peer
     needs no other entry; by the commutativity law it may apply them in
-    any order.
+    any order.  While every entry is unshipped (a new store, and after
+    ``mark_unshipped``) the unshipped map is the entries' own, not a copy.
     """
 
     def __init__(self):
         self._entries: dict[str, Command] = {}
-        self._unshipped: dict[str, Command] = {}  # entries the peer lacks
+        self._unshipped = self._entries  # entries the peer lacks
 
     def __len__(self):
         return len(self._entries)
@@ -87,6 +88,8 @@ class EventStore:
         """Insert or replace the entry for each ``cmd.id`` with a command
         the peer sent, so it already holds it: the id no longer ships."""
         entries, unshipped = self._entries, self._unshipped
+        if unshipped is entries:  # every entry so far, less those received below
+            unshipped = self._unshipped = dict(entries)
         for cmd in cmds:
             entries[cmd[1]] = cmd
         if unshipped:
@@ -107,7 +110,7 @@ class EventStore:
         if len(self._unshipped) == len(self._entries):
             return self
         delta = EventStore()
-        delta._entries = dict(self._unshipped)
+        delta._entries = delta._unshipped = dict(self._unshipped)
         return delta
 
     def mark_shipped(self):
@@ -117,19 +120,20 @@ class EventStore:
     def mark_unshipped(self):
         """The peer holds none of the entries, say because its store
         restarted empty."""
-        self._unshipped = dict(self._entries)
+        self._unshipped = self._entries
 
 
 class Editor:
     """One side of a migration: executes, merges, parses.
 
-    The registry maps ids to live objects in both directions; it is what
-    makes getOrCreate idempotent and what lets parsing recover the id of
-    an object seen before.  A registered id need not be the object's model
-    key: an object created directly in the model (say ``new Dog dog9``)
-    keeps the key ``dog9`` but, on first parse, is registered, stored and
-    shipped under a minted id such as ``dog1``.  ``registry`` (id ->
-    object) may be read by command runners; only the editor writes it.
+    The registry maps ids to live objects; it is what makes getOrCreate
+    idempotent and what lets parsing recover the id of an object seen
+    before.  An object is registered under its model key, except one
+    created directly in the model (say ``new Dog dog9``): it keeps the key
+    ``dog9`` but, on first parse, is registered, stored and shipped under a
+    minted id such as ``dog1``, which ``_id_of_object`` maps it to.  Command
+    runners read ``registry`` and register what they create; nothing else
+    but the editor writes it.
     """
 
     def __init__(self, schema: MetaModel, reference_year=DEFAULT_REFERENCE_YEAR):
@@ -144,10 +148,6 @@ class Editor:
 
     # -- registry -----------------------------------------------------
 
-    def _register(self, obj_id, obj):
-        self.registry[obj_id] = obj
-        self._id_of_object[obj] = obj_id
-
     def get_or_create(self, class_name, obj_id) -> DynamicObject:
         """Return the registered object for (class, id), creating a fresh
         all-UNSET object on first sight.  Calling it repeatedly with one
@@ -160,9 +160,7 @@ class Editor:
                     f"requested {class_name}"
                 )
             return obj
-        obj = self.model.new_object(class_name, obj_id)
-        self._register(obj_id, obj)
-        return obj
+        return self.registry.setdefault(obj_id, self.model.new_object(class_name, obj_id))
 
     def id_for(self, obj: DynamicObject) -> str:
         """Registered id of a model object, minting a fresh one if absent.
@@ -173,6 +171,8 @@ class Editor:
         known = self._id_of_object.get(obj)
         if known is not None:
             return known
+        if self.registry.get(obj.id) is obj:
+            return obj.id
         if self.model.objects.get(obj.id) is not obj:
             raise ModelError(f"object {obj.id!r} does not belong to this editor's model")
         prefix = obj.class_name.lower()
@@ -184,7 +184,8 @@ class Editor:
         if has_line_break(fresh):  # a class built in code may have any name
             raise ModelError(f"a minted id may hold no line break, got {fresh!r}")
         self._id_counters[obj.class_name] = counter + 1
-        self._register(fresh, obj)
+        self.registry[fresh] = obj
+        self._id_of_object[obj] = fresh
         return fresh
 
     # -- execution ----------------------------------------------------
@@ -237,16 +238,19 @@ class Editor:
         every object under its own id.  A model is valid against its own
         schema at all times, so it is validated only when that schema is
         not this editor's: then against this editor's, and every object is
-        marked for every reader."""
+        marked for every reader and given the references mapping its class
+        calls for there."""
         if model.schema is not self.schema:
             model.validate(self.schema)
             model.schema = self.schema
+            for obj in model.objects.values():
+                _fit(obj, self.schema.classes[obj.class_name])
             model.mark_all()
         model.readers.pop(PARSE, None)
         self.model = model
         self.store = EventStore()
         self.registry = model.objects.copy()
-        self._id_of_object = dict(zip(model.objects.values(), model.objects))
+        self._id_of_object = {}
         self._id_counters = {}
 
     # -- parsing ------------------------------------------------------
@@ -305,7 +309,7 @@ class Editor:
         every value and target it holds, and its ids come from the model
         or from ``id_for``."""
         _, has_name, has_age, has_ybirth, owner_ref, _ = self.bindings[kind]
-        obj_id = self._id_of_object.get(obj) or self.id_for(obj)
+        obj_id = obj.id if self.registry.get(obj.id) is obj else self.id_for(obj)
         old = self.store._entries.get(obj_id)
         if old is not None and old[0] != kind:
             old = None
@@ -333,7 +337,7 @@ class Editor:
                 target_id = target_id[0] if target_id else None
             if target_id is not None:
                 target = self.model._objects[target_id]
-                owner_id = self._id_of_object.get(target) or self.id_for(target)
+                owner_id = target_id if self.registry.get(target_id) is target else self.id_for(target)
         fields = (kind, obj_id, name, age, owner_id)
         if fields == old:
             return old, False

@@ -10,8 +10,9 @@ Every write goes through the model that holds the object: ``add``, the
 setters (``set_attribute``, ``set_attribute_text``, ``set_reference``,
 which ``sync.apply_mutations`` uses) and the editors' commands.  Objects
 are sealed, their ``attributes`` and ``references`` are read-only
-mappings and a many-reference is a tuple, so no write goes past the
-model.  Each write checks what it writes, so a model is valid against
+mappings (every object of a class that declares no reference shares one,
+``NO_REFERENCES``) and a many-reference is a tuple, so no write goes past
+the model.  Each write checks what it writes, so a model is valid against
 its own schema at all times: ``Editor.adopt_model`` validates a model
 only when it comes from another schema.
 
@@ -82,9 +83,11 @@ class MetaClass:
             self.add(feature)
 
     def add(self, feature: AttributeDef | ReferenceDef):
-        """Declare one attribute or reference."""
+        """Declare one attribute or reference; a name starting ``#`` would read as a comment."""
         if feature.name in self.attributes or feature.name in self.references:
             raise SchemaError(f"duplicate feature {feature.name!r} in class {self.name}")
+        if feature.name.startswith("#"):
+            raise SchemaError(f"feature {feature.name!r} of class {self.name} may not start with '#'")
         if isinstance(feature, ReferenceDef):
             self.references[feature.name] = feature
         elif feature.kind in _KINDS:
@@ -195,13 +198,18 @@ def load_schema(text, name="model") -> MetaModel:
     return schema
 
 
+#: the references of every object whose class, in its model's schema, declares none
+NO_REFERENCES = MappingProxyType({})
+
+
 class DynamicObject:
     """A schema-conforming instance, sealed: the constructor sets its
     fields and nothing rebinds or deletes them, so an object keeps the id
     and class its model checked.  ``attributes`` and ``references`` are
     read-only views of the object's own plain dicts; only its model writes
-    them.  Identity hashing lets editors key registries by the object;
-    ``model_equals`` compares values."""
+    them (``NO_REFERENCES`` if the class declares no reference).  Identity
+    hashing lets editors key registries by the object; ``model_equals``
+    compares values."""
 
     __slots__ = ("id", "class_name", "_attributes", "_references", "_model")
 
@@ -228,7 +236,7 @@ class DynamicObject:
 
     def __reduce__(self):
         """A copy belongs to no model until one adds it or copies it along."""
-        return DynamicObject, (self.id, self.class_name, self._attributes, self._references)
+        return DynamicObject, (self.id, self.class_name, self._attributes, dict(self._references))
 
     def __repr__(self):
         return f"DynamicObject({self.id!r}, {self.class_name!r})"
@@ -253,10 +261,19 @@ def _object(obj_id, class_name, attributes, references, model=None, obj=None) ->
     return obj
 
 
-def compile_kernel(label, source, namespace) -> dict:
-    """Run generated ``source`` in ``namespace``, which it returns, as the
-    file ``<evmigrate kernel label>`` (numbered if another source has that
-    name), registered with ``linecache``: tracebacks show generated lines."""
+def _fit(obj: DynamicObject, cls: MetaClass):
+    """Give ``obj``, valid against ``cls``, the references mapping ``cls``
+    calls for: ``NO_REFERENCES`` if it declares none, else a dict of its own."""
+    if not cls.references or obj._references is NO_REFERENCES:
+        _set_references(obj, {} if cls.references else NO_REFERENCES)
+
+
+def compile_kernel(label, source, namespace=None) -> dict:
+    """Run generated ``source`` in ``namespace`` plus ``_object`` and
+    ``NO_REFERENCES``, which it returns, as the file ``<evmigrate kernel
+    label>`` (numbered if another source has that name), registered with
+    ``linecache``: tracebacks show generated lines."""
+    namespace = {"_object": _object, "NO_REFERENCES": NO_REFERENCES, **(namespace or {})}
     lines, n, filename = source.splitlines(True), 1, f"<evmigrate kernel {label}>"
     while linecache.cache.setdefault(filename, (len(source), None, lines, filename))[2] != lines:
         n, filename = n + 1, f"<evmigrate kernel {label} #{n + 1}>"
@@ -308,8 +325,10 @@ class InstanceModel:
         self.__dict__.update(state)
         self.objects = MappingProxyType(self._objects)
         self._ref = ref = weakref.ref(self)
+        classes = self.schema.classes
         for obj in self._objects.values():
             _set_model(obj, ref)
+            _fit(obj, classes[obj.class_name])
 
     def __len__(self):
         return len(self._objects)
@@ -338,11 +357,12 @@ class InstanceModel:
                 self._check(obj, cls)
             finally:
                 del objects[obj_id]
+        _fit(obj, cls)
         return self._admit(obj)
 
     def new_object(self, class_name, obj_id) -> DynamicObject:
         """Create an object with all attributes UNSET and add it."""
-        return self.add(_object(obj_id, class_name, {}, {}))
+        return self.add(_object(obj_id, class_name, {}, NO_REFERENCES))
 
     def _admit(self, obj: DynamicObject) -> DynamicObject:
         """Insert, own and mark an object valid by construction (``add``
@@ -435,14 +455,9 @@ class InstanceModel:
 
     def _check(self, obj: DynamicObject, cls: MetaClass):
         """Check the values and targets of ``obj`` against ``cls``."""
-        attributes = cls.attributes
+        attributes, references, objects = cls.attributes, cls.references, self._objects
         for name, value in obj._attributes.items():
             _check_value(obj, attributes.get(name) or cls.attribute(name), value)
-        self.check_targets(obj, cls)
-
-    def check_targets(self, obj: DynamicObject, cls: MetaClass):
-        """Check every target of ``obj`` against the references of ``cls``."""
-        references, objects = cls.references, self._objects
         for name, value in obj._references.items():
             rdef = references.get(name) or cls.reference(name)
             if rdef.many is not (type(value) is tuple) or rdef.many and len(set(value)) < len(value):
@@ -508,6 +523,7 @@ def copy_model(model: InstanceModel) -> InstanceModel:
     out = InstanceModel(model.schema)
     objects, ref = out._objects, out._ref
     for obj_id, obj in model._objects.items():  # a valid model: nothing to check
-        objects[obj_id] = _object(obj_id, obj.class_name, obj._attributes.copy(),
-                                  obj._references.copy(), ref)  # tuples of ids are shared
+        references = obj._references  # tuples of ids are shared, and NO_REFERENCES
+        objects[obj_id] = _object(obj_id, obj.class_name, obj._attributes.copy(), references
+                                  if references is NO_REFERENCES else references.copy(), ref)
     return out

@@ -11,6 +11,7 @@ from evmigrate import (
     InstanceModel,
     MigrationError,
     ModelError,
+    SchemaError,
     copy_model,
     decode_log,
     decode_model,
@@ -684,7 +685,9 @@ class TestCanonicalModelFastPath:
         assert taken > 4000
 
     def test_a_feature_line_read_as_a_comment_is_not_canonical(self):
-        schema = load_schema("class A\n  attr #n int\n  attr m int\n")
+        with pytest.raises(SchemaError, match="line 2: feature '#n' of class A may not start with '#'"):
+            load_schema("class A\n  attr #n int\n  attr m int\n")
+        schema = load_schema("class A\n  attr m int\n")
         text = "obj a A\n  #n 5\n  m 6\n"
         assert _decode_model_canonical(text, schema) is None
         assert decode_model(text, schema).get("a").attributes == {"m": 6}

@@ -20,6 +20,7 @@ from evmigrate import (
     MetaModel,
     MigrationSession,
     ReferenceDef,
+    SchemaError,
     copy_model,
     decode_model,
     encode_model,
@@ -43,11 +44,11 @@ CODE = "x'+__import__('os').getpid()+'"
 
 
 def _features(k, targets):
-    """A string, an int, a one- and a many-reference (to ``targets``), a
-    feature named ``#x`` and one named like code; ``k`` varies the names."""
+    """A string, an int, a one- and a many-reference (to ``targets``) and
+    a feature named like code; ``k`` varies the names."""
     a, b, c = HOSTILE[k % 10], HOSTILE[(k + 3) % 10], HOSTILE[(k + 6) % 10]
     return ([AttributeDef(f"s{a}{b}{c}", "string"), AttributeDef(f"i{c}{b}{a}", "int"),
-             AttributeDef("#x", "int"), AttributeDef(CODE, "string")],
+             AttributeDef(CODE, "string")],
             [ReferenceDef(f"o{b}{a}", targets[0], False), ReferenceDef(f"m{c}{a}*", targets[1], True)])
 
 
@@ -80,14 +81,13 @@ def hostile_value(rng):
 
 def hostile_model(rng, schema, class_names, max_objects=12):
     """A random model of objects of ``class_names``, ids and string values
-    drawn from ``HOSTILE``: every feature set with probability 0.8 but
-    ``#x``, which a file would read back as a comment."""
+    drawn from ``HOSTILE``: every feature set with probability 0.8."""
     model = InstanceModel(schema)
     for k in range(rng.randint(0, max_objects)):
         cls = schema.classes[rng.choice(class_names)]
         obj = model.new_object(cls.name, f"{k}{rng.choice(HOSTILE)}{rng.choice(HOSTILE)}")
         for adef in cls.attributes.values():
-            if adef.name != "#x" and rng.random() < 0.8:
+            if rng.random() < 0.8:
                 model.set_attribute(obj, adef.name, rng.randint(-150, 150) if adef.kind == KIND_INT
                                     else hostile_value(rng))
     for obj in model.objects.values():
@@ -110,6 +110,13 @@ def check_codec(model):
 
 
 class TestHostileNames:
+    @pytest.mark.parametrize("feature", [AttributeDef("#x", "int"), ReferenceDef("#x", "A", False)],
+                             ids=["attribute", "reference"])
+    def test_a_feature_name_read_as_a_comment_is_refused(self, feature):
+        # its line in an instance file would read as a comment
+        with pytest.raises(SchemaError, match="feature '#x' of class A may not start with '#'"):
+            MetaClass("A").add(feature)
+
     @pytest.mark.parametrize("ybirth", [False, True], ids=["age", "ybirth"])
     def test_every_model_reads_back_and_its_text_unchanged(self, ybirth):
         schema = hostile_schema(f"hostile-{ybirth}", ybirth)
@@ -239,6 +246,18 @@ class TestResume:
         # a forward keeps the blocks read fast and renders the one read by lines
         migrate_forward(MigrationSession.create(pets_schema, pets_schema), model)
         assert encode_model(model) == _text(2000)
+
+    def test_a_repeated_target_resumes_at_its_object(self, pets_schema, monkeypatch):
+        # a build refuses a many-reference that repeats a target; the line
+        # reader reads that object and the rest, and adds the target once
+        text = _text(400).replace("  dogs d150\n", "  dogs d150\n  dogs d150\n", 1)
+        built = Counter()
+        patch_builds(monkeypatch, pets_schema, lambda obj_id, *rest: built.update([obj_id]) or _object(obj_id, *rest))
+        model = decode_model(text, pets_schema)
+        assert len(built) == 150 and "p149" in built and "p150" not in built
+        assert _outcome(lambda *_: model, text, pets_schema) == _outcome(_decode_model_lines, text, pets_schema)
+        assert model.get("p150").references == {"dogs": ("d150",)}
+        assert _decode_model_canonical(text, pets_schema) is None
 
     @pytest.mark.parametrize("edit", [
         lambda text: text + "  age x\n",                                   # a value error after

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from collections import Counter
 
@@ -28,6 +30,7 @@ from evmigrate import codec, commands
 from evmigrate import editor as editor_module
 from evmigrate.checks import random_model
 from evmigrate.commands import have_dog, have_person
+from evmigrate.metamodel import NO_REFERENCES
 from evmigrate.sync import SCENARIOS, TRANSCRIPT_LIMIT
 
 from conftest import data_text
@@ -628,6 +631,90 @@ class TestSyncCostsChangedObjectsOnly:
         assert editor.model.unseen("parse") is None
         editor.merge_all([have_person("p0", "Ann", 30)])
         assert editor.model.unseen("parse") is None
+
+
+class TestLeanSession:
+    """A session keeps each fact once: an editor maps back to its id only
+    an object registered under another id than its model key, objects of a
+    class that declares no reference share one empty mapping, and a store
+    whose every entry is unshipped keeps no second map of them."""
+
+    def test_only_a_renamed_object_is_mapped_back_to_its_id(self):
+        s = session_for("dog-no-age")
+        migrate_forward(s, decode_model(_bulk_text(2000), s.m1.schema))
+        assert s.m1._id_of_object == {} and s.m2._id_of_object == {}
+        apply_mutations(s.m2.model, "new Dog dog9\nset dog9 name Rex\n")
+        dog9 = s.m2.model.get("dog9")
+        migrate_backward(s)
+        assert s.m2._id_of_object == {dog9: "dog1"} and s.m2.registry["dog1"] is dog9
+        assert s.m1._id_of_object == {} and s.m1.model.get("dog1").attributes == {"name": "Rex"}
+        apply_mutations(s.m2.model, "set dog9 name Max\n")
+        migrate_backward(s)  # the second parse reuses the minted id
+        assert s.m2._id_of_object == {dog9: "dog1"} and s.m2.id_for(dog9) == "dog1"
+        assert s.m1.model.get("dog1").attributes == {"name": "Max"} and s.m1.model.get("dog2") is None
+
+    @staticmethod
+    def _classes(model):
+        persons = [obj for obj in model.objects.values() if obj.class_name == "Person"]
+        dogs = [obj for obj in model.objects.values() if obj.class_name == "Dog"]
+        return persons, dogs
+
+    @pytest.mark.parametrize("name", ["dog-no-age", "ybirth"])
+    def test_reference_less_objects_share_one_read_only_mapping(self, name):
+        s = session_for(name)
+        m1 = decode_model(_bulk_text(2000), s.m1.schema)
+        m2 = migrate_forward(s, m1)  # m2's persons are owner stubs: dogs run first
+        apply_mutations(s.m2.model, "new Person pn\nset pn name Nell\n")
+        migrate_backward(s)  # m1's runner builds person1
+        assert s.m1.model.get("person1").attributes["name"] == "Nell"
+        lines = decode_model("# not canonical\n" + _bulk_text(4), s.m1.schema)
+        added = InstanceModel(s.m1.schema).add(DynamicObject("p", "Person", references={}))
+        copied = copy_model(m2)
+        for model in (m1, m2, lines, copied):
+            persons, dogs = self._classes(model)
+            assert persons and all(person._references is NO_REFERENCES for person in persons)
+            assert dogs and all(type(dog._references) is dict for dog in dogs)
+            assert len({id(dog._references) for dog in dogs}) == len(dogs)
+        assert added._references is NO_REFERENCES
+        with pytest.raises(TypeError):
+            NO_REFERENCES["owner"] = "p0"
+        with pytest.raises(TypeError):
+            m2.get("p0").references["owner"] = "p0"
+        with pytest.raises(ModelError, match="no reference 'owner'"):
+            m2.set_reference(m2.get("p0"), "owner", "p1")
+        assert NO_REFERENCES == {} and model_equals(copied, m2)
+
+    def test_a_copy_and_a_pickle_keep_the_sharing_and_compare_equal(self):
+        s = session_for("ybirth")
+        m2 = migrate_forward(s, decode_model(_bulk_text(2000), s.m1.schema))
+        for clone in (copy.deepcopy(m2), pickle.loads(pickle.dumps(m2))):
+            assert model_equals(clone, m2)
+            persons, dogs = self._classes(clone)
+            assert all(person._references is NO_REFERENCES for person in persons)
+            assert all(type(dog._references) is dict for dog in dogs)
+            clone.set_reference(dogs[0], "owner", persons[1].id)  # a copy is writable as usual
+            assert dogs[0].references == {"owner": persons[1].id}
+
+    def test_a_parse_into_an_empty_store_keeps_one_map(self):
+        s = session_for("dog-no-age")
+        s.m1.adopt_model(decode_model(_bulk_text(2000), s.m1.schema))
+        store = s.m1.parse_model()
+        assert len(store) == 2000 and store._unshipped is store._entries
+        assert store.unshipped() is store
+
+    def test_a_reused_session_ships_back_only_what_the_forward_did_not_bring(self):
+        s = session_for("identity")
+        migrate_forward(s, decode_model(_bulk_text(40), s.m1.schema))
+        apply_mutations(s.m2.model, "new Dog extra\n")
+        migrate_backward(s)
+        m2_store = s.m2.store
+        assert m2_store._unshipped == {}
+        # a second forward, of a model without the minted dog: m2's store
+        # restarts all unshipped, then drops what m1 sent
+        migrate_forward(s, decode_model(_bulk_text(40), s.m1.schema))
+        assert m2_store._unshipped is not m2_store._entries
+        assert list(m2_store._unshipped) == ["dog1"] and m2_store.unshipped().snapshot() == {
+            "dog1": m2_store.get("dog1")}
 
 
 class TestSessionSetup:

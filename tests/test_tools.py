@@ -1,4 +1,5 @@
-"""The bytecode counter in tools/ counts the same on every run."""
+"""The bytecode counter in tools/ counts the same on every run, and
+measures the same retained session bytes."""
 
 import importlib.util
 from pathlib import Path
@@ -30,6 +31,7 @@ def test_a_bulk_churn_sync_counts_the_same_twice(tool):
     first, second = (tool.count_bulk_churn(seed=1, sync_number=2, size=200) for _ in range(2))
     assert first.layers == second.layers and first.functions == second.functions
     assert first.layers["editor.merge_all"] > 0 and first.layers["codec.encode_model"] > 0
+    assert first.retained == second.retained > 0
 
 
 def test_a_bulk_forward_counts_the_same_twice(tool, capsys):
@@ -38,7 +40,14 @@ def test_a_bulk_forward_counts_the_same_twice(tool, capsys):
     assert first.layers["sync.migrate_forward"] > 0 and first.layers["codec.decode_model"] > 0
     # m1 is valid by construction: the forward does not validate it
     assert first.layers["metamodel.validate"] == 0 and first.functions["evmigrate.codec.keep_blocks"]
+    assert first.retained == second.retained > 0
     assert tool.report("f", first, 5) == tool.report("f", second, 5)
+    assert tool.report("f", first, 0)[-1].split() == ["session", "retains", "(bytes)", str(first.retained)]
+
+
+def test_retained_bytes_are_what_the_result_holds(tool):
+    # 1,000 bare objects of 16 bytes each, and a list of 1,000 pointers
+    assert 1000 * (16 + 8) <= tool.retained_bytes(lambda: [object() for _ in range(1000)]) < 1000 * 64
 
 
 def test_the_report_lists_layers_then_functions(tool):

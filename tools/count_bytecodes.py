@@ -16,7 +16,11 @@ decode, forward and encode of m2, as perfbench times a forward).
 
 A count is the number of ``opcode`` trace events (``sys.settrace`` with
 ``frame.f_trace_opcodes``), so it does not depend on the machine's speed:
-two runs of one tree print the same output.  Each bytecode is charged to
+two runs of one tree print the same output.  For the two bulk operations
+the report also gives the bytes the session retains afterwards: what
+``tracemalloc`` traces while the session is alive, less what it still
+traces once the session is dropped, each after ``gc.collect()``, in a
+separate pass without the bytecode trace.  Each bytecode is charged to
 the innermost layer on the call stack (the layers are the functions
 perfbench's ``--trace 1`` times), or to ``bench`` outside every layer, and
 to the function executing it: a generated kernel is listed under its
@@ -31,6 +35,7 @@ from __future__ import annotations
 import argparse
 import gc
 import sys
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -81,6 +86,8 @@ class Count:
     def __init__(self):
         self.layers: Counter[str] = Counter()
         self.functions: Counter[str] = Counter()
+        #: bytes the session retains after the operation, if measured
+        self.retained: int | None = None
 
     @property
     def total(self):
@@ -148,17 +155,32 @@ def count_tiny() -> Count:
     return count
 
 
-def count_bulk_churn(seed, sync_number, size=20_000) -> Count:
-    """Count the ``sync_number``-th sync after one forward, as perfbench's
-    ``bulk-churn`` runs them; every output is checked, untraced."""
-    work = workloads.BulkWorkload(seed, "ybirth", size, churn=True)
+def retained_bytes(build) -> int:
+    """The bytes ``build()``'s result holds: traced while it is alive, less
+    those still traced once it is dropped, each after ``gc.collect()``."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        kept = build()
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+        del kept
+        gc.collect()
+        return held - tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+
+
+def churn_session(work, sync_number, count=None):
+    """A session after one forward and ``sync_number`` syncs of ``work``,
+    as perfbench's ``bulk-churn`` runs them, the last counted into
+    ``count`` if given; every output is checked, untraced."""
     scenario = evmigrate.SCENARIOS["ybirth"]
     session = evmigrate.MigrationSession.create(
         scenario.m1_schema, scenario.m2_schema, workloads.REFERENCE_YEAR
     )
     model = evmigrate.decode_model(work.input_text, scenario.m1_schema)
     work.check_forward(evmigrate.encode_model(evmigrate.migrate_forward(session, model)))
-    count = Count()
     for number in range(1, sync_number + 1):
         script = work.next_script()
 
@@ -166,13 +188,26 @@ def count_bulk_churn(seed, sync_number, size=20_000) -> Count:
             evmigrate.apply_mutations(session.m2.model, script)
             return evmigrate.encode_model(evmigrate.migrate_backward(session))
 
-        work.check_backward(count.run(backward) if number == sync_number else backward())
+        counted = count is not None and number == sync_number
+        work.check_backward(count.run(backward) if counted else backward())
+    return session
+
+
+def count_bulk_churn(seed, sync_number, size=20_000) -> Count:
+    """Count the ``sync_number``-th sync after one forward, then measure
+    what the session retains after it, in a second session of a second,
+    equal workload (the first's mutation stream is spent)."""
+    count = Count()
+    churn_session(workloads.BulkWorkload(seed, "ybirth", size, churn=True), sync_number, count)
+    work = workloads.BulkWorkload(seed, "ybirth", size, churn=True)
+    count.retained = retained_bytes(lambda: churn_session(work, sync_number))
     return count
 
 
 def count_bulk_forward(seed, size=2_000) -> Count:
     """Count one forward of perfbench's ``bulk-1edit`` workload in a fresh
-    session, after one untraced forward; both outputs are checked."""
+    session, after one untraced forward, then measure what a third such
+    session retains; every output is checked."""
     work = workloads.BulkWorkload(seed, "dog-no-age", size, churn=False)
     scenario = evmigrate.SCENARIOS["dog-no-age"]
 
@@ -185,9 +220,15 @@ def count_bulk_forward(seed, size=2_000) -> Count:
             scenario.m1_schema, scenario.m2_schema, workloads.REFERENCE_YEAR
         )
 
-    work.check_forward(forward(session()))
+    def forwarded():
+        fresh = session()
+        work.check_forward(forward(fresh))
+        return fresh
+
+    forwarded()
     count, counted = Count(), session()
     work.check_forward(count.run(lambda: forward(counted)))
+    count.retained = retained_bytes(forwarded)
     return count
 
 
@@ -197,6 +238,8 @@ def report(title, count: Count, functions) -> list[str]:
         if count.layers[name]:
             lines.append(f"  {name:<28} {count.layers[name]:>10}")
     lines.append(f"  {'total':<28} {count.total:>10}")
+    if count.retained is not None:
+        lines.append(f"  {'session retains (bytes)':<28} {count.retained:>10}")
     if functions:
         lines.append(f"  {'function (own bytecodes)':<54} {'bytecodes':>10}")
         # ties broken by name, so the listing is the same on every run
