@@ -27,12 +27,11 @@ from __future__ import annotations
 
 import re
 from array import array
-from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import islice
 from operator import attrgetter
 
-from .commands import _OWNED_KINDS, SPECS, Command, _id_of, _trusted, check_reference_year
+from .commands import _OWNED_KINDS, SPECS, Command, _Checked, _id_of, _trusted, check_reference_year
 from .editor import EventStore
 from .errors import FormatError, MigrationError
 from .metamodel import (
@@ -49,11 +48,33 @@ FORMAT_VERSION = 1
 _NL = "\n"  # a line end inside a replacement field, where no backslash may go
 
 
-@dataclass
 class CommandLogDocument:
-    format_version: int
-    reference_year: int
-    commands: list[Command]
+    """A decoded log: its headers and its commands, in wire order.
+
+    ``entries`` holds the commands as the reader built them, which is what
+    a ship merges: the fast reader's exact tuples (``commands._Checked``)
+    or the line reader's ``Command``s.  ``commands`` is a list of
+    ``Command``s, built from exact tuples at its first read."""
+
+    def __init__(self, format_version: int, reference_year: int, commands):
+        self.format_version = format_version
+        self.reference_year = reference_year
+        self.entries = commands
+
+    @cached_property
+    def commands(self) -> list[Command]:
+        entries = self.entries
+        return list(map(_trusted, entries)) if type(entries) is _Checked else entries
+
+    def __eq__(self, other):
+        if not isinstance(other, CommandLogDocument):
+            return NotImplemented
+        return (self.format_version, self.reference_year, self.commands) == (
+            other.format_version, other.reference_year, other.commands)
+
+    def __repr__(self):
+        return (f"CommandLogDocument(format_version={self.format_version!r}, "
+                f"reference_year={self.reference_year!r}, commands={self.commands!r})")
 
 
 def _parse_int(text, lineno, what):
@@ -69,7 +90,7 @@ def _parse_int(text, lineno, what):
 def encode_log(store: EventStore, reference_year) -> str:
     """Canonical text for an event store; stable across calls."""
     out = [f"format: {FORMAT_VERSION}\nreferenceYear: {reference_year}\ncommands:\n"]
-    for kind, obj_id, name, age, owner_id in store.commands():
+    for kind, obj_id, name, age, owner_id in store._ordered():
         # an empty name leaves no trailing blank: the wire trims values anyway
         out.append(
             f"  - command: {kind}\n    id: {obj_id}\n"
@@ -117,14 +138,15 @@ def _decode_canonical(text) -> CommandLogDocument | None:
 
     The pattern admits only what ``Command`` checks (a known kind, a
     non-empty id, no line break, ownerId only where allowed), so the
-    commands are built unchecked."""
+    commands are kept as the exact tuples of their fields, a ``_Checked``
+    batch, and no ``Command`` is built."""
     head = _CANONICAL_HEAD.match(text)
     if head is None:
         return None
     pos = head.end()
     end = len(text)
     match_block = _CANONICAL_BLOCK.match
-    cmds: list[Command] = []
+    cmds: list[tuple] = []
     try:
         while pos < end:
             block = match_block(text, pos)
@@ -132,11 +154,11 @@ def _decode_canonical(text) -> CommandLogDocument | None:
                 return None
             pos = block.end()
             kind, _, obj_id, owner_id, name, empty, age = block.groups()
-            cmds.append(_trusted((_KIND[kind], obj_id, empty if name is None else name,
-                                  None if age is None else int(age, 10), owner_id)))
+            cmds.append((_KIND[kind], obj_id, empty if name is None else name,
+                         None if age is None else int(age, 10), owner_id))
         if len(set(map(_id_of, cmds))) != len(cmds):
             return None
-        return CommandLogDocument(FORMAT_VERSION, int(head[1], 10), cmds)
+        return CommandLogDocument(FORMAT_VERSION, int(head[1], 10), _Checked(cmds))
     except ValueError:  # int() refuses too many digits
         return None
 

@@ -4,8 +4,13 @@ Each editor executes both commands against its own schema, through a
 runner per kind generated for the schema at the kind's first run
 (``bind``).  A command field left None is UNSET: its write is skipped (it
 never clears a value).  A command is checked where it is built
-(``Command``); only the fast log reader and an editor's parse build one
-unchecked, from fields valid by construction.
+(``Command``).  Two producers build the exact tuple of a command's
+fields unchecked, from fields valid by construction: the fast log reader
+(``codec._decode_canonical``, as a ``_Checked`` batch) and an editor's
+parse (``Editor._parse``).  Such tuples go into an event store as they
+are, which keeps exact tuples only, so the cyclic collector can stop
+scanning them; they leave it as ``Command``s, and ``run`` refuses any
+tuple that is not one.
 """
 
 from __future__ import annotations
@@ -50,12 +55,12 @@ def check_reference_year(year):
 
 
 class Command(namedtuple("Command", ("kind", "id", "name", "age", "owner_id"))):
-    """Immutable edit operation; the unit of storage, exchange and replay.
+    """Immutable edit operation; the unit of exchange and replay.
 
     A tuple of five atoms.  Every public way to build one (the call,
     ``_make``, ``_replace``, pickle, ``copy``) runs ``__new__``'s checks;
-    only ``_trusted`` skips them, for ``codec._decode_canonical`` and
-    ``Editor._parse``, whose fields are valid by construction."""
+    only ``_trusted`` skips them, to hand out the exact tuples an event
+    store keeps, which a checked producer built."""
 
     __slots__ = ()
 
@@ -89,6 +94,14 @@ class Command(namedtuple("Command", ("kind", "id", "name", "age", "owner_id"))):
 
 #: ``Command`` without its checks: ``_trusted((kind, id, name, age, owner_id))``
 _trusted = partial(tuple.__new__, Command)
+
+
+class _Checked(tuple):
+    """Exact tuples in ``Command`` field order, each as valid as a
+    ``Command``: the fast log reader's output, which ``Editor.merge_all``
+    runs and stores as it is."""
+
+    __slots__ = ()
 
 
 def have_person(obj_id, name=None, age=None) -> Command:

@@ -16,6 +16,7 @@ from .commands import (
     KIND_OF_CLASS,
     SPECS,
     Command,
+    _Checked,
     _trusted,
     bind,
     canonical_order,
@@ -59,17 +60,24 @@ class EventStore:
     needs no other entry; by the commutativity law it may apply them in
     any order.  While every entry is unshipped (a new store, and after
     ``mark_unshipped``) the unshipped map is the entries' own, not a copy.
+
+    An entry is the exact tuple of a command's fields, in ``Command``
+    field order, never a ``Command``: the cyclic collector untracks an
+    exact tuple of atoms, but would scan a tuple subclass in every
+    collection for as long as the store lives.  Entries leave the store as
+    ``Command``s: ``get``, iteration, ``commands`` and ``snapshot`` wrap
+    each one, unchecked, as it was checked on its way in.
     """
 
     def __init__(self):
-        self._entries: dict[str, Command] = {}
+        self._entries: dict[str, tuple] = {}
         self._unshipped = self._entries  # entries the peer lacks
 
     def __len__(self):
         return len(self._entries)
 
     def __iter__(self):
-        return iter(self._entries.values())
+        return map(_trusted, self._entries.values())
 
     def __eq__(self, other):
         if not isinstance(other, EventStore):
@@ -77,31 +85,41 @@ class EventStore:
         return self._entries == other._entries
 
     def get(self, obj_id) -> Command | None:
-        return self._entries.get(obj_id)
+        fields = self._entries.get(obj_id)
+        return None if fields is None else _trusted(fields)
 
     def put(self, cmd: Command):
         """Insert or replace the entry for ``cmd.id``, to be shipped."""
-        self._entries[cmd.id] = cmd
-        self._unshipped[cmd.id] = cmd
+        self._put(cmd.id, tuple(cmd))  # a plain tuple has no id: it is no command
+
+    def _put(self, obj_id, fields: tuple):
+        """``put`` for the exact tuple of a command's fields, as a parse builds it."""
+        self._entries[obj_id] = self._unshipped[obj_id] = fields
 
     def put_received(self, *cmds: Command):
         """Insert or replace the entry for each ``cmd.id`` with a command
-        the peer sent, so it already holds it: the id no longer ships."""
+        the peer sent, so it already holds it: the id no longer ships.
+        Each is a ``Command``, or the exact tuple of one's fields that a
+        checked reader built (``Editor.merge_all``)."""
         entries, unshipped = self._entries, self._unshipped
         if unshipped is entries:  # every entry so far, less those received below
             unshipped = self._unshipped = dict(entries)
         for cmd in cmds:
-            entries[cmd[1]] = cmd
+            entries[cmd[1]] = tuple(cmd)
         if unshipped:
             for cmd in cmds:
                 unshipped.pop(cmd[1], None)
 
     def commands(self) -> list[Command]:
         """Snapshot in canonical (kind, id) order, sorted on each call."""
+        return list(map(_trusted, self._ordered()))
+
+    def _ordered(self) -> list[tuple]:
+        """The entries in canonical (kind, id) order, as they are kept."""
         return canonical_order(self._entries.values())
 
     def snapshot(self) -> dict[str, Command]:
-        return dict(self._entries)
+        return dict(zip(self._entries, map(_trusted, self._entries.values())))
 
     def unshipped(self) -> EventStore:
         """The entries the peer has not seen, as a store to read: this
@@ -205,23 +223,30 @@ class Editor:
         key per command).  The commands come from the peer, so those that
         ran are stored with ``put_received``: each replaces any unshipped
         entry for its id.  The first failing command aborts the merge.
+        ``incoming`` holds ``Command``s, or is the fast log reader's
+        ``_Checked`` batch, whose exact tuples run and are stored as they
+        are; each goes straight to its kind's runner.
 
         A merge into an empty editor (the forward's, into m2) builds each
         object from its own command alone.  If the schema holds every
         field a command carries and no owner stub lacks its own command,
         each object derives its stored command again, so the parse starts
         tracking here and the first backward visits only what changed."""
-        store, model = self.store, self.model
+        store, model, bindings = self.store, self.model, self.bindings
+        checked = type(incoming) is _Checked
         ordered = merge_order(incoming)
         first = not (store or model.objects or self.registry) and _holds_every_field(self.schema)
         ran = 0
         try:
             for cmd in ordered:
-                _commands.run(cmd, self)
+                binding = bindings[cmd[0] if checked else cmd.kind]  # a plain tuple has no kind
+                if binding is None:  # the schema lacks its class: ``run`` refuses it
+                    _commands.run(_trusted(cmd), self)
+                binding[5](cmd, self)
                 ran += 1
         except MigrationError as e:
             raise MergeError(
-                f"merge failed on {cmd.kind} id={cmd.id!r}: {e}", command=cmd
+                f"merge failed on {cmd[0]} id={cmd[1]!r}: {e}", command=_trusted(cmd)
             ) from e
         finally:
             store.put_received(*ordered[:ran])
@@ -287,27 +312,27 @@ class Editor:
         for kind, bucket in buckets.items():
             runs = bucket and all(self.bindings[kind][2:4])  # has age, has ybirth
             for obj in bucket:
-                cmd, changed = self._parse(obj, kind)
+                fields, changed = self._parse(obj, kind)
                 if changed:
                     if runs:
-                        _commands.run(cmd, self)
-                    store.put(cmd)
+                        _commands.run(_trusted(fields), self)
+                    store._put(fields[1], fields)
         if track:  # the runs above re-marked what they wrote; it derives its stored command
             model.seen(PARSE)
         return store
 
-    def _parse(self, obj: DynamicObject, kind) -> tuple[Command, bool]:
-        """The command that reproduces ``obj``, and whether it differs
-        from the stored one (an unchanged object yields the stored command
-        itself).
+    def _parse(self, obj: DynamicObject, kind) -> tuple[tuple, bool]:
+        """The fields of the command that reproduces ``obj``, as an exact
+        tuple in ``Command`` field order, and whether they differ from the
+        stored entry (an unchanged object yields the stored entry itself).
 
         The age comes from ``age``, else from ``referenceYear - ybirth``;
         when both are set and disagree, from ``ybirth`` if only it differs
         from the stored command.  When the schema declares neither, the
         age is recovered from the command that produced this object, if
-        there is one.  The command is built unchecked: the model checked
-        every value and target it holds, and its ids come from the model
-        or from ``id_for``."""
+        there is one.  The fields are not checked: the model checked every
+        value and target it holds, and its ids come from the model or from
+        ``id_for``."""
         _, has_name, has_age, has_ybirth, owner_ref, _ = self.bindings[kind]
         obj_id = obj.id if self.registry.get(obj.id) is obj else self.id_for(obj)
         old = self.store._entries.get(obj_id)
@@ -341,4 +366,4 @@ class Editor:
         fields = (kind, obj_id, name, age, owner_id)
         if fields == old:
             return old, False
-        return _trusted(fields), True
+        return fields, True

@@ -23,6 +23,7 @@ redo only the changed ones.
 
 from __future__ import annotations
 
+import itertools
 import linecache
 import weakref
 from dataclasses import dataclass
@@ -268,16 +269,29 @@ def _fit(obj: DynamicObject, cls: MetaClass):
         _set_references(obj, {} if cls.references else NO_REFERENCES)
 
 
+#: the numbers of kernel file names whose label another kernel holds
+_serials = itertools.count(2)
+
+
 def compile_kernel(label, source, namespace=None) -> dict:
     """Run generated ``source`` in ``namespace`` plus ``_object`` and
     ``NO_REFERENCES``, which it returns, as the file ``<evmigrate kernel
-    label>`` (numbered if another source has that name), registered with
-    ``linecache``: tracebacks show generated lines."""
+    label>``, or ``<evmigrate kernel label #n>`` with a new ``n`` while
+    another source holds that name (a fresh import of this module starts
+    its count again, so a number may be taken too).  The source is
+    registered with ``linecache`` (tracebacks show generated lines) until
+    the kernel's functions are freed."""
     namespace = {"_object": _object, "NO_REFERENCES": NO_REFERENCES, **(namespace or {})}
-    lines, n, filename = source.splitlines(True), 1, f"<evmigrate kernel {label}>"
-    while linecache.cache.setdefault(filename, (len(source), None, lines, filename))[2] != lines:
-        n, filename = n + 1, f"<evmigrate kernel {label} #{n + 1}>"
+    filename = f"<evmigrate kernel {label}>"
+    while filename in linecache.cache:
+        filename = f"<evmigrate kernel {label} #{next(_serials)}>"
+    linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
     exec(compile(source, filename, "exec"), namespace)
+    # The generated functions and their namespace refer to each other, so
+    # the cyclic collector frees them together.  The finalizer holds
+    # nothing of this module, which a fresh import can then free at once.
+    kernel = next(f for f in namespace.values() if getattr(f, "__globals__", None) is namespace)
+    weakref.finalize(kernel, linecache.cache.pop, filename, None)
     return namespace
 
 

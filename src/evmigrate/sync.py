@@ -133,7 +133,7 @@ def _ship(session: MigrationSession, sender: Editor, receiver: Editor) -> str:
             f"log uses reference year {doc.reference_year}, "
             f"receiver expects {receiver.reference_year}"
         )
-    receiver.merge_all(doc.commands)
+    receiver.merge_all(doc.entries)
     sender.store.mark_shipped()
     session.transcripts.append(text)
     return text

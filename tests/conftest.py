@@ -77,6 +77,19 @@ def patch_builds(monkeypatch, schema, make_object):
         monkeypatch.setitem(build.__globals__, "_object", make_object)
 
 
+def spy_runs(monkeypatch, editor, record):
+    """Call ``record(cmd, editor)`` before each command ``editor`` runs.
+    ``commands.run`` (``execute``, a parse) and a merge both call the
+    kind's runner in ``editor.bindings``, which is replaced by a spy."""
+    bindings = editor.bindings
+
+    def spied(kind):
+        return lambda cmd, ed: record(cmd, ed) or bindings[kind][5](cmd, ed)
+
+    monkeypatch.setattr(editor, "bindings", {
+        kind: binding and (*binding[:5], spied(kind)) for kind, binding in bindings.items()})
+
+
 def parsed(editor, obj):
     """The command ``editor.parse_model`` derives for ``obj``, from the store."""
     editor.parse_model()

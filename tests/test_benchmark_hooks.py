@@ -13,7 +13,7 @@ from evmigrate.commands import Command
 from evmigrate.editor import Editor
 from evmigrate.metamodel import InstanceModel
 
-from conftest import data_text
+from conftest import data_text, spy_runs
 
 
 @pytest.mark.parametrize(
@@ -48,12 +48,14 @@ def test_run_is_looked_up_at_call_time(monkeypatch):
         return original(cmd, editor)
 
     monkeypatch.setattr(commands, "run", counting_run)
-    session = evmigrate.MigrationSession.for_scenario("ybirth")
-    model = evmigrate.decode_model(data_text("pets.inst"), session.m1.schema)
-    evmigrate.migrate_forward(session, model)
-    # m2 executed every command once while merging; m1's parse would only
-    # write back what it read, so it ran none
-    assert len(calls) == len(session.m2.store) == len(session.m1.store) == 2
+    # a merge calls each kind's runner itself; ``execute`` and a parse
+    # that must write a changed command back go through ``commands.run``
+    editor = Editor(evmigrate.load_schema("class Person\n  attr age int\n  attr ybirth int\n"))
+    editor.execute(evmigrate.have_person("p1", age=30))
+    editor.model.set_attribute(editor.model.get("p1"), "age", 31)
+    editor.parse_model()  # the run writes ybirth from the edited age
+    assert calls == [evmigrate.have_person("p1", age=30), evmigrate.have_person("p1", age=31)]
+    assert editor.model.get("p1").attributes["ybirth"] == 2020 - 31
 
 
 def test_rename_backward_ships_and_runs_one_command(monkeypatch):
@@ -62,24 +64,22 @@ def test_rename_backward_ships_and_runs_one_command(monkeypatch):
     evmigrate.migrate_forward(session, model)
     evmigrate.apply_mutations(session.m2.model, "set d1 name Odie\n")
     runs, decoded = [], []
-    original_run, original_decode = commands.run, sync.decode_log
-
-    def counting_run(cmd, editor):
-        runs.append(cmd)
-        return original_run(cmd, editor)
+    original_decode = sync.decode_log
 
     def recording_decode(text):
         doc = original_decode(text)
         decoded.append(doc.commands)
         return doc
 
-    monkeypatch.setattr(commands, "run", counting_run)
+    for editor in (session.m1, session.m2):
+        spy_runs(monkeypatch, editor, lambda cmd, editor: runs.append((editor, cmd)))
     monkeypatch.setattr(sync, "decode_log", recording_decode)
     evmigrate.migrate_backward(session)
     renamed = evmigrate.have_dog("d1", owner_id="p1", name="Odie", age=4)
     assert decoded == [[renamed]]
-    # m1 ran it while merging; m2's parse and the unchanged person ran nowhere
-    assert runs == [renamed]
+    # m1 ran it while merging, as the reader's exact tuple; m2's parse and
+    # the unchanged person ran nowhere
+    assert runs == [(session.m1, renamed)] and type(runs[0][1]) is tuple
 
 
 def test_parse_model_yields_every_stored_command():

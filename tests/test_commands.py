@@ -224,12 +224,13 @@ class TestCommandTuple:
             self.CMD.name = "Odie"
 
     def test_a_stored_command_holds_only_atoms(self):
-        # so no command can be part of a reference cycle.  CPython still
-        # tracks it: its collector only untracks exact tuples.
+        # so no command can be part of a reference cycle.  The store keeps
+        # the exact tuple of its fields, which CPython's collector untracks
+        # (it never untracks a tuple subclass), and ``get`` wraps it.
         editor = Editor(load_schema("class Dog\n  attr name string\n  attr age int\n"))
         editor.execute(self.CMD)
         stored = editor.store.get("d1")
-        assert stored == self.CMD
+        assert stored == self.CMD and type(editor.store._entries["d1"]) is tuple
         referents = [r for r in gc.get_referents(stored) if r is not Command]
         assert {type(r) for r in referents} <= {str, int, type(None)}
         assert len(referents) == 5

@@ -207,7 +207,7 @@ class TestParseModel:
         base_editor.adopt_model(decode_model(data_text("pets.inst"), base_schema))
         base_editor.parse_model()
         base_editor.store.mark_shipped()
-        person = base_editor.store.get("p1")
+        person = base_editor.store._entries["p1"]
         runs = []
         original = commands.run
         monkeypatch.setattr(commands, "run", lambda cmd, ed: runs.append(cmd) or original(cmd, ed))
@@ -216,7 +216,7 @@ class TestParseModel:
         renamed = have_dog("d1", owner_id="p1", name="Odie", age=4)
         assert runs == []  # it would write back what it was read from
         assert base_editor.store.unshipped().snapshot() == {"d1": renamed}
-        assert base_editor.store.get("p1") is person
+        assert base_editor.store._entries["p1"] is person  # the entry itself, not put again
         assert cmds.commands() == [person, renamed]  # still the whole store
 
     def test_object_put_in_past_add_is_refused(self, base_editor, base_schema):

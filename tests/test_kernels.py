@@ -4,6 +4,7 @@ identifiers, or that look like Python, must reach it as data only."""
 
 import os
 import random
+import re
 import subprocess
 import sys
 import traceback
@@ -195,10 +196,33 @@ class TestGeneratedCode:
         assert frame.line == "values, references = obj._attributes, obj._references"
 
     def test_a_label_naming_another_source_gets_a_number(self):
-        one = MetaModel("same", [MetaClass("A", [AttributeDef("x", "int")])])
-        other = MetaModel("same", [MetaClass("A", [AttributeDef("y", "int")])])
-        names = {codec._kernels(schema)[2]["A"].__code__.co_filename for schema in (one, other)}
-        assert names == {"<evmigrate kernel same.A>", "<evmigrate kernel same.A #2>"}
+        schemas = [MetaModel("same", [MetaClass("A", [AttributeDef(name, "int")])]) for name in "xyy"]
+        names = [codec._kernels(schema)[2]["A"].__code__.co_filename for schema in schemas]
+        # each is numbered from one counter, without probing the names taken
+        assert names[0] == "<evmigrate kernel same.A>"
+        assert all(re.fullmatch(r"<evmigrate kernel same\.A #[0-9]+>", name) for name in names[1:])
+        assert len(set(names)) == 3
+
+    def test_a_freed_kernel_leaves_no_source_behind(self):
+        # 200 schemas through both caches (64 schemas each): the sources
+        # of evicted kernels go with them
+        src = Path(codec.__file__).resolve().parent.parent
+        script = (
+            "import gc, linecache\n"
+            "from evmigrate import Editor, MetaModel, MetaClass, AttributeDef, codec, commands, have_person\n"
+            "for n in range(200):\n"
+            "    schema = MetaModel('s', [MetaClass('Person', [AttributeDef(f'a{n}', 'int')])])\n"
+            "    codec._kernels(schema)\n"
+            "    Editor(schema).execute(have_person('p1'))\n"
+            "gc.collect()\n"
+            "print(sum(f.startswith('<evmigrate kernel') for f in linecache.cache),"
+            " codec._kernels.cache_info().currsize, commands.bind.cache_info().currsize)\n"
+        )
+        out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, check=True,
+                             env={**os.environ, "PYTHONPATH": str(src)}).stdout.split()
+        sources, codecs, bindings = map(int, out)
+        # one codec kernel and one Person runner per cached schema
+        assert codecs == bindings == 64 and sources <= codecs + bindings
 
 
 def _text(size):

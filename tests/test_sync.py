@@ -1,4 +1,5 @@
 import copy
+import gc
 import pickle
 import random
 from collections import Counter
@@ -8,9 +9,12 @@ import pytest
 from evmigrate import (
     AttributeDef,
     DynamicObject,
+    Command,
     Editor,
+    EventStore,
     FormatError,
     InstanceModel,
+    MergeError,
     MetaClass,
     MetaModel,
     MigrationError,
@@ -19,21 +23,23 @@ from evmigrate import (
     ReferenceDef,
     apply_mutations,
     copy_model,
+    decode_log,
     decode_model,
+    encode_log,
     encode_model,
     load_schema,
     migrate_backward,
     migrate_forward,
     model_equals,
 )
-from evmigrate import codec, commands
+from evmigrate import codec
 from evmigrate import editor as editor_module
 from evmigrate.checks import random_model
 from evmigrate.commands import have_dog, have_person
 from evmigrate.metamodel import NO_REFERENCES
 from evmigrate.sync import SCENARIOS, TRANSCRIPT_LIMIT
 
-from conftest import data_text
+from conftest import count_checked_commands, data_text, spy_runs
 
 
 def pets_model(schema):
@@ -563,8 +569,8 @@ class TestSyncCostsChangedObjectsOnly:
         s = session_for("dog-no-age")
         m1 = decode_model(_bulk_text(LARGE), s.m1.schema)
         runs = []
-        original = commands.run
-        monkeypatch.setattr(commands, "run", lambda cmd, editor: runs.append(editor) or original(cmd, editor))
+        for editor in (s.m1, s.m2):
+            spy_runs(monkeypatch, editor, lambda cmd, editor: runs.append(editor))
         migrate_forward(s, m1)
         assert runs == [s.m2] * LARGE
 
@@ -761,3 +767,84 @@ class TestNoCheckLost:
         with pytest.raises(ModelError, match="line break"):
             ed._parse(d1, "HaveDog")  # the owner would need a minted id: "own\ner1"
         assert not ed.store and list(ed.registry) == ["dog1"]
+
+
+def _churn_script(rng, size):
+    """A bulk-churn-style script: a tenth of the objects renamed or given a
+    new ybirth, and ten new dogs, each with a name, an age and an owner."""
+    lines = []
+    for i in rng.sample(range(size), size // 10):
+        obj_id = f"p{i}" if i < size // 2 else f"d{i - size // 2}"
+        if obj_id[0] == "p" and rng.random() < 0.5:
+            lines.append(f"set {obj_id} ybirth {2020 - rng.randint(1, 99)}")
+        else:
+            lines.append(f"set {obj_id} name N{rng.randint(0, 999)}")
+    for k in range(10):
+        lines += [f"new Dog n{k}", f"set n{k} name New{k}", f"set n{k} age {k}",
+                  f"link n{k} owner p{rng.randrange(size // 2)}"]
+    return "\n".join(lines) + "\n"
+
+
+class TestStoreKeepsExactTuples:
+    """Every store entry is an exact tuple, so the cyclic collector stops
+    scanning it; every public way out of a store, and out of a decoded log,
+    is a ``Command``."""
+
+    SIZE = 2000
+
+    def _synced(self):
+        """A 2,000-object ybirth session after a forward and one churn backward."""
+        s = session_for("ybirth")
+        migrate_forward(s, decode_model(_bulk_text(self.SIZE), s.m1.schema))
+        apply_mutations(s.m2.model, _churn_script(random.Random(16), self.SIZE))
+        migrate_backward(s)
+        return s
+
+    def test_every_entry_is_an_exact_tuple_the_collector_untracks(self):
+        s = self._synced()
+        gc.collect()
+        for store in (s.m1.store, s.m2.store):
+            assert len(store) == self.SIZE + 10
+            entries = list(store._entries.values())
+            assert {type(e) for e in entries} == {tuple}
+            assert not any(map(gc.is_tracked, entries))
+
+    def test_entries_leave_the_store_as_commands(self):
+        s = self._synced()
+        for store in (s.m1.store, s.m2.store):
+            assert type(store.get("d7")) is Command and store.get("nobody") is None
+            assert {type(c) for c in store} == {type(c) for c in store.commands()} == {Command}
+            assert {type(c) for c in store.snapshot().values()} == {Command}
+            assert store.snapshot() == store._entries and list(store) == list(store._entries.values())
+        doc = decode_log(s.transcripts[-1])
+        assert type(doc.entries[0]) is tuple and {type(c) for c in doc.commands} == {Command}
+        assert doc.commands is doc.commands  # built once, at the first read
+
+    def test_the_stores_equal_those_of_the_checked_path(self, monkeypatch):
+        s = self._synced()
+        with monkeypatch.context() as patch:  # every log through the line reader: checked commands
+            patch.setattr(codec, "_decode_canonical", lambda text: None)
+            checked = self._synced()
+        assert list(checked.transcripts) == list(s.transcripts)
+        assert s.m1.store == checked.m1.store and s.m2.store == checked.m2.store
+        assert model_equals(s.m1.model, checked.m1.model) and model_equals(s.m2.model, checked.m2.model)
+        gc.collect()  # the checked path stores ``tuple(cmd)`` of its commands
+        assert {type(e) for e in checked.m1.store._entries.values()} == {tuple}
+        assert not any(map(gc.is_tracked, checked.m2.store._entries.values()))
+
+    def test_a_non_canonical_log_decodes_to_checked_commands(self, monkeypatch):
+        text = self._synced().transcripts[-1].replace("\n", "\r\n")
+        built = count_checked_commands(monkeypatch)
+        doc = decode_log(text)
+        assert len(built) == len(doc.commands) > 0 and {type(c) for c in doc.commands} == {Command}
+        assert doc.entries is doc.commands
+
+    def test_a_failed_merge_of_read_tuples_names_a_command(self):
+        store = EventStore()
+        store.put(have_person("p1"))
+        store.put(have_dog("d1", owner_id="p1"))
+        text = encode_log(store, 2020)
+        editor = Editor(load_schema("class Person\n  attr name string\n"))
+        with pytest.raises(MergeError, match="schema declares no Dog class") as exc:
+            editor.merge_all(decode_log(text).entries)
+        assert type(exc.value.command) is Command and exc.value.command == have_dog("d1", owner_id="p1")

@@ -21,9 +21,10 @@ def test_a_tiny_cycle_counts_the_same_twice(tool):
     first, second = tool.count_tiny(), tool.count_tiny()
     assert first.layers == second.layers and first.functions == second.functions
     assert first.total == sum(first.functions.values())
-    # every executed command goes through commands.run: m2 merges the
-    # fixture's four, m1 the renamed dog
-    assert first.functions["evmigrate.commands.run"] > 0
+    # a merge runs each command through its kind's generated runner: m2
+    # merges the fixture's four, m1 the renamed dog
+    assert first.functions["<evmigrate kernel m2.Person run>.run"] > 0
+    assert first.functions["<evmigrate kernel m1.Dog run>.run"] > 0
     assert set(first.layers) <= {*tool.LAYERS, tool.BENCH}
 
 
@@ -32,6 +33,7 @@ def test_a_bulk_churn_sync_counts_the_same_twice(tool):
     assert first.layers == second.layers and first.functions == second.functions
     assert first.layers["editor.merge_all"] > 0 and first.layers["codec.encode_model"] > 0
     assert first.retained == second.retained > 0
+    assert first.tracked == second.tracked > 0
 
 
 def test_a_bulk_forward_counts_the_same_twice(tool, capsys):
@@ -41,13 +43,23 @@ def test_a_bulk_forward_counts_the_same_twice(tool, capsys):
     # m1 is valid by construction: the forward does not validate it
     assert first.layers["metamodel.validate"] == 0 and first.functions["evmigrate.codec.keep_blocks"]
     assert first.retained == second.retained > 0
+    # 200 objects on each side, none of them a stored command
+    assert first.tracked == second.tracked and 400 <= first.tracked < 600
     assert tool.report("f", first, 5) == tool.report("f", second, 5)
-    assert tool.report("f", first, 0)[-1].split() == ["session", "retains", "(bytes)", str(first.retained)]
+    assert [line.split() for line in tool.report("f", first, 0)[-2:]] == [
+        ["session", "tracks", "(objects)", str(first.tracked)],
+        ["session", "retains", "(bytes)", str(first.retained)]]
 
 
 def test_retained_bytes_are_what_the_result_holds(tool):
     # 1,000 bare objects of 16 bytes each, and a list of 1,000 pointers
-    assert 1000 * (16 + 8) <= tool.retained_bytes(lambda: [object() for _ in range(1000)]) < 1000 * 64
+    assert 1000 * (16 + 8) <= tool.retained(lambda: [object() for _ in range(1000)])[0] < 1000 * 64
+
+
+def test_tracked_objects_are_what_the_collector_scans_of_the_result(tool):
+    # the list and the 1,000 lists in it; exact tuples of atoms are untracked
+    assert tool.retained(lambda: [[] for _ in range(1000)])[1] == 1001
+    assert tool.retained(lambda: [(str(i), i, None) for i in range(1000)])[1] == 1
 
 
 def test_the_report_lists_layers_then_functions(tool):

@@ -17,15 +17,17 @@ decode, forward and encode of m2, as perfbench times a forward).
 A count is the number of ``opcode`` trace events (``sys.settrace`` with
 ``frame.f_trace_opcodes``), so it does not depend on the machine's speed:
 two runs of one tree print the same output.  For the two bulk operations
-the report also gives the bytes the session retains afterwards: what
-``tracemalloc`` traces while the session is alive, less what it still
-traces once the session is dropped, each after ``gc.collect()``, in a
-separate pass without the bytecode trace.  Each bytecode is charged to
+the report also gives what the session holds afterwards, in a separate
+pass without the bytecode trace: the objects the cyclic collector tracks
+and the bytes ``tracemalloc`` traces while the session is alive, less
+those it still tracks and traces once the session is dropped, each after
+``gc.collect()``.  Each bytecode is charged to
 the innermost layer on the call stack (the layers are the functions
 perfbench's ``--trace 1`` times), or to ``bench`` outside every layer, and
 to the function executing it: a generated kernel is listed under its
-file name, such as ``<evmigrate kernel m1.Dog>.build``, one per schema and
-class.  Standard library only; evmigrate is
+file name, such as ``<evmigrate kernel m1.Dog>.build``, one per schema
+label and class (the ``#n`` that tells apart kernels whose schemas share
+a name is left out).  Standard library only; evmigrate is
 imported from ``src/`` of this checkout and the workloads from
 ``perfbench/workloads.py``.
 """
@@ -34,6 +36,7 @@ from __future__ import annotations
 
 import argparse
 import gc
+import re
 import sys
 import tracemalloc
 from collections import Counter
@@ -69,11 +72,18 @@ LAYERS = {
 }
 _LAYER_OF_CODE = {fn.__code__: name for name, fn in LAYERS.items()}
 
+#: the number that tells apart kernels whose labels are alike
+_SERIAL = re.compile(r" #[0-9]+>$")
+
+
 def _module(frame) -> str:
     """A function's module, or for generated code (a per-schema kernel of
-    ``codec`` or ``commands``) its file name, which names schema and class."""
+    ``codec`` or ``commands``) its file name, which names schema and class,
+    less the number that depends on how many kernels were built before."""
     filename = frame.f_code.co_filename
-    return filename if filename.startswith("<evmigrate kernel") else frame.f_globals.get("__name__")
+    if filename.startswith("<evmigrate kernel"):
+        return _SERIAL.sub(">", filename)
+    return frame.f_globals.get("__name__")
 
 
 #: untraced tiny cycles before the counted one
@@ -88,6 +98,8 @@ class Count:
         self.functions: Counter[str] = Counter()
         #: bytes the session retains after the operation, if measured
         self.retained: int | None = None
+        #: objects of the session the cyclic collector tracks, if measured
+        self.tracked: int | None = None
 
     @property
     def total(self):
@@ -155,18 +167,20 @@ def count_tiny() -> Count:
     return count
 
 
-def retained_bytes(build) -> int:
-    """The bytes ``build()``'s result holds: traced while it is alive, less
-    those still traced once it is dropped, each after ``gc.collect()``."""
+def retained(build) -> tuple[int, int]:
+    """The bytes ``build()``'s result holds and the objects of it the
+    cyclic collector tracks: traced and tracked while it is alive, less
+    those still traced and tracked once it is dropped, each after
+    ``gc.collect()``."""
     gc.collect()
     tracemalloc.start()
     try:
         kept = build()
         gc.collect()
-        held = tracemalloc.get_traced_memory()[0]
+        held, tracked = tracemalloc.get_traced_memory()[0], len(gc.get_objects())
         del kept
         gc.collect()
-        return held - tracemalloc.get_traced_memory()[0]
+        return held - tracemalloc.get_traced_memory()[0], tracked - len(gc.get_objects())
     finally:
         tracemalloc.stop()
 
@@ -200,7 +214,7 @@ def count_bulk_churn(seed, sync_number, size=20_000) -> Count:
     count = Count()
     churn_session(workloads.BulkWorkload(seed, "ybirth", size, churn=True), sync_number, count)
     work = workloads.BulkWorkload(seed, "ybirth", size, churn=True)
-    count.retained = retained_bytes(lambda: churn_session(work, sync_number))
+    count.retained, count.tracked = retained(lambda: churn_session(work, sync_number))
     return count
 
 
@@ -228,7 +242,7 @@ def count_bulk_forward(seed, size=2_000) -> Count:
     forwarded()
     count, counted = Count(), session()
     work.check_forward(count.run(lambda: forward(counted)))
-    count.retained = retained_bytes(forwarded)
+    count.retained, count.tracked = retained(forwarded)
     return count
 
 
@@ -239,6 +253,7 @@ def report(title, count: Count, functions) -> list[str]:
             lines.append(f"  {name:<28} {count.layers[name]:>10}")
     lines.append(f"  {'total':<28} {count.total:>10}")
     if count.retained is not None:
+        lines.append(f"  {'session tracks (objects)':<28} {count.tracked:>10}")
         lines.append(f"  {'session retains (bytes)':<28} {count.retained:>10}")
     if functions:
         lines.append(f"  {'function (own bytecodes)':<54} {'bytecodes':>10}")
