@@ -301,7 +301,7 @@ def _merge_no_op(rng, session):
     """Merge a command with every field UNSET onto an object both sides
     hold, on both sides, as if the peers had exchanged it: it writes
     nothing, but its store entry replaces the old one."""
-    targets = [(obj_id, obj) for obj_id, obj in session.m2.registry.items()
+    targets = [(obj_id, obj) for obj_id, obj in session.m2.registered()
                if obj.class_name in KIND_OF_CLASS]
     if targets:
         obj_id, obj = rng.choice(targets)

@@ -28,8 +28,9 @@ from __future__ import annotations
 import re
 from array import array
 from functools import cached_property, lru_cache
-from itertools import islice
-from operator import attrgetter
+from collections import deque
+from itertools import chain, islice, repeat
+from operator import attrgetter, itemgetter, setitem
 
 from .commands import _OWNED_KINDS, SPECS, Command, _Checked, _id_of, _trusted, check_reference_year
 from .editor import EventStore
@@ -39,7 +40,6 @@ from .metamodel import (
     LINE_BREAKS,
     InstanceModel,
     MetaModel,
-    _check_target,
     compile_kernel,
     significant_lines,
 )
@@ -335,8 +335,9 @@ def _kernels(schema: MetaModel):
     """The instance format's per-object kernels, generated at first use
     and shared, never written: (the match of one object as ``encode_model``
     writes it, a class per alternative; alternative's closing empty group
-    (``match.lastindex``) -> the ``build`` of its objects, which adds each
-    target to ``targets[its class]`` and refuses a repeated one; class ->
+    (``match.lastindex``) -> the ``build`` of its objects, which adds the
+    references mapping of each reference it reads to ``targets[(target
+    class, reference name, many)]`` and refuses a repeated target; class ->
     the renderer of an object's block).  A name ``_READABLE`` refuses is
     left to the line reader.  Names reach the source as ``repr`` literals."""
     alternatives, builds, renderers, group = [], {}, {}, 2  # group 1 is the id
@@ -361,11 +362,11 @@ def _kernels(schema: MetaModel):
                 part, value = rf"((?:{line} \S+\n)+)?", f"{v} = tuple({v}[{len(prefix)}:-1].split({_NL + prefix!r}))"
                 defaults.append(f"J{k}={_NL + prefix!r}")
                 piece = f"    p{k} = f'{{F{k}}}{{J{k}.join(v)}}\\n' if {got} else ''"
-                collect = [f"        if len(set({v})) < len({v}):", "            raise ValueError('a repeated target')",
-                         f"        targets[{feature.target!r}].extend({v})"]
+                collect = [f"        if len(set({v})) < len({v}):", "            raise ValueError('a repeated target')"]
             else:
                 part, value = rf"(?:{line} (\S+)\n)?", v
-                collect = [f"        targets[{feature.target!r}].append({v})"]
+            if into == "references":
+                collect.append(f"        targets[{(feature.target, name, feature.many)!r}].append(references)")
             render.append(piece)
             if _READABLE.fullmatch(name) is not None:
                 parts.append(part)
@@ -394,8 +395,9 @@ def _read_canonical(text, schema: MetaModel) -> tuple[InstanceModel | None, int,
     """(The model of the first objects exactly as ``encode_model`` writes
     them, one match each, targets unchecked, with ``model.source`` for
     ``keep_blocks`` and the encoder's reader started; the offset after
-    them; target class -> the targets they read), or (None, -1, None) if an
-    id repeats or a scan finds foreign marks."""
+    them; (target class, reference name, many) -> the references mappings
+    that hold such a reference), or (None, -1, None) if an id repeats or a
+    scan finds foreign marks."""
     # Marks the encoder never writes, found by a scan before any object is
     # built: a carriage return, a trailing space, a blank or comment line,
     # no final line break.
@@ -404,7 +406,8 @@ def _read_canonical(text, schema: MetaModel) -> tuple[InstanceModel | None, int,
         return None, -1, None
     match_object, builds, _ = _kernels(schema)
     model = InstanceModel(schema)
-    objects, ref, bounds, targets = model._objects, model._ref, array("q", (0,)), {c: [] for c in schema.classes}
+    objects, ref, bounds = model._objects, model._ref, array("q", (0,))
+    targets = {(r.target, r.name, r.many): [] for c in schema.classes.values() for r in c.references.values()}
     pos, end = 0, len(text)
     try:
         while pos < end and (match := match_object(text, pos)) is not None:
@@ -422,13 +425,26 @@ def _read_canonical(text, schema: MetaModel) -> tuple[InstanceModel | None, int,
 
 
 def _targets_hold(model: InstanceModel, targets) -> bool:
-    """Whether each of ``targets`` (target class -> ids) is an object of
-    its class, as ``InstanceModel.add`` checks it: one pass in C per class."""
-    get = model._objects.get
+    """Whether each reference read fast (``_read_canonical``'s
+    ``targets``) names an object of its class, as ``InstanceModel.add``
+    checks it, each then linked to its target's own id string: a few
+    passes in C per class and reference."""
+    get, own_id = model._objects.get, attrgetter("id")
     try:
-        return all(set(map(attrgetter("class_name"), map(get, ids))) <= {cls} for cls, ids in targets.items())
+        for (cls, name, many), holders in targets.items():
+            values = list(map(itemgetter(name), holders))
+            found = list(map(get, chain.from_iterable(values) if many else values))
+            if not set(map(attrgetter("class_name"), found)) <= {cls}:
+                return False
+            ids = map(own_id, found)
+            if many:
+                for holder, value in zip(holders, values):
+                    holder[name] = tuple(islice(ids, len(value)))
+            else:
+                deque(map(setitem, holders, repeat(name), ids), 0)
     except AttributeError:  # None has no class: a target that is no object
         return False
+    return True
 
 
 def _decode_model_canonical(text, schema: MetaModel) -> InstanceModel | None:
@@ -462,7 +478,7 @@ def _decode_model_lines(text, schema: MetaModel, model=None, lines_before=0) -> 
     may go on into ``model`` from ``lines_before`` lines into a file."""
     model = InstanceModel(schema) if model is None else model
     obj = None
-    pending_refs = []  # (lineno, obj, ReferenceDef, target id)
+    pending_refs = []  # (lineno, obj, reference name, target id), set once every object is in
     lineno = 0
     try:
         for lineno, line in significant_lines(text, lines_before + 1):
@@ -482,13 +498,11 @@ def _decode_model_lines(text, schema: MetaModel, model=None, lines_before=0) -> 
             if name in references:
                 if not value or " " in value:
                     raise FormatError(f"reference {name!r} needs a single target id")
-                rdef = references[name]
-                model._link(obj, rdef, value)  # its target is checked below
-                pending_refs.append((lineno, obj, rdef, value))
+                pending_refs.append((lineno, obj, name, value))
             else:
                 model.set_attribute_text(obj, name, value)
-        for lineno, obj, rdef, target_id in pending_refs:
-            _check_target(obj, rdef, target_id, model.get(target_id))
+        for lineno, obj, name, target_id in pending_refs:
+            model.set_reference(obj, name, target_id)
     except MigrationError as e:
         raise FormatError(str(e), line=lineno) from None
     return model

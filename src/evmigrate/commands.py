@@ -190,25 +190,26 @@ def _first_run(schema, bindings, kind, cmd, editor):
 def _runner(schema, class_name, has_name, has_age, has_ybirth, owner_ref):
     """The generated runner of one kind on one schema.  It writes each set
     field the class declares, ybirth as referenceYear - age: into a new
-    object, built complete, admitted and registered under its id (a checked
-    or trusted command holds values of the declared kinds; a class that
-    declares no reference shares ``NO_REFERENCES``), or in place, marking
-    the object even if nothing changed (its next store entry changes what a
-    parse derives).
+    object, built complete and admitted under its id (a checked or trusted
+    command holds values of the declared kinds; a class that declares no
+    reference shares ``NO_REFERENCES``), or in place, marking the object
+    even if nothing changed (its next store entry changes what a parse
+    derives).  Ids are looked up in the model while ``add`` took in none
+    of its objects (see ``Editor``).
     Then the owner, made a stub if need be, so dogs may run before their
     owner's HavePerson.  Names reach the source as ``repr`` literals."""
     owner = [] if owner_ref is None else [
         "    if owner_id is not None:",
-        "        owner = registry.get(owner_id)",
+        "        owner = editor._lookup(owner_id) if model.added else model._objects.get(owner_id)",
         f"        if owner is None or owner.class_name != {owner_ref.target!r}:",
         f"            owner = editor.get_or_create({owner_ref.target!r}, owner_id)",
-        "        editor.model._link(obj, OWNER, owner.id)" if owner_ref.many else
+        "        model._link(obj, OWNER, owner.id)" if owner_ref.many else
         "        obj._references['owner'] = owner.id"]
     source = "\n".join([
         "def run(cmd, editor):",
         "    _, obj_id, name, age, owner_id = cmd",
-        "    registry = editor.registry",
-        "    obj = registry.get(obj_id)",
+        "    model = editor.model",
+        "    obj = editor._lookup(obj_id) if model.added else model._objects.get(obj_id)",
         f"    if obj is not None and obj.class_name != {class_name!r}:",
         f"        editor.get_or_create({class_name!r}, obj_id)  # refuses the class",
         "    values = {} if obj is None else obj._attributes",
@@ -216,9 +217,9 @@ def _runner(schema, class_name, has_name, has_age, has_ybirth, owner_ref):
             ("name", "name", "name", has_name), ("age", "age", "age", has_age),
             ("ybirth", "age", "editor.reference_year - age", has_ybirth)) if declared],
         "    if obj is None:",
-        f"        obj = registry[obj_id] = editor.model._admit(_object(obj_id, {class_name!r}, values, "
+        f"        obj = model._admit(_object(obj_id, {class_name!r}, values, "
         f"{'{}' if schema.classes[class_name].references else 'NO_REFERENCES'}))",
         "    else:",
-        "        for unseen in editor.model.readers.values():\n            unseen[obj] = None", *owner,
+        "        for unseen in model.readers.values():\n            unseen[obj] = None", *owner,
         "    return obj_id", ""])
     return compile_kernel(f"{schema.name}.{class_name} run", source, {"OWNER": owner_ref})["run"]

@@ -1,14 +1,16 @@
-"""Editors: schema + instance model + event store + id registry.
+"""Editors: schema + instance model + event store + minted ids.
 
 An editor executes commands, merges incoming command sets, and parses a
 bare object model back into the commands that would reproduce it.  The
 event store keeps exactly one command per target id; a newer command for
 an id replaces the older one after executing.  It also knows which of
-its entries the peer editor has not been sent yet.
+its entries the peer editor has not been sent yet.  Each side keeps one
+map from id to object, its model's, plus the ids it minted.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from functools import lru_cache
 
 from . import commands as _commands
@@ -144,41 +146,58 @@ class EventStore:
 class Editor:
     """One side of a migration: executes, merges, parses.
 
-    The registry maps ids to live objects; it is what makes getOrCreate
-    idempotent and what lets parsing recover the id of an object seen
-    before.  An object is registered under its model key, except one
-    created directly in the model (say ``new Dog dog9``): it keeps the key
-    ``dog9`` but, on first parse, is registered, stored and shipped under a
-    minted id such as ``dog1``, which ``_id_of_object`` maps it to.  Command
-    runners read ``registry`` and register what they create; nothing else
-    but the editor writes it.
-    """
+    An object is registered under its model key, which makes getOrCreate
+    idempotent and lets parsing recover the id of an object seen before,
+    except one that ``add`` took in from outside (``InstanceModel.added``,
+    say ``new Dog dog9``): on first parse it is registered, stored and
+    shipped under a minted id such as ``dog1``.  ``_minted`` maps each
+    minted id to its object, ``_id_of_object`` maps back; lookups read
+    them, then the model, whose map is the only full one."""
 
     def __init__(self, schema: MetaModel, reference_year=DEFAULT_REFERENCE_YEAR):
         self.schema = schema
         self.reference_year = check_reference_year(reference_year)
         self.bindings = bind(schema)
-        self.model = InstanceModel(schema)
+        self._hold(InstanceModel(schema))
+
+    def _hold(self, model: InstanceModel):
+        """Hold ``model``, recording what ``add`` takes in from now on, with an empty store and no minted id."""
+        model.added = {}
+        self.model = model
         self.store = EventStore()
-        self.registry: dict[str, DynamicObject] = {}
+        self._minted: dict[str, DynamicObject] = {}
         self._id_of_object: dict[DynamicObject, str] = {}
         self._id_counters: dict[str, int] = {}
 
-    # -- registry -----------------------------------------------------
+    # -- registered ids -----------------------------------------------
+
+    def _lookup(self, obj_id) -> DynamicObject | None:
+        """The object registered under ``obj_id``, or None."""
+        model = self.model
+        if not model.added:  # then nothing is minted: each is under its model key
+            return model._objects.get(obj_id)
+        obj = self._minted.get(obj_id)
+        if obj is None and (obj := model._objects.get(obj_id)) in model.added:
+            return None
+        return obj
+
+    def registered(self) -> Iterator[tuple[str, DynamicObject]]:
+        """Each registered (id, object): the model's, less those ``add`` took in, then the minted."""
+        added = self.model.added
+        yield from ((obj_id, obj) for obj_id, obj in self.model.objects.items() if obj not in added)
+        yield from self._minted.items()
 
     def get_or_create(self, class_name, obj_id) -> DynamicObject:
         """Return the registered object for (class, id), creating a fresh
         all-UNSET object on first sight.  Calling it repeatedly with one
         id always yields the same object."""
-        obj = self.registry.get(obj_id)
-        if obj is not None:
-            if obj.class_name != class_name:
-                raise ModelError(
-                    f"id {obj_id!r} already belongs to class {obj.class_name}, "
-                    f"requested {class_name}"
-                )
-            return obj
-        return self.registry.setdefault(obj_id, self.model.new_object(class_name, obj_id))
+        obj = self._lookup(obj_id)
+        if obj is None:  # a key ``add`` took is refused as a duplicate
+            obj = self.model.new_object(class_name, obj_id)
+            del self.model.added[obj]  # made here, it is registered under its key
+        elif obj.class_name != class_name:
+            raise ModelError(f"id {obj_id!r} already belongs to class {obj.class_name}, requested {class_name}")
+        return obj
 
     def id_for(self, obj: DynamicObject) -> str:
         """Registered id of a model object, minting a fresh one if absent.
@@ -189,20 +208,21 @@ class Editor:
         known = self._id_of_object.get(obj)
         if known is not None:
             return known
-        if self.registry.get(obj.id) is obj:
-            return obj.id
-        if self.model.objects.get(obj.id) is not obj:
+        model = self.model
+        if model._objects.get(obj.id) is not obj:
             raise ModelError(f"object {obj.id!r} does not belong to this editor's model")
+        if obj not in model.added:
+            return obj.id
         prefix = obj.class_name.lower()
         counter = self._id_counters.get(obj.class_name, 1)
         fresh = f"{prefix}{counter}"
-        while fresh in self.registry or fresh in self.model.objects:
+        while fresh in self._minted or fresh in model._objects:
             counter += 1
             fresh = f"{prefix}{counter}"
         if has_line_break(fresh):  # a class built in code may have any name
             raise ModelError(f"a minted id may hold no line break, got {fresh!r}")
         self._id_counters[obj.class_name] = counter + 1
-        self.registry[fresh] = obj
+        self._minted[fresh] = obj
         self._id_of_object[obj] = fresh
         return fresh
 
@@ -235,7 +255,7 @@ class Editor:
         store, model, bindings = self.store, self.model, self.bindings
         checked = type(incoming) is _Checked
         ordered = merge_order(incoming)
-        first = not (store or model.objects or self.registry) and _holds_every_field(self.schema)
+        first = not (store or model.objects) and _holds_every_field(self.schema)
         ran = 0
         try:
             for cmd in ordered:
@@ -258,13 +278,13 @@ class Editor:
     def adopt_model(self, model: InstanceModel):
         """Take ownership of an externally built model.
 
-        Resets store and registry, marks every object for the next parse
-        (its reader restarts, see ``InstanceModel.unseen``) and registers
-        every object under its own id.  A model is valid against its own
-        schema at all times, so it is validated only when that schema is
-        not this editor's: then against this editor's, and every object is
-        marked for every reader and given the references mapping its class
-        calls for there."""
+        Resets the store and the minted ids, so every object is registered
+        under its own id, and marks every object for the next parse (its
+        reader restarts, see ``InstanceModel.unseen``).  A model is valid
+        against its own schema at all times, so it is validated only when
+        that schema is not this editor's: then against this editor's, and
+        every object is marked for every reader and given the references
+        mapping its class calls for there."""
         if model.schema is not self.schema:
             model.validate(self.schema)
             model.schema = self.schema
@@ -272,11 +292,7 @@ class Editor:
                 _fit(obj, self.schema.classes[obj.class_name])
             model.mark_all()
         model.readers.pop(PARSE, None)
-        self.model = model
-        self.store = EventStore()
-        self.registry = model.objects.copy()
-        self._id_of_object = {}
-        self._id_counters = {}
+        self._hold(model)
 
     # -- parsing ------------------------------------------------------
 
@@ -334,7 +350,8 @@ class Editor:
         value and target it holds, and its ids come from the model or from
         ``id_for``."""
         _, has_name, has_age, has_ybirth, owner_ref, _ = self.bindings[kind]
-        obj_id = obj.id if self.registry.get(obj.id) is obj else self.id_for(obj)
+        added = self.model.added  # every other object is registered under its key
+        obj_id = self.id_for(obj) if obj in added else obj.id
         old = self.store._entries.get(obj_id)
         if old is not None and old[0] != kind:
             old = None
@@ -362,7 +379,7 @@ class Editor:
                 target_id = target_id[0] if target_id else None
             if target_id is not None:
                 target = self.model._objects[target_id]
-                owner_id = target_id if self.registry.get(target_id) is target else self.id_for(target)
+                owner_id = self.id_for(target) if target in added else target.id
         fields = (kind, obj_id, name, age, owner_id)
         if fields == old:
             return old, False

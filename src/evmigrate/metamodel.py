@@ -318,6 +318,9 @@ class InstanceModel:
     #: at which each object's block of it starts, then where the last
     #: ends, until ``codec.keep_blocks`` takes it
     source: tuple[str, array] | None = None
+    #: the objects ``add`` took in since an editor adopted the model, to be
+    #: registered under ids it mints (a dict as an ordered set); else None
+    added: dict[DynamicObject, None] | None = None
 
     def __init__(self, schema: MetaModel):
         self.schema = schema
@@ -355,7 +358,8 @@ class InstanceModel:
         checks it, and its id once (an object's id never changes): a
         declared class, an id that is new, non-empty and without line
         breaks, declared features, values of their kind and targets in
-        the model (the object itself included)."""
+        the model (the object itself included).  A model an editor holds
+        records the object in ``added``."""
         cls = self.schema.classes.get(obj.class_name) or self.schema.cls(obj.class_name)
         obj_id, objects = obj.id, self._objects
         # printable ids need no split
@@ -372,6 +376,8 @@ class InstanceModel:
             finally:
                 del objects[obj_id]
         _fit(obj, cls)
+        if self.added is not None:
+            self.added[obj] = None
         return self._admit(obj)
 
     def new_object(self, class_name, obj_id) -> DynamicObject:
@@ -438,15 +444,16 @@ class InstanceModel:
 
     def set_reference(self, obj: DynamicObject, name, target_id):
         """Assign (one) or add-if-absent (many) a target, which must be in
-        the model and of the declared class."""
+        the model and of the declared class; the reference holds the
+        target's own id string."""
         rdef = self._owned(obj).reference(name)
-        _check_target(obj, rdef, target_id, self._objects.get(target_id))
-        self._link(obj, rdef, target_id)
+        target = self._objects.get(target_id)
+        _check_target(obj, rdef, target_id, target)
+        self._link(obj, rdef, target.id)
 
     def _link(self, obj: DynamicObject, rdef: ReferenceDef, target_id):
         """``set_reference`` with the target left unchecked, for writers
-        that check every target once all objects are in (the decoders)
-        or that made it themselves (the command runners)."""
+        that made it themselves (the command runners)."""
         references = obj._references
         if rdef.many:
             targets = references.get(rdef.name, ())

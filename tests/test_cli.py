@@ -190,7 +190,7 @@ class TestLawOracleCatchesBrokenImplementations:
         def duplicating_run(cmd, editor):
             if cmd.kind != commands_mod.HAVE_DOG:
                 return original(cmd, editor)
-            # ignores the registry: every execution makes a new object
+            # ignores the registered ids: every execution makes a new object
             fresh = f"{cmd.id}+{len(editor.model.objects)}"
             editor.model.new_object("Dog", fresh)
             return cmd.id

@@ -1,8 +1,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from evmigrate import (
+    Command,
     DynamicObject,
     Editor,
     EventStore,
@@ -11,7 +13,9 @@ from evmigrate import (
     ModelError,
     SchemaError,
     copy_model,
+    decode_log,
     decode_model,
+    encode_log,
     have_dog,
     have_person,
     load_schema,
@@ -19,6 +23,7 @@ from evmigrate import (
 )
 from evmigrate import commands
 from evmigrate.checks import seed_commands
+from evmigrate.commands import merge_order
 
 from conftest import data_text, parsed
 
@@ -141,9 +146,18 @@ class TestMergeAll:
         assert exc.value.command == bad
 
 
+    def test_an_empty_owner_id_makes_no_stub(self, base_editor):
+        # the line reader reads "    ownerId:" as an empty id
+        text = "format: 1\nreferenceYear: 2020\ncommands:\n  - command: HaveDog\n    id: d1\n    ownerId:\n"
+        for cmds in ([have_dog("d1", "")], decode_log(text).entries):
+            with pytest.raises(MergeError, match="object id must be non-empty"):
+                base_editor.merge_all(cmds)
+            assert "" not in base_editor.model.objects and not base_editor.store
+
+
 class TestIdFor:
     def test_fresh_person_gets_person1(self, base_editor):
-        # object placed in the model directly, invisible to the registry
+        # object placed in the model directly: registered under no id yet
         obj = base_editor.model.new_object("Person", "temp-x")
         assert base_editor.id_for(obj) == "person1"
 
@@ -438,5 +452,129 @@ class TestAdoptModel:
         assert base_editor.model.get("old") is None
         for obj_id in ("p1", "d1"):
             obj = base_editor.model.get(obj_id)
-            assert base_editor.registry[obj_id] is obj
+            assert base_editor.get_or_create(obj.class_name, obj_id) is obj
             assert base_editor.id_for(obj) == obj_id
+
+
+#: ids a differential run draws from: model keys, and ids the editor mints
+ID_POOL = ("p1", "p2", "d1", "d2", "person1", "person2", "dog1", "dog2")
+
+
+class ReferenceRegistry:
+    """An editor's registered ids kept as a full map, as the editor kept
+    them when it copied its model's: every object under its key at
+    adoption, every object a merge creates (runners and owner stubs) under
+    its key, and each object ``add`` took in from outside under the id
+    ``id_for`` mints for it, and under no other."""
+
+    def __init__(self, model):
+        self.model = model
+        self.ids = dict(model.objects)  # registered id -> object
+        self.minted = {}  # object -> its minted id
+        self.counters = {}
+
+    def id_for(self, obj):
+        if obj in self.minted:
+            return self.minted[obj]
+        if self.ids.get(obj.id) is obj:
+            return obj.id
+        counter = self.counters.get(obj.class_name, 1)
+        while (fresh := f"{obj.class_name.lower()}{counter}") in self.ids or fresh in self.model.objects:
+            counter += 1
+        self.counters[obj.class_name] = counter + 1
+        self.ids[fresh] = obj
+        self.minted[obj] = fresh
+        return fresh
+
+    def first_refused(self, ordered):
+        """The first command of a merge in ``ordered`` that the editor
+        refuses, or None: one naming a registered id of another class, or
+        a model key no id is registered under (``add`` took it)."""
+        made = {}  # id -> class of the objects the merge creates
+        for cmd in ordered:
+            for obj_id, class_name in ((cmd.id, cmd.target_class), (cmd.owner_id, "Person")):
+                if obj_id is None:
+                    continue
+                obj = self.ids.get(obj_id)
+                have = made.get(obj_id) if obj is None else obj.class_name
+                if have is None and obj_id in self.model.objects or have not in (None, class_name):
+                    return cmd
+                made[obj_id] = class_name
+        return None
+
+    def log(self):
+        """The log of the store a parse leaves: one command per object,
+        under its registered id, naming its owner by its registered id."""
+        store = EventStore()
+        for obj in self.model.objects.values():
+            owner = obj.references.get("owner")
+            kind = "HaveDog" if obj.class_name == "Dog" else "HavePerson"
+            store.put(Command(kind, self.id_for(obj), obj.attributes.get("name"), obj.attributes.get("age"),
+                              None if owner is None else self.id_for(self.model.objects[owner])))
+        return encode_log(store, 2020)
+
+
+def _agree(editor, ref):
+    """``get_or_create`` and ``id_for`` answer as the reference does."""
+    objects = editor.model.objects
+    for obj_id, obj in ref.ids.items():
+        assert editor.get_or_create(obj.class_name, obj_id) is obj
+    for obj_id in objects.keys() - ref.ids.keys():  # a key ``add`` took is registered to nobody
+        with pytest.raises(ModelError, match="duplicate object id"):
+            editor.get_or_create(objects[obj_id].class_name, obj_id)
+    for obj in objects.values():
+        if obj in ref.minted or ref.ids.get(obj.id) is obj:  # asking any other would mint
+            assert editor.id_for(obj) == ref.id_for(obj)
+
+
+def _model_of(data, schema):
+    model = InstanceModel(schema)
+    for obj_id in data.draw(st.lists(st.sampled_from(ID_POOL), unique=True, max_size=4)):
+        obj = model.new_object(data.draw(st.sampled_from(["Person", "Dog"])), obj_id)
+        model.set_attribute(obj, "name", obj_id.upper())
+    return model
+
+
+class TestRegisteredIdsWithoutACopy:
+    """An editor keeps no copy of its model's id map, only the ids it
+    minted: it answers and ships as an editor that kept the full map."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_lookups_and_the_shipped_log_agree_with_a_full_map(self, data):
+        schema = load_schema(data_text("base.schema"), name="base")
+        editor = Editor(schema)
+        ref = ReferenceRegistry(editor.model)
+        for step in data.draw(st.lists(st.sampled_from(["adopt", "merge", "new", "parse"]), max_size=10)):
+            objects = editor.model.objects
+            if step == "adopt":
+                editor.adopt_model(_model_of(data, schema))
+                ref = ReferenceRegistry(editor.model)
+            elif step == "merge":
+                ids = data.draw(st.lists(st.sampled_from(ID_POOL), unique=True, min_size=1, max_size=4))
+                cmds = [have_person(obj_id, name="N") if data.draw(st.booleans()) else
+                        have_dog(obj_id, data.draw(st.sampled_from((None, *ID_POOL))), age=3) for obj_id in ids]
+                before, refused = set(objects), ref.first_refused(merge_order(cmds))
+                try:
+                    editor.merge_all(cmds)
+                    assert refused is None
+                except MergeError as e:
+                    assert e.command == refused
+                ref.ids.update((obj_id, objects[obj_id]) for obj_id in objects.keys() - before)
+            elif step == "new":
+                class_name, obj_id = data.draw(st.sampled_from(["Person", "Dog"])), data.draw(st.sampled_from(ID_POOL))
+                if obj_id in objects:
+                    with pytest.raises(ModelError, match="duplicate object id"):
+                        editor.model.new_object(class_name, obj_id)
+                else:
+                    obj = editor.model.new_object(class_name, obj_id)
+                    persons = [o.id for o in objects.values() if o.class_name == "Person"]
+                    if class_name == "Dog" and persons:
+                        editor.model.set_reference(obj, "owner", data.draw(st.sampled_from(persons)))
+            else:
+                editor.parse_model()
+                for class_name in ("Person", "Dog"):  # a parse mints persons first, in model order
+                    for obj in [o for o in objects.values() if o.class_name == class_name]:
+                        ref.id_for(obj)
+                assert encode_log(editor.store, 2020) == ref.log()
+            _agree(editor, ref)

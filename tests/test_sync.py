@@ -652,7 +652,7 @@ class TestLeanSession:
         apply_mutations(s.m2.model, "new Dog dog9\nset dog9 name Rex\n")
         dog9 = s.m2.model.get("dog9")
         migrate_backward(s)
-        assert s.m2._id_of_object == {dog9: "dog1"} and s.m2.registry["dog1"] is dog9
+        assert s.m2._id_of_object == {dog9: "dog1"} and s.m2.get_or_create("Dog", "dog1") is dog9
         assert s.m1._id_of_object == {} and s.m1.model.get("dog1").attributes == {"name": "Rex"}
         apply_mutations(s.m2.model, "set dog9 name Max\n")
         migrate_backward(s)  # the second parse reuses the minted id
@@ -700,6 +700,24 @@ class TestLeanSession:
             assert all(type(dog._references) is dict for dog in dogs)
             clone.set_reference(dogs[0], "owner", persons[1].id)  # a copy is writable as usual
             assert dogs[0].references == {"owner": persons[1].id}
+
+    def test_each_reference_holds_its_targets_own_id(self):
+        # the fast and the line reader, the runners and ``link`` link each
+        # reference to its target's own id string, not to a copy of it
+        s = session_for("ybirth")
+        migrate_forward(s, decode_model(_bulk_text(2000), s.m1.schema))
+        rng = random.Random(17)
+        for k in range(5):
+            apply_mutations(s.m2.model, _churn_script(rng, 2000, 10 * k))
+            migrate_backward(s)
+        assert len(s.m1.store) == len(s.m2.store) == 2050 and len(s.m2._minted) == 50
+        d = session_for("dog-no-age")
+        migrate_forward(d, decode_model("# read line by line\n" + _bulk_text(2000), d.m1.schema))
+        for model in (s.m1.model, s.m2.model, d.m1.model, d.m2.model):
+            objects = model.objects
+            assert sum(1 for obj in objects.values() if obj.references) >= 1000
+            assert all(target is objects[target].id for obj in objects.values() for value in obj.references.values()
+                       for target in (value if type(value) is tuple else (value,)))
 
     def test_a_parse_into_an_empty_store_keeps_one_map(self):
         s = session_for("dog-no-age")
@@ -762,16 +780,20 @@ class TestNoCheckLost:
                         [ReferenceDef("owner", "Own\ner", False)])
         ed = Editor(MetaModel("pets", [dog, owner]))
         d1 = ed.model.new_object("Dog", "d1")
-        ed.model.new_object("Own\ner", "o1")
+        o1 = ed.model.new_object("Own\ner", "o1")
         ed.model.set_reference(d1, "owner", "o1")
         with pytest.raises(ModelError, match="line break"):
             ed._parse(d1, "HaveDog")  # the owner would need a minted id: "own\ner1"
-        assert not ed.store and list(ed.registry) == ["dog1"]
+        assert not ed.store and ed._minted == {"dog1": d1} and ed._id_of_object == {d1: "dog1"}
+        assert ed.id_for(d1) == "dog1" and ed.get_or_create("Dog", "dog1") is d1
+        with pytest.raises(ModelError, match="line break"):
+            ed.id_for(o1)  # still unregistered
 
 
-def _churn_script(rng, size):
+def _churn_script(rng, size, first=0):
     """A bulk-churn-style script: a tenth of the objects renamed or given a
-    new ybirth, and ten new dogs, each with a name, an age and an owner."""
+    new ybirth, and ten new dogs from ``n<first>`` on, each with a name, an
+    age and an owner."""
     lines = []
     for i in rng.sample(range(size), size // 10):
         obj_id = f"p{i}" if i < size // 2 else f"d{i - size // 2}"
@@ -779,7 +801,7 @@ def _churn_script(rng, size):
             lines.append(f"set {obj_id} ybirth {2020 - rng.randint(1, 99)}")
         else:
             lines.append(f"set {obj_id} name N{rng.randint(0, 999)}")
-    for k in range(10):
+    for k in range(first, first + 10):
         lines += [f"new Dog n{k}", f"set n{k} name New{k}", f"set n{k} age {k}",
                   f"link n{k} owner p{rng.randrange(size // 2)}"]
     return "\n".join(lines) + "\n"

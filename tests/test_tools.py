@@ -1,5 +1,5 @@
 """The bytecode counter in tools/ counts the same on every run, and
-measures the same retained session bytes."""
+measures the same retained session bytes and id strings held twice."""
 
 import importlib.util
 from pathlib import Path
@@ -34,6 +34,7 @@ def test_a_bulk_churn_sync_counts_the_same_twice(tool):
     assert first.layers["editor.merge_all"] > 0 and first.layers["codec.encode_model"] > 0
     assert first.retained == second.retained > 0
     assert first.tracked == second.tracked > 0
+    assert first.twice == second.twice
 
 
 def test_a_bulk_forward_counts_the_same_twice(tool, capsys):
@@ -45,8 +46,10 @@ def test_a_bulk_forward_counts_the_same_twice(tool, capsys):
     assert first.retained == second.retained > 0
     # 200 objects on each side, none of them a stored command
     assert first.tracked == second.tracked and 400 <= first.tracked < 600
+    assert first.twice == second.twice
     assert tool.report("f", first, 5) == tool.report("f", second, 5)
-    assert [line.split() for line in tool.report("f", first, 0)[-2:]] == [
+    assert [line.split() for line in tool.report("f", first, 0)[-3:]] == [
+        ["session", "holds", "id", "strings", "twice", "(count)", str(first.twice)],
         ["session", "tracks", "(objects)", str(first.tracked)],
         ["session", "retains", "(bytes)", str(first.retained)]]
 

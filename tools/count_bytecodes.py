@@ -17,8 +17,10 @@ decode, forward and encode of m2, as perfbench times a forward).
 A count is the number of ``opcode`` trace events (``sys.settrace`` with
 ``frame.f_trace_opcodes``), so it does not depend on the machine's speed:
 two runs of one tree print the same output.  For the two bulk operations
-the report also gives what the session holds afterwards, in a separate
-pass without the bytecode trace: the objects the cyclic collector tracks
+the report also gives what the session holds afterwards: the id strings it
+holds twice (each id, ownerId and key of a store entry and each reference
+target that is not the very string its object holds), and, in a separate
+pass without the bytecode trace, the objects the cyclic collector tracks
 and the bytes ``tracemalloc`` traces while the session is alive, less
 those it still tracks and traces once the session is dropped, each after
 ``gc.collect()``.  Each bytecode is charged to
@@ -100,6 +102,8 @@ class Count:
         self.retained: int | None = None
         #: objects of the session the cyclic collector tracks, if measured
         self.tracked: int | None = None
+        #: id strings the session holds twice, if measured
+        self.twice: int | None = None
 
     @property
     def total(self):
@@ -185,6 +189,23 @@ def retained(build) -> tuple[int, int]:
         tracemalloc.stop()
 
 
+def held_twice(session) -> int:
+    """How many id strings ``session`` holds that are not the very string
+    its editor registers the id under (a reference: its target's own id),
+    counted once per holder: a store entry's key, id and ownerId, and each
+    reference target."""
+    twice = 0
+    for editor in (session.m1, session.m2):
+        own, objects = {obj_id: obj_id for obj_id, _ in editor.registered()}, editor.model.objects
+        for key, (_, obj_id, _, _, owner_id) in editor.store._entries.items():
+            twice += sum(held is not own[held] for held in (key, obj_id, owner_id) if held is not None)
+        for obj in objects.values():
+            for value in obj.references.values():
+                twice += sum(target is not objects[target].id
+                             for target in (value if type(value) is tuple else (value,)))
+    return twice
+
+
 def churn_session(work, sync_number, count=None):
     """A session after one forward and ``sync_number`` syncs of ``work``,
     as perfbench's ``bulk-churn`` runs them, the last counted into
@@ -212,7 +233,8 @@ def count_bulk_churn(seed, sync_number, size=20_000) -> Count:
     what the session retains after it, in a second session of a second,
     equal workload (the first's mutation stream is spent)."""
     count = Count()
-    churn_session(workloads.BulkWorkload(seed, "ybirth", size, churn=True), sync_number, count)
+    counted = churn_session(workloads.BulkWorkload(seed, "ybirth", size, churn=True), sync_number, count)
+    count.twice = held_twice(counted)
     work = workloads.BulkWorkload(seed, "ybirth", size, churn=True)
     count.retained, count.tracked = retained(lambda: churn_session(work, sync_number))
     return count
@@ -242,6 +264,7 @@ def count_bulk_forward(seed, size=2_000) -> Count:
     forwarded()
     count, counted = Count(), session()
     work.check_forward(count.run(lambda: forward(counted)))
+    count.twice = held_twice(counted)
     count.retained, count.tracked = retained(forwarded)
     return count
 
@@ -253,6 +276,7 @@ def report(title, count: Count, functions) -> list[str]:
             lines.append(f"  {name:<28} {count.layers[name]:>10}")
     lines.append(f"  {'total':<28} {count.total:>10}")
     if count.retained is not None:
+        lines.append(f"  {'session holds id strings twice (count)':<28} {count.twice:>10}")
         lines.append(f"  {'session tracks (objects)':<28} {count.tracked:>10}")
         lines.append(f"  {'session retains (bytes)':<28} {count.retained:>10}")
     if functions:
