@@ -350,11 +350,11 @@ def delta_case(rng, scenario=None) -> bool:
     encoded, decoded and merged into a copy of m1 taken before the
     backward.  Both m1 model and m1 store must match, and m1's encode must
     match a full render of the reference, after each of three edits and
-    backwards.  The forward readies the session: each backward parses only
-    the objects m2 marked changed, and m1 re-renders only the objects
-    merges marked; the third edits objects m2 added while it kept marks.
-    Half the sessions forward a model decoded from its text, whose kept
-    blocks m1 slices from that text; the other half render them."""
+    backwards.  The forward readies m2: each backward parses only the
+    objects m2 marked changed; the third edits objects m2 added while it
+    kept marks.  Half the sessions forward a model decoded from its text,
+    which keeps its blocks, so m1 re-renders only the objects merges
+    marked; the other half one built in code, rendered in full."""
     if scenario is None:
         scenario = SCENARIOS[rng.choice(sorted(SCENARIOS))]
     session = MigrationSession.create(scenario.m1_schema, scenario.m2_schema)

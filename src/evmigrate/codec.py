@@ -21,6 +21,12 @@ alone defines what is accepted and what each error says.  An instance
 file is read fast up to its first object outside the layout, and by the
 line reader from there.  Its pattern and a build and a render function
 per class are generated once per schema, on first use (``_kernels``).
+
+A model keeps its text, one block per object (``KeptBlocks``), if and
+only if ``decode_model`` read it: the canonical reader slices the blocks
+it matched, the objects the line reader reads are marked, and each encode
+renders only the objects marked since the last.  A model built in code is
+rendered in full at every encode.
 """
 
 from __future__ import annotations
@@ -256,19 +262,17 @@ def encode_model(model: InstanceModel) -> str:
     """Instance file text: objects in model order, features in declaration
     order, one line per many-reference target.
 
-    A model that keeps its blocks (see ``keep_blocks``) re-renders only
-    the objects it marked changed since the last encode and re-joins only
-    their chunks, so copying the text out is the one step that grows with
-    the model; any other model is rendered in full, one call of its class's
-    renderer per object."""
-    changed = model.unseen(ENCODE)
+    A model ``decode_model`` read keeps its text (``KeptBlocks``): an
+    encode re-renders only the objects marked since the last and re-joins
+    only their chunks, so copying the text out is the one step that grows
+    with the model.  Any other model is rendered in full, object by object."""
     kept = model.blocks
     render = _kernels(model.schema)[2]
-    if changed is None or kept is None:
+    if kept is None:
         return "".join([render[obj.class_name](obj) for obj in model.objects.values()])
     blocks, at, size, texts = kept.blocks, kept.at, kept.size, kept.texts
     stale = set()
-    for obj in changed:
+    for obj in model.unseen(ENCODE):
         pos = at.get(obj)
         if pos is None:  # a new object: ``add`` put it last in the model
             pos = at[obj] = len(blocks)
@@ -295,35 +299,15 @@ class KeptBlocks:
 
     __slots__ = ("blocks", "at", "size", "texts")
 
-    def __init__(self, blocks, at):
-        self.blocks = blocks
+    def __init__(self, text, bounds, objects):
+        """The blocks of ``objects``, the k-th ``text[bounds[k]:bounds[k + 1]]``."""
+        n = len(bounds) - 1
+        self.blocks = [text[start:end] for start, end in zip(bounds, bounds[1:])]
         #: object -> its block's index in ``blocks``
-        self.at = at
+        self.at = {obj: pos for pos, obj in enumerate(objects)}
         self.size = size = CHUNK
         #: chunk index -> the chunk's joined blocks, in chunk order
-        self.texts = {i // size: "".join(blocks[i:i + size]) for i in range(0, len(blocks), size)}
-
-
-def keep_blocks(model: InstanceModel):
-    """Keep the model's text from now on as ``KeptBlocks``, so each later
-    encode re-renders only the objects that changed and re-joins only
-    their chunks.  A model read by the canonical decoder slices the blocks
-    of the objects it read from that text, and leaves the objects written
-    or added since marked for the next encode; any other model costs one
-    full render."""
-    if model.blocks is not None:
-        return
-    objects = model.objects.values()
-    if model.unseen(ENCODE) is None or model.source is None:
-        render = _kernels(model.schema)[2]
-        blocks = [render[obj.class_name](obj) for obj in objects]
-        model.seen(ENCODE)
-    else:
-        text, bounds = model.source
-        blocks = [text[start:end] for start, end in zip(bounds, bounds[1:])]
-        objects = islice(objects, len(blocks))
-    model.source = None
-    model.blocks = KeptBlocks(blocks, {obj: pos for pos, obj in enumerate(objects)})
+        self.texts = {i // size: text[bounds[i]:bounds[min(i + size, n)]] for i in range(0, n, size)}
 
 
 #: a feature or class name the canonical reader reads: one token, no comment
@@ -393,22 +377,21 @@ def _kernels(schema: MetaModel):
 
 def _read_canonical(text, schema: MetaModel) -> tuple[InstanceModel | None, int, dict | None]:
     """(The model of the first objects exactly as ``encode_model`` writes
-    them, one match each, targets unchecked, with ``model.source`` for
-    ``keep_blocks`` and the encoder's reader started; the offset after
+    them, one match each, targets unchecked, keeping their text as
+    ``KeptBlocks`` with the encoder's reader started; the offset after
     them; (target class, reference name, many) -> the references mappings
-    that hold such a reference), or (None, -1, None) if an id repeats or a
-    scan finds foreign marks."""
+    that hold such a reference), or (None, -1, None) if an id repeats.
+    A text with foreign marks gives an empty model at offset 0."""
     # Marks the encoder never writes, found by a scan before any object is
     # built: a carriage return, a trailing space, a blank or comment line,
     # no final line break.
-    if ("\r" in text or " \n" in text or "\n\n" in text or text[-1:] not in ("\n", "")
-            or "#" in text and ("\n#" in text or "\n  #" in text)):
-        return None, -1, None
+    foreign = ("\r" in text or " \n" in text or "\n\n" in text or text[-1:] not in ("\n", "")
+               or "#" in text and ("\n#" in text or "\n  #" in text))
     match_object, builds, _ = _kernels(schema)
     model = InstanceModel(schema)
     objects, ref, bounds = model._objects, model._ref, array("q", (0,))
     targets = {(r.target, r.name, r.many): [] for c in schema.classes.values() for r in c.references.values()}
-    pos, end = 0, len(text)
+    pos, end = 0, 0 if foreign else len(text)
     try:
         while pos < end and (match := match_object(text, pos)) is not None:
             obj = builds[match.lastindex](match, ref, targets)
@@ -419,7 +402,7 @@ def _read_canonical(text, schema: MetaModel) -> tuple[InstanceModel | None, int,
         pass
     if len(objects) < len(bounds) - 1:
         return None, -1, None
-    model.source = (text, bounds)
+    model.blocks = KeptBlocks(text, bounds, objects.values())
     model.seen(ENCODE)
     return model, pos, targets
 

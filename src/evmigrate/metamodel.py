@@ -33,8 +33,6 @@ from typing import TYPE_CHECKING
 from .errors import ModelError, SchemaError
 
 if TYPE_CHECKING:
-    from array import array
-
     from .codec import KeptBlocks
 
 KIND_STRING = "string"
@@ -312,12 +310,9 @@ class InstanceModel:
     once some reader has called ``seen``; each reader decides when
     tracking pays."""
 
-    #: instance-file text per object, kept by ``codec.encode_model``
+    #: instance-file text per object, if ``codec.decode_model`` read the
+    #: model; ``codec.encode_model`` keeps it up to date
     blocks: KeptBlocks | None = None
-    #: the text a canonical decode read the model from, and the offsets
-    #: at which each object's block of it starts, then where the last
-    #: ends, until ``codec.keep_blocks`` takes it
-    source: tuple[str, array] | None = None
     #: the objects ``add`` took in since an editor adopted the model, to be
     #: registered under ids it mints (a dict as an ordered set); else None
     added: dict[DynamicObject, None] | None = None
@@ -358,7 +353,8 @@ class InstanceModel:
         checks it, and its id once (an object's id never changes): a
         declared class, an id that is new, non-empty and without line
         breaks, declared features, values of their kind and targets in
-        the model (the object itself included).  A model an editor holds
+        the model (the object itself included), each reference then
+        holding its target's own id string.  A model an editor holds
         records the object in ``added``."""
         cls = self.schema.classes.get(obj.class_name) or self.schema.cls(obj.class_name)
         obj_id, objects = obj.id, self._objects
@@ -373,6 +369,10 @@ class InstanceModel:
             objects[obj_id] = obj  # it may be its own target
             try:
                 self._check(obj, cls)
+                references = obj._references  # linked as ``set_reference`` links it
+                for name, value in references.items():
+                    references[name] = (tuple(t.id for t in map(objects.__getitem__, value))
+                                        if type(value) is tuple else objects[value].id)
             finally:
                 del objects[obj_id]
         _fit(obj, cls)

@@ -21,7 +21,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 
-from .codec import decode_log, encode_log, keep_blocks
+from .codec import decode_log, encode_log
 from .commands import DEFAULT_REFERENCE_YEAR
 from .editor import Editor
 from .errors import FormatError, MigrationError, ModelError
@@ -147,7 +147,6 @@ def migrate_forward(session: MigrationSession, m1_input: InstanceModel) -> Insta
     # new to m1 again (nothing, in a fresh session)
     session.m2.store.mark_unshipped()
     _ship(session, session.m1, session.m2)
-    keep_blocks(session.m1.model)  # every backward ends in an encode of m1
     return session.m2.model
 
 

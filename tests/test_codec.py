@@ -32,7 +32,6 @@ from evmigrate.codec import (
     _decode_lines,
     _decode_model_canonical,
     _decode_model_lines,
-    keep_blocks,
 )
 from evmigrate.metamodel import KIND_INT, LINE_BREAKS
 from evmigrate.sync import SCENARIOS
@@ -364,7 +363,7 @@ class TestEncodeModel:
 
     def test_golden_pets(self, base_schema):
         model = decode_model(data_text("pets.inst"), base_schema)
-        assert encode_model(model) == data_text("pets.inst")
+        assert encode_model(copy_model(model)) == encode_model(model) == data_text("pets.inst")
 
     def test_many_reference_one_line_per_target(self, pets_schema):
         model = decode_model(
@@ -384,31 +383,56 @@ class TestEncodeModel:
             model.get("p1").attributes["name"] = f"x{brk}obj evil Person"  # past the setter
         with pytest.raises(ModelError, match="line break"):
             model.set_attribute(model.get("p1"), "name", f"x{brk}obj evil Person")
-        assert encode_model(model) == data_text("pets.inst")
+        assert encode_model(copy_model(model)) == encode_model(model) == data_text("pets.inst")
 
     def test_line_break_is_refused_on_a_re_render_too(self, base_schema):
         model = decode_model(data_text("pets.inst"), base_schema)
-        keep_blocks(model)
         with pytest.raises(TypeError):
             model.get("d1").references["owner"] = "p1\nobj evil Person"  # past the setter
         with pytest.raises(ModelError, match="does not exist"):
             model.set_reference(model.get("d1"), "owner", "p1\nobj evil Person")
         model.set_attribute(model.get("d1"), "name", "Odie")
-        assert encode_model(model) == data_text("pets.inst").replace("Rex", "Odie")
+        assert encode_model(copy_model(model)) == encode_model(model) == data_text("pets.inst").replace("Rex", "Odie")
+
+    @staticmethod
+    def _rendered(monkeypatch, schema):
+        """The ids of the objects each class renderer renders from now on."""
+        rendered = []
+        renderers = codec._kernels(schema)[2]
+        for class_name, render in list(renderers.items()):
+            monkeypatch.setitem(renderers, class_name,
+                                lambda obj, render=render: rendered.append(obj.id) or render(obj))
+        return rendered
+
+    def test_a_canonical_decode_keeps_its_text_and_renders_nothing(self, monkeypatch, pets_schema):
+        rendered = self._rendered(monkeypatch, pets_schema)
+        model = decode_model(PETS_INSTANCE, pets_schema)
+        assert encode_model(model) == PETS_INSTANCE and rendered == []
+        model.set_attribute(model.get("d1"), "name", "Odie")
+        assert encode_model(model) == PETS_INSTANCE.replace("Rex", "Odie") and rendered == ["d1"]
+
+    def test_a_line_read_model_renders_each_object_once_then_only_its_edits(self, monkeypatch, pets_schema):
+        # a carriage return sends the whole text to the line reader, which
+        # marks every object it reads for the first encode
+        rendered = self._rendered(monkeypatch, pets_schema)
+        model = decode_model(PETS_INSTANCE.replace("\n", "\r\n"), pets_schema)
+        assert encode_model(model) == PETS_INSTANCE and rendered == list(model.objects)
+        rendered.clear()
+        model.set_attribute(model.get("d1"), "name", "Odie")
+        assert encode_model(model) == PETS_INSTANCE.replace("Rex", "Odie") and rendered == ["d1"]
+        assert encode_model(copy_model(model)) == PETS_INSTANCE.replace("Rex", "Odie")
 
     def test_writes_past_the_setter_reach_the_next_encode(self, pets_schema):
         model = decode_model(PETS_INSTANCE, pets_schema)
-        assert encode_model(model) == PETS_INSTANCE and model.blocks is None
-        keep_blocks(model)
-        assert encode_model(model) == PETS_INSTANCE
-        assert model.blocks is not None
+        assert model.blocks is not None  # read by the canonical reader
+        assert encode_model(copy_model(model)) == encode_model(model) == PETS_INSTANCE
         p1, d1 = model.get("p1"), model.get("d1")
         for write in (lambda: p1.attributes.__setitem__("name", "Bob"),
                       lambda: d1.attributes.pop("age"),
                       lambda: p1.references["dogs"].remove("d2")):
             with pytest.raises((TypeError, AttributeError)):
                 write()  # past the setter: refused
-        assert encode_model(model) == PETS_INSTANCE
+        assert encode_model(copy_model(model)) == encode_model(model) == PETS_INSTANCE
         model.set_attribute(p1, "name", "Bob")
         model.set_attribute_text(d1, "age", "5")
         model.new_object("Dog", "d3")
@@ -418,7 +442,7 @@ class TestEncodeModel:
             "obj d1 Dog\n  name Rex\n  age 5\n  owner p1\nobj d2 Dog\nobj d3 Dog\n"
         )
         assert encode_model(model) == expected
-        assert encode_model(model) == expected
+        assert encode_model(model) == encode_model(copy_model(model)) == expected
 
     def test_untracked_model_is_rendered_in_full_every_time(self, base_schema):
         source = decode_model(data_text("pets.inst"), base_schema)
@@ -434,7 +458,6 @@ class TestEncodeModel:
         # no object can be put in past add, so each kept block stays the
         # render of the object the model holds under that id
         model = decode_model(PETS_INSTANCE, pets_schema)
-        keep_blocks(model)
         with pytest.raises(TypeError):
             model.objects["p1"] = DynamicObject("p1", "Person", {"name": "Zed"})
         model.set_attribute(model.get("d1"), "name", "Odie")
@@ -451,7 +474,7 @@ class TestEncodeModel:
         with pytest.raises(AttributeError, match="sealed"):
             del p1.id
         text = encode_model(model)
-        assert "evil" not in text and text == data_text("pets.inst")
+        assert "evil" not in text and text == encode_model(copy_model(model)) == data_text("pets.inst")
 
 
 def _kept_chunks(schema, chunks):
@@ -461,9 +484,7 @@ def _kept_chunks(schema, chunks):
         f"obj p{k} Person\n  name P{k}\n  dogs d{k + 1}\nobj d{k + 1} Dog\n  name D{k + 1}\n  owner p{k}\n"
         for k in range(0, chunks * CHUNK, 2)
     )
-    model = decode_model(text, schema)
-    keep_blocks(model)
-    return model
+    return decode_model(text, schema)
 
 
 def _encode_rejoining(model):
@@ -606,7 +627,7 @@ class TestDecodeModel:
     def test_empty_string_value(self, base_schema):
         model = decode_model("obj p1 Person\n  name\n", base_schema)
         assert model.get("p1").attributes["name"] == ""
-        assert encode_model(model) == "obj p1 Person\n  name\n"
+        assert encode_model(copy_model(model)) == encode_model(model) == "obj p1 Person\n  name\n"
 
 
 def with_edge_values(rng, model):
@@ -731,7 +752,7 @@ class TestCanonicalModelFastPath:
         )
         for text, schema in ((data_text("pets.inst"), base_schema), (big, pets_schema)):
             model = decode_model(text, schema)
-            assert encode_model(model) == text
+            assert encode_model(copy_model(model)) == encode_model(model) == text
 
 
 #: per class, each feature with values the encoder writes and, drawn less
@@ -767,8 +788,8 @@ def pets_texts(draw):
 def test_every_text_the_canonical_reader_accepts_is_what_the_encoder_writes(text):
     schema = load_schema(PETS_SCHEMA_TEXT)
     model = _decode_model_canonical(text, schema)
-    if model is not None:
-        assert encode_model(model) == text
+    if model is not None:  # a full render, and the kept blocks' encode
+        assert encode_model(copy_model(model)) == encode_model(model) == text
     # whichever reader reads it, the model is the line reader's
     assert model_outcome(decode_model, text, schema) == model_outcome(_decode_model_lines, text, schema)
 

@@ -206,6 +206,22 @@ class TestReferences:
         model.set_reference(p, "dogs", "d1")
         assert p.references.get("dogs") == ("d1",)
 
+    def test_add_links_each_reference_to_its_targets_own_id(self, pets_schema):
+        # the caller's id strings are not kept: each reference holds its
+        # target's own id string, as set_reference and the readers link it
+        model = InstanceModel(pets_schema)
+        p = model.new_object("Person", "p1")
+        d1, d2 = model.new_object("Dog", "d1"), model.new_object("Dog", "d2")
+        d = model.add(DynamicObject("d3", "Dog", references={"owner": "".join(["p", "1"])}))
+        assert d.references["owner"] == "p1" and d.references["owner"] is p.id
+        dogs = ["".join(["d", "2"]), "".join(["d", "1"])]  # equal strings, not the objects' own
+        q = model.add(DynamicObject("p2", "Person", references={"dogs": dogs}))
+        assert q.references["dogs"] == ("d2", "d1")
+        assert [t is o.id for t, o in zip(q.references["dogs"], (d2, d1))] == [True, True]
+        own = InstanceModel(load_schema("class Node\n  ref next -> Node one\n"))
+        node = own.add(DynamicObject("".join(["n", "1"]), "Node", references={"next": "".join(["n", "1"])}))
+        assert node.references["next"] is node.id  # its own target
+
     def test_undeclared_reference(self, pets_schema):
         model = InstanceModel(pets_schema)
         p = model.new_object("Person", "p1")

@@ -32,7 +32,7 @@ from evmigrate import (
     migrate_forward,
     model_equals,
 )
-from evmigrate import codec
+from evmigrate import cli, codec
 from evmigrate import editor as editor_module
 from evmigrate.checks import random_model
 from evmigrate.commands import have_dog, have_person
@@ -453,7 +453,7 @@ class TestSyncCostsChangedObjectsOnly:
         return parsed, rendered
 
     def test_a_forward_from_canonical_text_validates_and_renders_nothing(self, monkeypatch):
-        # m1 is valid by construction, and keep_blocks slices its blocks
+        # m1 is valid by construction, and its decode sliced its blocks
         # from the text it was read from: only an object written after the
         # decode, through a setter, is rendered
         text = _bulk_text(2000)
@@ -472,6 +472,17 @@ class TestSyncCostsChangedObjectsOnly:
             assert validated == [] and rendered == []
             assert encode_model(m1) == (text if edit is None else text.replace("D7\n", "Odie\n", 1))
             assert rendered == ([] if edit is None else ["d7"])  # the one block m1 renders
+
+    def test_a_bench_forward_renders_nothing(self, monkeypatch):
+        # the bench forwards a copy of a decoded template: a model built in
+        # code keeps no text, and is rendered only when it is encoded
+        scenario = SCENARIOS["ybirth"]
+        template = decode_model(cli.BENCH_INPUT, scenario.m1_schema)
+        _, rendered = self._count(monkeypatch)
+        s = MigrationSession.create(scenario.m1_schema, scenario.m2_schema)
+        migrate_forward(s, copy_model(template))
+        assert rendered == [] and s.m1.model.blocks is None
+        assert encode_model(s.m1.model) == cli.BENCH_INPUT and len(rendered) == len(template)
 
     def test_one_rename_parses_and_renders_one_object(self, monkeypatch):
         s = session_for("dog-no-age")

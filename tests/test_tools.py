@@ -28,6 +28,15 @@ def test_a_tiny_cycle_counts_the_same_twice(tool):
     assert set(first.layers) <= {*tool.LAYERS, tool.BENCH}
 
 
+def test_a_bench_cycle_counts_the_same_twice(tool):
+    first, second = tool.count_bench_cycle(), tool.count_bench_cycle()
+    assert first.layers == second.layers and first.functions == second.functions
+    assert first.total == sum(first.functions.values()) > 0
+    # the bench forwards a copy of its template, which it never encodes
+    assert first.layers["codec.encode_model"] == 0 and first.layers["codec.decode_model"] == 0
+    assert not [name for name in first.functions if name.endswith(">.render")]
+
+
 def test_a_bulk_churn_sync_counts_the_same_twice(tool):
     first, second = (tool.count_bulk_churn(seed=1, sync_number=2, size=200) for _ in range(2))
     assert first.layers == second.layers and first.functions == second.functions
@@ -41,8 +50,11 @@ def test_a_bulk_forward_counts_the_same_twice(tool, capsys):
     first, second = (tool.count_bulk_forward(seed=1, size=200) for _ in range(2))
     assert first.layers == second.layers and first.functions == second.functions
     assert first.layers["sync.migrate_forward"] > 0 and first.layers["codec.decode_model"] > 0
-    # m1 is valid by construction: the forward does not validate it
-    assert first.layers["metamodel.validate"] == 0 and first.functions["evmigrate.codec.keep_blocks"]
+    # m1 is valid by construction and keeps the text it was decoded from:
+    # the forward neither validates nor renders it
+    assert first.layers["metamodel.validate"] == 0 and first.functions["evmigrate.codec.KeptBlocks.__init__"]
+    assert {name for name in first.functions if name.startswith("<evmigrate kernel m1.")} == {
+        "<evmigrate kernel m1.Person>.build", "<evmigrate kernel m1.Dog>.build"}
     assert first.retained == second.retained > 0
     # 200 objects on each side, none of them a stored command
     assert first.tracked == second.tracked and 400 <= first.tracked < 600

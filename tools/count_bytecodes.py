@@ -5,8 +5,11 @@ Run from the repository root:
     python3 tools/count_bytecodes.py
     python3 tools/count_bytecodes.py --seed 1 --sync 4 --functions 15
 
-Three operations are counted, each after untraced warm-up: one tiny cycle
-(the ``evmigrate bench`` fixture through ybirth, as perfbench's
+Four operations are counted, each after untraced warm-up: one cycle of
+``evmigrate bench --scenario ybirth`` (acceptance criterion 8's cycle:
+session, forward of a copy of the decoded fixture, mutate, backward; the
+count of ``cli.run_bench("ybirth", 2)`` less that of ``run_bench("ybirth",
+1)``), one tiny cycle (the same fixture through ybirth, as perfbench's
 ``tiny-cycles`` runs it: session, decode, forward, encode, mutate,
 backward, encode), one sync of perfbench's ``bulk-churn`` workload
 (20,000 objects through ybirth; the ``--sync``-th backward of a seeded
@@ -171,6 +174,17 @@ def count_tiny() -> Count:
     return count
 
 
+def count_bench_cycle() -> Count:
+    """One criterion-8 cycle: two bench cycles counted less one (each
+    count of two cycles is at least that of one)."""
+    cli.run_bench("ybirth", TINY_WARMUP)
+    one, two = Count(), Count()
+    one.run(lambda: cli.run_bench("ybirth", 1))
+    two.run(lambda: cli.run_bench("ybirth", 2))
+    two.layers, two.functions = two.layers - one.layers, two.functions - one.functions
+    return two
+
+
 def retained(build) -> tuple[int, int]:
     """The bytes ``build()``'s result holds and the objects of it the
     cyclic collector tracks: traced and tracked while it is alive, less
@@ -298,7 +312,8 @@ def main(argv=None):
     args = parser.parse_args(argv)
     if args.sync < 1:
         parser.error("--sync must be >= 1")
-    lines = report("tiny-cycles: one cycle", count_tiny(), args.functions)
+    lines = report("evmigrate bench: one cycle", count_bench_cycle(), args.functions)
+    lines += report("tiny-cycles: one cycle", count_tiny(), args.functions)
     lines += report(f"bulk-churn: sync {args.sync}, seed {args.seed}",
                     count_bulk_churn(args.seed, args.sync), args.functions)
     lines += report(f"bulk-1edit: one forward at 2,000 objects, seed {args.seed}",
