@@ -223,7 +223,16 @@ def main(argv=None) -> int:
 
 
 def entry():
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout early ("Note on SIGPIPE" in the signal
+        # module's docs): send what is left to devnull, so the flush at
+        # exit fails no more, and exit 1 without a traceback
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

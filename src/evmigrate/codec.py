@@ -22,11 +22,13 @@ file is read fast up to its first object outside the layout, and by the
 line reader from there.  Its pattern and a build and a render function
 per class are generated once per schema, on first use (``_kernels``).
 
-A model keeps its text, one block per object (``KeptBlocks``), if and
-only if ``decode_model`` read it: the canonical reader slices the blocks
-it matched, the objects the line reader reads are marked, and each encode
-renders only the objects marked since the last.  A model built in code is
-rendered in full at every encode.
+A model keeps its text (``KeptBlocks``) if and only if ``decode_model``
+read it: the canonical reader keeps the text it matched in chunks, with
+the offsets of each object's block, and slices no block; the objects the
+line reader reads are marked, and each encode renders only the objects
+marked since the last, slicing a chunk into its blocks when it first
+re-renders an object in it.  A model built in code is rendered in full at
+every encode.
 """
 
 from __future__ import annotations
@@ -265,7 +267,9 @@ def encode_model(model: InstanceModel) -> str:
     A model ``decode_model`` read keeps its text (``KeptBlocks``): an
     encode re-renders only the objects marked since the last and re-joins
     only their chunks, so copying the text out is the one step that grows
-    with the model.  Any other model is rendered in full, object by object."""
+    with the model.  A chunk is sliced into its blocks when an encode
+    first re-renders an object in it.  Any other model is rendered in
+    full, object by object."""
     kept = model.blocks
     render = _kernels(model.schema)[2]
     if kept is None:
@@ -276,10 +280,12 @@ def encode_model(model: InstanceModel) -> str:
         pos = at.get(obj)
         if pos is None:  # a new object: ``add`` put it last in the model
             pos = at[obj] = len(blocks)
-            blocks.append(render[obj.class_name](obj))
-        else:
-            blocks[pos] = render[obj.class_name](obj)
-        stale.add(pos // size)
+            blocks.append(None)
+        if (i := pos // size) not in stale:  # the first object of its chunk in this encode
+            stale.add(i)
+            if i in kept.offsets:  # the chunk is not split yet
+                kept.split(i)
+        blocks[pos] = render[obj.class_name](obj)
     for i in sorted(stale):  # a new chunk is inserted after every older one
         texts[i] = "".join(blocks[i * size:(i + 1) * size])
     model.seen(ENCODE)
@@ -291,23 +297,36 @@ CHUNK = 256
 
 
 class KeptBlocks:
-    """A model's instance-file text, kept for ``encode_model``: one block
-    per object in model order, each object's position among them, and the
-    joined text of every chunk of ``size`` blocks, so an edit re-joins
-    only its own chunk (a rope of one level: Boehm, Atkinson and Plass,
-    "Ropes: an Alternative to Strings", 1995)."""
+    """A model's instance-file text, kept for ``encode_model``: the joined
+    text of every chunk of ``size`` objects in model order, each object's
+    position, and one block per object of each chunk an encode has
+    re-rendered an object in, so an edit re-joins only its own chunk (a
+    rope of one level whose leaves split at their first edit: Boehm,
+    Atkinson and Plass, "Ropes: an Alternative to Strings", 1995)."""
 
-    __slots__ = ("blocks", "at", "size", "texts")
+    __slots__ = ("blocks", "at", "size", "texts", "offsets")
 
     def __init__(self, text, bounds, objects):
-        """The blocks of ``objects``, the k-th ``text[bounds[k]:bounds[k + 1]]``."""
+        """The chunks of ``objects``, the k-th read as ``text[bounds[k]:bounds[k + 1]]``."""
         n = len(bounds) - 1
-        self.blocks = [text[start:end] for start, end in zip(bounds, bounds[1:])]
+        #: each object's block, in model order; None in a chunk not yet split
+        self.blocks = [None] * n
         #: object -> its block's index in ``blocks``
         self.at = {obj: pos for pos, obj in enumerate(objects)}
         self.size = size = CHUNK
-        #: chunk index -> the chunk's joined blocks, in chunk order
+        #: chunk index -> the chunk's joined blocks, in chunk order; a
+        #: chunk's text ends at its last block, where the fast read ended
         self.texts = {i // size: text[bounds[i]:bounds[min(i + size, n)]] for i in range(0, n, size)}
+        #: chunk index -> its blocks' bounds in ``text``, until ``split``
+        self.offsets = {i // size: bounds[i:i + size + 1] for i in range(0, n, size)}
+
+    def split(self, i):
+        """Slice chunk ``i``'s text into its blocks, once: no block is
+        tested or rendered."""
+        offsets, text = self.offsets.pop(i), self.texts[i]
+        base, lo = offsets[0], i * self.size
+        self.blocks[lo:lo + len(offsets) - 1] = [
+            text[start - base:end - base] for start, end in zip(offsets, offsets[1:])]
 
 
 #: a feature or class name the canonical reader reads: one token, no comment

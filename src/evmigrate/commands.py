@@ -197,12 +197,22 @@ def _runner(schema, class_name, has_name, has_age, has_ybirth, owner_ref):
     derives).  Ids are looked up in the model while ``add`` took in none
     of its objects (see ``Editor``).
     Then the owner, made a stub if need be, so dogs may run before their
-    owner's HavePerson.  Names reach the source as ``repr`` literals."""
+    owner's HavePerson: admitted as the runner admits a new object while
+    the model took in no object through ``add`` and the ownerId is not
+    empty, else through ``Editor.get_or_create``, which refuses what it
+    refuses.  Names reach the source as ``repr`` literals."""
+
+    def empty(name):  # the references mapping a new object of class ``name`` starts with
+        return "{}" if schema.classes[name].references else "NO_REFERENCES"
+
     owner = [] if owner_ref is None else [
         "    if owner_id is not None:",
         "        owner = editor._lookup(owner_id) if model.added else model._objects.get(owner_id)",
         f"        if owner is None or owner.class_name != {owner_ref.target!r}:",
-        f"            owner = editor.get_or_create({owner_ref.target!r}, owner_id)",
+        "            if owner is None and owner_id and not model.added:  # a stub as get_or_create makes it",
+        f"                owner = model._admit(_object(owner_id, {owner_ref.target!r}, {{}}, {empty(owner_ref.target)}))",
+        "            else:",
+        f"                owner = editor.get_or_create({owner_ref.target!r}, owner_id)",
         "        model._link(obj, OWNER, owner.id)" if owner_ref.many else
         "        obj._references['owner'] = owner.id"]
     source = "\n".join([
@@ -217,8 +227,7 @@ def _runner(schema, class_name, has_name, has_age, has_ybirth, owner_ref):
             ("name", "name", "name", has_name), ("age", "age", "age", has_age),
             ("ybirth", "age", "editor.reference_year - age", has_ybirth)) if declared],
         "    if obj is None:",
-        f"        obj = model._admit(_object(obj_id, {class_name!r}, values, "
-        f"{'{}' if schema.classes[class_name].references else 'NO_REFERENCES'}))",
+        f"        obj = model._admit(_object(obj_id, {class_name!r}, values, {empty(class_name)}))",
         "    else:",
         "        for unseen in model.readers.values():\n            unseen[obj] = None", *owner,
         "    return obj_id", ""])

@@ -310,8 +310,9 @@ class InstanceModel:
     once some reader has called ``seen``; each reader decides when
     tracking pays."""
 
-    #: instance-file text per object, if ``codec.decode_model`` read the
-    #: model; ``codec.encode_model`` keeps it up to date
+    #: the instance-file text, if ``codec.decode_model`` read the model:
+    #: joined per chunk of objects, split into one block per object where
+    #: an encode re-rendered one; ``codec.encode_model`` keeps it up to date
     blocks: KeptBlocks | None = None
     #: the objects ``add`` took in since an editor adopted the model, to be
     #: registered under ids it mints (a dict as an ordered set); else None

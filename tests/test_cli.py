@@ -1,3 +1,4 @@
+import os
 import subprocess
 import sys
 
@@ -310,6 +311,17 @@ class TestConsoleEntry:
     def test_no_subcommand_is_usage_error(self):
         result = run_cli()
         assert result.returncode == 2
+
+    def test_a_closed_stdout_exits_1_without_a_traceback(self):
+        # a reader that stops early, as `evmigrate bench ... | head -1` may
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            result = subprocess.run([sys.executable, "-m", "evmigrate", "bench", "--iterations", "1"],
+                                    stdout=write_end, stderr=subprocess.PIPE, text=True)
+        finally:
+            os.close(write_end)
+        assert result.returncode == 1 and result.stderr == ""  # no traceback
 
 
 @pytest.mark.parametrize(

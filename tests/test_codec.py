@@ -477,14 +477,26 @@ class TestEncodeModel:
         assert "evil" not in text and text == encode_model(copy_model(model)) == data_text("pets.inst")
 
 
-def _kept_chunks(schema, chunks):
-    """A kept model of exactly ``chunks`` full chunks: the object at
-    position k is person pk (k even, owning dog dk+1) or dog dk (k odd)."""
-    text = "".join(
+def _pairs_text(objects):
+    """Canonical text of ``objects`` (even) objects: the object at position
+    k is person pk (k even, owning dog dk+1) or dog dk (k odd)."""
+    return "".join(
         f"obj p{k} Person\n  name P{k}\n  dogs d{k + 1}\nobj d{k + 1} Dog\n  name D{k + 1}\n  owner p{k}\n"
-        for k in range(0, chunks * CHUNK, 2)
+        for k in range(0, objects, 2)
     )
-    return decode_model(text, schema)
+
+
+def _kept_chunks(schema, chunks):
+    """A kept model of exactly ``chunks`` full chunks (``_pairs_text``)."""
+    return decode_model(_pairs_text(chunks * CHUNK), schema)
+
+
+def _split(model):
+    """The chunks of a kept model held as blocks: those an encode sliced,
+    and those new objects opened."""
+    kept = model.blocks
+    assert set(kept.offsets).isdisjoint({pos // CHUNK for pos, block in enumerate(kept.blocks) if block is not None})
+    return set(kept.texts) - set(kept.offsets)
 
 
 def _encode_rejoining(model):
@@ -500,18 +512,66 @@ class TestKeptBlocks:
     """An encode of a kept model re-joins only the chunks holding changed
     or new objects, and always agrees with a full render."""
 
+    def test_a_decode_slices_no_block_and_an_edit_slices_only_its_chunk(self, pets_schema):
+        model = decode_model(_pairs_text(2000), pets_schema)
+        kept = model.blocks
+        assert len(kept.texts) == 8 and _split(model) == set() and set(kept.blocks) == {None}
+        assert _encode_rejoining(model) == [] and _split(model) == set()
+        model.set_attribute(model.get("d1007"), "name", "Odie")
+        assert _encode_rejoining(model) == [1007 // CHUNK] and _split(model) == {1007 // CHUNK}
+        assert [pos // CHUNK for pos, block in enumerate(kept.blocks) if block is not None] == [3] * CHUNK
+        assert encode_model(model) == _pairs_text(2000).replace("name D1007", "name Odie")
+
     def test_edits_at_chunk_edges_re_join_their_own_chunk(self, pets_schema):
         model = _kept_chunks(pets_schema, 3)
         assert len(model.blocks.texts) == 3 and _encode_rejoining(model) == []
-        model.set_attribute(model.get(f"p{CHUNK}"), "name", "First")  # chunk 1's first object
-        assert _encode_rejoining(model) == [1]
+        model.set_attribute(model.get(f"p{CHUNK}"), "name", "First")  # unsplit chunk 1's first object
+        assert _encode_rejoining(model) == [1] and _split(model) == {1}
         model.set_attribute(model.get(f"d{2 * CHUNK - 1}"), "age", 7)  # chunk 1's last object
         assert _encode_rejoining(model) == [1]
-        model.set_attribute(model.get(f"d{3 * CHUNK - 1}"), "age", 3)  # the model's last object
-        assert _encode_rejoining(model) == [2]
+        model.set_attribute(model.get(f"d{3 * CHUNK - 1}"), "age", 3)  # unsplit last chunk's last object
+        assert _encode_rejoining(model) == [2] and _split(model) == {1, 2}
         model.set_attribute(model.get("p0"), "name", "Zero")
         model.set_attribute(model.get(f"d{3 * CHUNK - 1}"), "name", "Last")
-        assert _encode_rejoining(model) == [0, 2]
+        assert _encode_rejoining(model) == [0, 2] and _split(model) == {0, 1, 2}
+
+    def test_an_edit_at_the_end_of_an_unsplit_chunk_keeps_the_next(self, pets_schema):
+        model = _kept_chunks(pets_schema, 3)
+        model.set_attribute(model.get(f"d{CHUNK - 1}"), "name", "End")  # chunk 0's last object
+        model.set_attribute(model.get(f"p{2 * CHUNK}"), "name", "Start")  # chunk 2's first object
+        assert _encode_rejoining(model) == [0, 2] and _split(model) == {0, 2}
+        assert f"owner p{CHUNK - 2}\nobj p{CHUNK} Person\n  name P{CHUNK}\n" in encode_model(model)
+
+    def test_objects_appended_to_an_unsplit_last_chunk(self, pets_schema):
+        # the last decoded chunk is not full: a new object goes into it
+        model = decode_model(_pairs_text(2 * CHUNK + 10), pets_schema)
+        model.new_object("Dog", "x0")
+        assert _encode_rejoining(model) == [2] and _split(model) == {2}
+        assert encode_model(model).endswith(f"owner p{2 * CHUNK + 8}\nobj x0 Dog\n")
+        for k in range(1, CHUNK):  # fill chunk 2 and open chunk 3
+            model.new_object("Person", f"x{k}")
+        model.set_attribute(model.get("p0"), "name", "Zero")
+        assert _encode_rejoining(model) == [0, 2, 3] and _split(model) == {0, 2, 3}
+        assert encode_model(model).endswith(f"obj x{CHUNK - 1} Person\n")
+
+    def test_a_decode_whose_tail_the_line_reader_read(self, pets_schema):
+        # a value with two spaces before it stops the fast read; the line
+        # reader reads the rest, and the first encode appends what it read
+        tail = "obj x0 Dog\n  name  Spaced\nobj x1 Person\n  name X1\n  dogs x0\n"
+        model = decode_model(_pairs_text(CHUNK + 4) + tail, pets_schema)
+        assert len(model.blocks.at) == CHUNK + 4 and _split(model) == set()
+        assert _encode_rejoining(model) == [1] and _split(model) == {1}
+        assert encode_model(model) == _pairs_text(CHUNK + 4) + tail.replace("  Spaced", " Spaced")
+        model.set_attribute(model.get("x0"), "name", "Rex")
+        assert _encode_rejoining(model) == [1]
+
+    @pytest.mark.parametrize("text", ["# c\n", "\n", "obj p1 Person\n\n", PETS_INSTANCE.replace("\n", "\r\n")],
+                             ids=["comment", "blank", "blank-after-object", "crlf"])
+    def test_foreign_marks_with_no_fast_read_object_encode_the_full_render(self, pets_schema, text):
+        # a model keeps no text the fast reader did not match
+        model = decode_model(text, pets_schema)
+        assert encode_model(model) == encode_model(copy_model(model))
+        assert encode_model(model) == encode_model(copy_model(model))  # once its objects are kept too
 
     def test_many_reference_edits_re_join_their_chunk(self, pets_schema):
         model = _kept_chunks(pets_schema, 3)

@@ -520,6 +520,7 @@ class TestSyncCostsChangedObjectsOnly:
         assert rendered == ["d7"]
         assert sliced == [codec.CHUNK]
         assert [i for i in kept.texts if kept.texts[i] is not before[i]] == [1007 // codec.CHUNK]
+        assert set(kept.offsets) == set(range(8)) - {1007 // codec.CHUNK}  # the rest stay unsplit
         assert text == encode_model(copy_model(s.m1.model))
 
     def test_one_rename_sorts_only_the_shipped_delta(self, monkeypatch):
@@ -587,20 +588,26 @@ class TestSyncCostsChangedObjectsOnly:
 
     def test_a_forward_admits_each_object_once_and_makes_only_owner_stubs(self, monkeypatch):
         # a runner builds a new object complete and admits it; only an owner
-        # whose dog runs first (dogs run before persons) is made empty
+        # whose dog runs first (dogs run before persons) is admitted empty
         persons = [f"obj p{i} Person\n  name P{i}\n  age {i % 90}\n" for i in range(1000)]
         dogs = [f"obj d{i} Dog\n  name D{i}\n  owner p{i % 600}\n" for i in range(1000)]
         s = session_for("dog-no-age")
         m1 = decode_model("".join(persons + dogs), s.m1.schema)
-        admitted, made = Counter(), []
-        original_admit, original_new = InstanceModel._admit, InstanceModel.new_object
-        monkeypatch.setattr(InstanceModel, "_admit", lambda model, obj:
-                            admitted.update([(model, obj.id)]) or original_admit(model, obj))
-        monkeypatch.setattr(InstanceModel, "new_object", lambda model, class_name, obj_id:
-                            made.append((model, class_name, obj_id)) or original_new(model, class_name, obj_id))
+        admitted, stubs = Counter(), []
+        original_admit = InstanceModel._admit
+
+        def counting_admit(model, obj):
+            admitted.update([(model, obj.id)])
+            if not obj._attributes:
+                stubs.append((model, obj.class_name, obj.id))
+            return original_admit(model, obj)
+
+        monkeypatch.setattr(InstanceModel, "_admit", counting_admit)
         m2 = migrate_forward(s, m1)
         assert set(admitted.values()) == {1} and set(admitted) == {(m2, obj_id) for obj_id in m2.objects}
-        assert sorted(made) == sorted((m2, "Person", f"p{i}") for i in range(600))
+        assert sorted(stubs) == sorted((m2, "Person", f"p{i}") for i in range(600))
+        stub_ids = {obj_id for _, _, obj_id in stubs}
+        assert [obj_id for _, _, obj_id in stubs] == [obj_id for obj_id in m2.objects if obj_id in stub_ids]
         assert encode_model(m2) == encode_model(copy_model(m2))  # model order as before: p0..p599 follow their dogs
         assert list(m2.objects)[:3] == ["d0", "p0", "d1"]
 

@@ -46,6 +46,15 @@ def test_a_bulk_churn_sync_counts_the_same_twice(tool):
     assert first.twice == second.twice
 
 
+def test_a_bulk_1edit_sync_counts_the_same_twice(tool):
+    first, second = (tool.count_bulk_1edit(seed=1, sync_number=3, size=600) for _ in range(2))
+    assert first.layers == second.layers and first.functions == second.functions
+    assert first.layers["sync.migrate_backward"] > 0 and first.layers["codec.encode_model"] > 0
+    assert first.retained == second.retained > 0
+    assert first.tracked == second.tracked > 0
+    assert first.twice == second.twice
+
+
 def test_a_bulk_forward_counts_the_same_twice(tool, capsys):
     first, second = (tool.count_bulk_forward(seed=1, size=200) for _ in range(2))
     assert first.layers == second.layers and first.functions == second.functions

@@ -5,7 +5,7 @@ Run from the repository root:
     python3 tools/count_bytecodes.py
     python3 tools/count_bytecodes.py --seed 1 --sync 4 --functions 15
 
-Four operations are counted, each after untraced warm-up: one cycle of
+Five operations are counted, each after untraced warm-up: one cycle of
 ``evmigrate bench --scenario ybirth`` (acceptance criterion 8's cycle:
 session, forward of a copy of the decoded fixture, mutate, backward; the
 count of ``cli.run_bench("ybirth", 2)`` less that of ``run_bench("ybirth",
@@ -13,13 +13,16 @@ count of ``cli.run_bench("ybirth", 2)`` less that of ``run_bench("ybirth",
 ``tiny-cycles`` runs it: session, decode, forward, encode, mutate,
 backward, encode), one sync of perfbench's ``bulk-churn`` workload
 (20,000 objects through ybirth; the ``--sync``-th backward of a seeded
-mutation stream, each an apply, a backward and an encode of m1), and one
+mutation stream, each an apply, a backward and an encode of m1), one
 forward of perfbench's ``bulk-1edit`` workload at 2,000 objects (dog-no-age;
-decode, forward and encode of m2, as perfbench times a forward).
+decode, forward and encode of m2, as perfbench times a forward), and one
+sync of ``bulk-1edit`` at 20,000 objects (the 10th one-rename backward
+after a forward, on the same seed: by then it has split some of m1's
+chunks and left the rest whole).
 
 A count is the number of ``opcode`` trace events (``sys.settrace`` with
 ``frame.f_trace_opcodes``), so it does not depend on the machine's speed:
-two runs of one tree print the same output.  For the two bulk operations
+two runs of one tree print the same output.  For the three bulk operations
 the report also gives what the session holds afterwards: the id strings it
 holds twice (each id, ownerId and key of a store entry and each reference
 target that is not the very string its object holds), and, in a separate
@@ -220,11 +223,12 @@ def held_twice(session) -> int:
     return twice
 
 
-def churn_session(work, sync_number, count=None):
-    """A session after one forward and ``sync_number`` syncs of ``work``,
-    as perfbench's ``bulk-churn`` runs them, the last counted into
-    ``count`` if given; every output is checked, untraced."""
-    scenario = evmigrate.SCENARIOS["ybirth"]
+def synced_session(work, scenario_name, sync_number, count=None):
+    """A session after one forward and ``sync_number`` syncs of ``work``
+    through ``scenario_name``, as perfbench's bulk workloads run them, the
+    last counted into ``count`` if given; every output is checked,
+    untraced."""
+    scenario = evmigrate.SCENARIOS[scenario_name]
     session = evmigrate.MigrationSession.create(
         scenario.m1_schema, scenario.m2_schema, workloads.REFERENCE_YEAR
     )
@@ -242,16 +246,29 @@ def churn_session(work, sync_number, count=None):
     return session
 
 
-def count_bulk_churn(seed, sync_number, size=20_000) -> Count:
-    """Count the ``sync_number``-th sync after one forward, then measure
+def count_bulk_sync(scenario_name, churn, seed, sync_number, size=20_000) -> Count:
+    """Count the ``sync_number``-th sync after one forward of perfbench's
+    ``bulk-churn`` (``churn``) or ``bulk-1edit`` workload, then measure
     what the session retains after it, in a second session of a second,
     equal workload (the first's mutation stream is spent)."""
     count = Count()
-    counted = churn_session(workloads.BulkWorkload(seed, "ybirth", size, churn=True), sync_number, count)
+    work = workloads.BulkWorkload(seed, scenario_name, size, churn)
+    counted = synced_session(work, scenario_name, sync_number, count)
     count.twice = held_twice(counted)
-    work = workloads.BulkWorkload(seed, "ybirth", size, churn=True)
-    count.retained, count.tracked = retained(lambda: churn_session(work, sync_number))
+    work = workloads.BulkWorkload(seed, scenario_name, size, churn)
+    count.retained, count.tracked = retained(lambda: synced_session(work, scenario_name, sync_number))
     return count
+
+
+def count_bulk_churn(seed, sync_number, size=20_000) -> Count:
+    """One sync of ``bulk-churn``: 20,000 objects through ybirth."""
+    return count_bulk_sync("ybirth", True, seed, sync_number, size)
+
+
+def count_bulk_1edit(seed, sync_number=10, size=20_000) -> Count:
+    """One sync of ``bulk-1edit``: 20,000 objects through dog-no-age, one
+    dog renamed per sync."""
+    return count_bulk_sync("dog-no-age", False, seed, sync_number, size)
 
 
 def count_bulk_forward(seed, size=2_000) -> Count:
@@ -318,6 +335,7 @@ def main(argv=None):
                     count_bulk_churn(args.seed, args.sync), args.functions)
     lines += report(f"bulk-1edit: one forward at 2,000 objects, seed {args.seed}",
                     count_bulk_forward(args.seed), args.functions)
+    lines += report(f"bulk-1edit: sync 10, seed {args.seed}", count_bulk_1edit(args.seed), args.functions)
     print("\n".join(lines))
     return 0
 
