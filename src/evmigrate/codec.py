@@ -36,18 +36,19 @@ from __future__ import annotations
 import re
 from array import array
 from functools import cached_property, lru_cache
-from collections import deque
-from itertools import chain, islice, repeat
-from operator import attrgetter, itemgetter, setitem
+from itertools import chain, islice
+from operator import attrgetter
 
 from .commands import _OWNED_KINDS, SPECS, Command, _Checked, _id_of, _trusted, check_reference_year
 from .editor import EventStore
 from .errors import FormatError, MigrationError
 from .metamodel import (
     KIND_INT,
+    AttributeDef,
     LINE_BREAKS,
     InstanceModel,
     MetaModel,
+    _set_values,
     compile_kernel,
     significant_lines,
 )
@@ -338,51 +339,56 @@ def _kernels(schema: MetaModel):
     """The instance format's per-object kernels, generated at first use
     and shared, never written: (the match of one object as ``encode_model``
     writes it, a class per alternative; alternative's closing empty group
-    (``match.lastindex``) -> the ``build`` of its objects, which adds the
-    references mapping of each reference it reads to ``targets[(target
-    class, reference name, many)]`` and refuses a repeated target; class ->
-    the renderer of an object's block).  A name ``_READABLE`` refuses is
-    left to the line reader.  Names reach the source as ``repr`` literals."""
+    (``match.lastindex``) -> the ``build`` of its objects; class -> the
+    renderer of an object's block), which read and write values by
+    position.  ``build`` links a single reference to a target of its class
+    it already read (``get``), adds the object to ``targets[(target class,
+    reference name, many, position)]`` for each other reference, and
+    refuses a repeated target.  A name ``_READABLE`` refuses is left to
+    the line reader.  Names reach the source as ``repr`` literals."""
     alternatives, builds, renderers, group = [], {}, {}, 2  # group 1 is the id
     for cls in schema.classes.values():
-        features = (*cls.attributes.items(), *cls.references.items())
-        fields, parts = ["obj_id"], []
-        build = [f"    attributes, references = {{}}, {'{}' if cls.references else 'NO_REFERENCES'}"]
-        render = ["    values, references = obj._attributes, obj._references"]
+        fields, parts, build = ["obj_id"], [], []
+        render = [f"    [{', '.join(f'v{k}' for k in range(len(cls.features)))}] = obj._values"]
         defaults = [f"H={f' {cls.name}{_NL}'!r}"]
-        for k, (name, feature) in enumerate(features):
+        for k, feature in enumerate(cls.features):
+            name = feature.name
             prefix, line, v, collect = f"  {name} ", "  " + re.escape(name), f"v{k}", []
-            into = "references" if name in cls.references else "attributes"
             defaults.append(f"F{k}={prefix!r}")
-            got = f"(v := {'values' if into == 'attributes' else into}.get({name!r}))"
-            piece = f"    p{k} = '' if {got} is None else f'{{F{k}}}{{v}}\\n'"
-            if into == "attributes" and feature.kind != KIND_INT:  # "" is written "  name"
-                part, value = rf"(?:{line}( {_VALUE}|)\n)?", f"{v}[1:]"
-                piece = f"    p{k} = '' if {got} is None else f'{{F{k}}}{{v}}'.rstrip() + '\\n'"
-            elif into == "attributes":  # as ``str(int)`` writes it
-                part, value = rf"(?:{line} (0|-?[1-9][0-9]*)\n)?", f"int({v}, 10)"
+            piece = f"    p{k} = '' if {v} is None else f'{{F{k}}}{{{v}}}\\n'"
+            if isinstance(feature, AttributeDef) and feature.kind != KIND_INT:  # "" is written "  name"
+                part, value = rf"(?:{line}( {_VALUE}|)\n)?", f"{v} = {v}[1:]"
+                piece = f"    p{k} = '' if {v} is None else f'{{F{k}}}{{{v}}}'.rstrip() + '\\n'"
+            elif isinstance(feature, AttributeDef):  # as ``str(int)`` writes it
+                part, value = rf"(?:{line} (0|-?[1-9][0-9]*)\n)?", f"{v} = int({v}, 10)"
             elif feature.many:
                 part, value = rf"((?:{line} \S+\n)+)?", f"{v} = tuple({v}[{len(prefix)}:-1].split({_NL + prefix!r}))"
                 defaults.append(f"J{k}={_NL + prefix!r}")
-                piece = f"    p{k} = f'{{F{k}}}{{J{k}.join(v)}}\\n' if {got} else ''"
-                collect = [f"        if len(set({v})) < len({v}):", "            raise ValueError('a repeated target')"]
+                piece = f"    p{k} = f'{{F{k}}}{{J{k}.join({v})}}\\n' if {v} else ''"
+                collect = [f"        if len(set({v})) < len({v}):", "            raise ValueError('a repeated target')",
+                           f"        late += ({(feature.target, name, True, k)!r},)"]
             else:
-                part, value = rf"(?:{line} (\S+)\n)?", v
-            if into == "references":
-                collect.append(f"        targets[{(feature.target, name, feature.many)!r}].append(references)")
+                part, value = rf"(?:{line} (\S+)\n)?", f"t = get({v})"
+                collect = [f"        if t is not None and t.class_name == {feature.target!r}:",
+                           f"            {v} = t.id", "        else:",
+                           f"            late += ({(feature.target, name, False, k)!r},)"]
             render.append(piece)
             if _READABLE.fullmatch(name) is not None:
                 parts.append(part)
                 fields.append(v)
-                build += [f"    if {v} is not None:", f"        {into}[{name!r}] = {value}", *collect]
+                build += [f"    if {v} is not None:", f"        {value}", *collect]
         fields.append("_")  # the closing group: ``group`` then gives a tuple
         groups = (1, *range(group, group + len(fields) - 1))
+        values = "".join(f"v{k}, " if f"v{k}" in fields else "None, " for k in range(len(cls.features)))
+        made = f"_object(obj_id, {cls.name!r}, ({values}), LAYOUT, ref)"
         source = "\n".join([
-            "def build(match, ref, targets):", f"    {', '.join(fields)} = match.group{groups}", *build,
-            f"    return _object(obj_id, {cls.name!r}, attributes, references, ref)", "", "",
+            "def build(match, ref, targets, get):", f"    {', '.join(fields)} = match.group{groups}",
+            *(["    late = ()", *build, f"    obj = {made}", "    for key in late:",
+               "        targets[key].append(obj)", "    return obj"] if cls.references else
+              [*build, f"    return {made}"]), "", "",
             f"def render(obj, {', '.join(defaults)}):", *render,
-            "    return f'obj {obj.id}{H}" + "".join(f"{{p{k}}}" for k in range(len(features))) + "'", ""])
-        kernel = compile_kernel(f"{schema.name}.{cls.name}", source)
+            "    return f'obj {obj.id}{H}" + "".join(f"{{p{k}}}" for k in range(len(cls.features))) + "'", ""])
+        kernel = compile_kernel(f"{schema.name}.{cls.name}", source, {"LAYOUT": cls})
         renderers[cls.name] = kernel["render"]
         if _READABLE.fullmatch(cls.name) is not None:
             alternatives.append(f"{re.escape(cls.name)}\\n{''.join(parts)}()")
@@ -396,10 +402,10 @@ def _kernels(schema: MetaModel):
 
 def _read_canonical(text, schema: MetaModel) -> tuple[InstanceModel | None, int, dict | None]:
     """(The model of the first objects exactly as ``encode_model`` writes
-    them, one match each, targets unchecked, keeping their text as
-    ``KeptBlocks`` with the encoder's reader started; the offset after
-    them; (target class, reference name, many) -> the references mappings
-    that hold such a reference), or (None, -1, None) if an id repeats.
+    them, one match each, keeping their text as ``KeptBlocks`` with the
+    encoder's reader started; the offset after them; (target class,
+    reference name, many, position) -> the objects whose such reference
+    the build left unchecked), or (None, -1, None) if an id repeats.
     A text with foreign marks gives an empty model at offset 0."""
     # Marks the encoder never writes, found by a scan before any object is
     # built: a carriage return, a trailing space, a blank or comment line,
@@ -409,11 +415,13 @@ def _read_canonical(text, schema: MetaModel) -> tuple[InstanceModel | None, int,
     match_object, builds, _ = _kernels(schema)
     model = InstanceModel(schema)
     objects, ref, bounds = model._objects, model._ref, array("q", (0,))
-    targets = {(r.target, r.name, r.many): [] for c in schema.classes.values() for r in c.references.values()}
+    get = objects.get
+    targets = {(r.target, r.name, r.many, c.slots[r.name]): []
+               for c in schema.classes.values() for r in c.references.values()}
     pos, end = 0, 0 if foreign else len(text)
     try:
         while pos < end and (match := match_object(text, pos)) is not None:
-            obj = builds[match.lastindex](match, ref, targets)
+            obj = builds[match.lastindex](match, ref, targets, get)
             objects[obj.id] = obj
             pos = match.end()
             bounds.append(pos)
@@ -427,23 +435,21 @@ def _read_canonical(text, schema: MetaModel) -> tuple[InstanceModel | None, int,
 
 
 def _targets_hold(model: InstanceModel, targets) -> bool:
-    """Whether each reference read fast (``_read_canonical``'s
+    """Whether each reference the build left unchecked (``_read_canonical``'s
     ``targets``) names an object of its class, as ``InstanceModel.add``
-    checks it, each then linked to its target's own id string: a few
-    passes in C per class and reference."""
+    checks it, each then linked to its target's own id string."""
     get, own_id = model._objects.get, attrgetter("id")
     try:
-        for (cls, name, many), holders in targets.items():
-            values = list(map(itemgetter(name), holders))
+        for (cls, _, many, k), holders in targets.items():
+            values = [holder._values[k] for holder in holders]
             found = list(map(get, chain.from_iterable(values) if many else values))
             if not set(map(attrgetter("class_name"), found)) <= {cls}:
                 return False
             ids = map(own_id, found)
-            if many:
-                for holder, value in zip(holders, values):
-                    holder[name] = tuple(islice(ids, len(value)))
-            else:
-                deque(map(setitem, holders, repeat(name), ids), 0)
+            for holder, value in zip(holders, values):
+                new = list(holder._values)
+                new[k] = tuple(islice(ids, len(value))) if many else next(ids)
+                _set_values(holder, tuple(new))
     except AttributeError:  # None has no class: a target that is no object
         return False
     return True

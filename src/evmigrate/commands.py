@@ -143,7 +143,8 @@ def bind(schema) -> MappingProxyType:
     """Resolve, once per schema, what each kind can write.
 
     Returns kind -> None when the schema lacks the target class, else
-    ``(class, has name, has age, has ybirth, owner ReferenceDef or None,
+    ``(class, the positions of name, age and ybirth in its objects' values
+    (None where undeclared), owner ReferenceDef or None, its position,
     runner)``; ``run`` calls the runner, generated at its first run.  An
     attribute of the wrong kind is rejected here, before any write.
     Schemas are immutable in use and hash by identity, so the result is
@@ -156,18 +157,15 @@ def bind(schema) -> MappingProxyType:
         if cls is None:
             bindings[kind] = None
             continue
+        positions = []
         for attr, want in (("name", KIND_STRING), ("age", KIND_INT), ("ybirth", KIND_INT)):
             adef = cls.attributes.get(attr)
             if adef is not None and adef.kind != want:
                 raise ModelError(f"{class_name}.{attr} is declared {adef.kind}, cannot hold {want}")
-        bindings[kind] = (
-            class_name,
-            "name" in cls.attributes,
-            "age" in cls.attributes,
-            "ybirth" in cls.attributes,
-            cls.references.get("owner") if "ownerId" in fields else None,
-            partial(_first_run, schema, bindings, kind),
-        )
+            positions.append(None if adef is None else cls.slots[attr])
+        owner = cls.references.get("owner") if "ownerId" in fields else None
+        bindings[kind] = (class_name, *positions, owner, None if owner is None else cls.slots["owner"],
+                          partial(_first_run, schema, bindings, kind))
     return MappingProxyType(bindings)
 
 
@@ -177,44 +175,49 @@ def run(cmd: Command, editor: Editor) -> str:
     binding = editor.bindings[cmd.kind]  # a plain tuple is no command: it has no kind
     if binding is None:
         raise SchemaError(f"schema declares no {cmd.target_class} class")
-    return binding[5](cmd, editor)
+    return binding[-1](cmd, editor)
 
 
 def _first_run(schema, bindings, kind, cmd, editor):
     """Generate the kind's runner, put it in its binding and run it."""
     binding = bindings[kind]
-    bindings[kind] = (*binding[:5], _runner(schema, *binding[:5]))
-    return bindings[kind][5](cmd, editor)
+    bindings[kind] = (*binding[:-1], _runner(schema, *binding[:-1]))
+    return bindings[kind][-1](cmd, editor)
 
 
-def _runner(schema, class_name, has_name, has_age, has_ybirth, owner_ref):
+def _runner(schema, class_name, name_at, age_at, ybirth_at, owner_ref, owner_at):
     """The generated runner of one kind on one schema.  It writes each set
-    field the class declares, ybirth as referenceYear - age: into a new
-    object, built complete and admitted under its id (a checked or trusted
-    command holds values of the declared kinds; a class that declares no
-    reference shares ``NO_REFERENCES``), or in place, marking the object
-    even if nothing changed (its next store entry changes what a parse
-    derives).  Ids are looked up in the model while ``add`` took in none
-    of its objects (see ``Editor``).
+    field the class declares, ybirth as referenceYear - age, at its
+    position: into a new object, built complete and admitted under its id
+    (a checked or trusted command holds values of the declared kinds), or
+    into a new tuple of the object's values, marking the object even if
+    nothing changed (its next store entry changes what a parse derives).
+    Ids are looked up in the model while ``add`` took in none of its
+    objects (see ``Editor``).
     Then the owner, made a stub if need be, so dogs may run before their
     owner's HavePerson: admitted as the runner admits a new object while
     the model took in no object through ``add`` and the ownerId is not
     empty, else through ``Editor.get_or_create``, which refuses what it
     refuses.  Names reach the source as ``repr`` literals."""
-
-    def empty(name):  # the references mapping a new object of class ``name`` starts with
-        return "{}" if schema.classes[name].references else "NO_REFERENCES"
-
+    cls = schema.classes[class_name]
+    new, old = ["None"] * len(cls.slots), [f"v[{k}]" for k in range(len(cls.slots))]
+    for at, arg, value in ((name_at, "name", "name"), (age_at, "age", "age"),
+                           (ybirth_at, "age", "editor.reference_year - age")):
+        if at is not None:
+            new[at] = value if value == arg else f"None if {arg} is None else {value}"
+            old[at] = f"v[{at}] if {arg} is None else {value}"
     owner = [] if owner_ref is None else [
         "    if owner_id is not None:",
         "        owner = editor._lookup(owner_id) if model.added else model._objects.get(owner_id)",
         f"        if owner is None or owner.class_name != {owner_ref.target!r}:",
         "            if owner is None and owner_id and not model.added:  # a stub as get_or_create makes it",
-        f"                owner = model._admit(_object(owner_id, {owner_ref.target!r}, {{}}, {empty(owner_ref.target)}))",
+        f"                owner = model._admit(_object(owner_id, {owner_ref.target!r}, "
+        f"({'None, ' * len(schema.classes[owner_ref.target].slots)}), TARGET))",
         "            else:",
         f"                owner = editor.get_or_create({owner_ref.target!r}, owner_id)",
         "        model._link(obj, OWNER, owner.id)" if owner_ref.many else
-        "        obj._references['owner'] = owner.id"]
+        f"        v = obj._values\n        _set_values(obj, ("
+        f"{''.join('owner.id, ' if k == owner_at else f'v[{k}], ' for k in range(len(cls.slots)))}))"]
     source = "\n".join([
         "def run(cmd, editor):",
         "    _, obj_id, name, age, owner_id = cmd",
@@ -222,13 +225,11 @@ def _runner(schema, class_name, has_name, has_age, has_ybirth, owner_ref):
         "    obj = editor._lookup(obj_id) if model.added else model._objects.get(obj_id)",
         f"    if obj is not None and obj.class_name != {class_name!r}:",
         f"        editor.get_or_create({class_name!r}, obj_id)  # refuses the class",
-        "    values = {} if obj is None else obj._attributes",
-        *[f"    if {arg} is not None:\n        values[{field!r}] = {value}" for field, arg, value, declared in (
-            ("name", "name", "name", has_name), ("age", "age", "age", has_age),
-            ("ybirth", "age", "editor.reference_year - age", has_ybirth)) if declared],
         "    if obj is None:",
-        f"        obj = model._admit(_object(obj_id, {class_name!r}, values, {empty(class_name)}))",
+        f"        obj = model._admit(_object(obj_id, {class_name!r}, ({''.join(f'{v}, ' for v in new)}), LAYOUT))",
         "    else:",
+        f"        v = obj._values\n        _set_values(obj, ({''.join(f'{v}, ' for v in old)}))",
         "        for unseen in model.readers.values():\n            unseen[obj] = None", *owner,
         "    return obj_id", ""])
-    return compile_kernel(f"{schema.name}.{class_name} run", source, {"OWNER": owner_ref})["run"]
+    return compile_kernel(f"{schema.name}.{class_name} run", source, {
+        "OWNER": owner_ref, "LAYOUT": cls, "TARGET": owner_ref and schema.classes[owner_ref.target]})["run"]

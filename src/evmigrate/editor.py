@@ -27,7 +27,7 @@ from .commands import (
     DEFAULT_REFERENCE_YEAR,
 )
 from .errors import MergeError, MigrationError, ModelError
-from .metamodel import DynamicObject, InstanceModel, MetaModel, _fit, has_line_break
+from .metamodel import DynamicObject, InstanceModel, MetaModel, _lay_out, has_line_break
 
 #: the model reader ``Editor.parse_model`` keeps its place under
 PARSE = "parse"
@@ -39,7 +39,7 @@ def _holds_every_field(schema) -> bool:
     ``schema``, so an object a command built derives that command again."""
     return all(
         binding is None
-        or (binding[1] or "name" not in fields)
+        or (binding[1] is not None or "name" not in fields)
         and (binding[4] is not None or "ownerId" not in fields)
         for binding, (_, fields) in zip(bind(schema).values(), SPECS.values())
     )
@@ -262,7 +262,7 @@ class Editor:
                 binding = bindings[cmd[0] if checked else cmd.kind]  # a plain tuple has no kind
                 if binding is None:  # the schema lacks its class: ``run`` refuses it
                     _commands.run(_trusted(cmd), self)
-                binding[5](cmd, self)
+                binding[-1](cmd, self)
                 ran += 1
         except MigrationError as e:
             raise MergeError(
@@ -283,13 +283,13 @@ class Editor:
         reader restarts, see ``InstanceModel.unseen``).  A model is valid
         against its own schema at all times, so it is validated only when
         that schema is not this editor's: then against this editor's, and
-        every object is marked for every reader and given the references
-        mapping its class calls for there."""
+        every object is marked for every reader and laid out by its class
+        there."""
         if model.schema is not self.schema:
             model.validate(self.schema)
             model.schema = self.schema
             for obj in model.objects.values():
-                _fit(obj, self.schema.classes[obj.class_name])
+                _lay_out(obj, self.schema.classes[obj.class_name])
             model.mark_all()
         model.readers.pop(PARSE, None)
         self._hold(model)
@@ -326,7 +326,7 @@ class Editor:
             buckets[KIND_OF_CLASS.get(obj.class_name) or _kind_of(obj)].append(obj)
         store = self.store
         for kind, bucket in buckets.items():
-            runs = bucket and all(self.bindings[kind][2:4])  # has age, has ybirth
+            runs = bucket and None not in self.bindings[kind][2:4]  # has age, has ybirth
             for obj in bucket:
                 fields, changed = self._parse(obj, kind)
                 if changed:
@@ -349,17 +349,17 @@ class Editor:
         there is one.  The fields are not checked: the model checked every
         value and target it holds, and its ids come from the model or from
         ``id_for``."""
-        _, has_name, has_age, has_ybirth, owner_ref, _ = self.bindings[kind]
+        _, name_at, age_at, ybirth_at, owner_ref, owner_at, _ = self.bindings[kind]
         added = self.model.added  # every other object is registered under its key
         obj_id = self.id_for(obj) if obj in added else obj.id
         old = self.store._entries.get(obj_id)
         if old is not None and old[0] != kind:
             old = None
-        values = obj._attributes
-        name = values.get("name") if has_name else None
-        if has_age or has_ybirth:
-            age = values.get("age") if has_age else None
-            ybirth = values.get("ybirth") if has_ybirth else None
+        values = obj._values  # laid out by this editor's schema, as ``bind`` read it
+        name = None if name_at is None else values[name_at]
+        if age_at is not None or ybirth_at is not None:
+            age = None if age_at is None else values[age_at]
+            ybirth = None if ybirth_at is None else values[ybirth_at]
             # with both set, ybirth wins only if age is as stored: it was not edited
             if ybirth is not None and (age is None or old is not None and age == old[3]):
                 age = self.reference_year - ybirth
@@ -369,7 +369,7 @@ class Editor:
             age = None if old is None else old[3]
         owner_id = None
         if owner_ref is not None:
-            target_id = obj._references.get("owner")
+            target_id = values[owner_at]
             if owner_ref.many and target_id is not None:
                 if len(target_id) > 1:
                     raise ModelError(

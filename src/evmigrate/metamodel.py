@@ -2,19 +2,20 @@
 
 Classes, attributes and references are declared in data (parsed from a
 plain-text schema file) and queried at runtime, so one command
-implementation can serve any schema variant.  Objects are attribute
-maps; an attribute that was never set is UNSET, which is distinct from
-empty string or zero and is represented as the absence of the key.
+implementation can serve any schema variant.  An object in a model holds
+one tuple of values in its class's feature order (``MetaClass.slots``),
+as EMF's dynamic objects hold one array indexed by feature id; a feature
+never set is UNSET, held as None: distinct from empty string, zero and
+an empty many-reference.
 
 Every write goes through the model that holds the object: ``add``, the
 setters (``set_attribute``, ``set_attribute_text``, ``set_reference``,
 which ``sync.apply_mutations`` uses) and the editors' commands.  Objects
-are sealed, their ``attributes`` and ``references`` are read-only
-mappings (every object of a class that declares no reference shares one,
-``NO_REFERENCES``) and a many-reference is a tuple, so no write goes past
-the model.  Each write checks what it writes, so a model is valid against
-its own schema at all times: ``Editor.adopt_model`` validates a model
-only when it comes from another schema.
+are sealed, their ``attributes`` and ``references`` are read-only views
+and a many-reference is a tuple, so no write goes past the model.  Each
+write checks what it writes, so a model is valid against its own schema
+at all times: ``Editor.adopt_model`` validates a model only when it comes
+from another schema.
 
 A model records which of its objects were written, so readers that
 derive something per object (the editor's parse, the instance encoder)
@@ -27,6 +28,7 @@ import itertools
 import linecache
 import weakref
 from dataclasses import dataclass
+from collections.abc import Mapping
 from types import MappingProxyType
 from typing import TYPE_CHECKING
 
@@ -67,7 +69,9 @@ class ReferenceDef:
 
 
 class MetaClass:
-    """A declared class: named attribute and reference slots.
+    """A declared class: named attribute and reference slots, and the
+    layout of its objects' values: its attributes, then its references,
+    each in declaration order.
 
     Attribute and reference names share one namespace within the class;
     the instance file grammar needs the first token of a line to identify
@@ -78,6 +82,8 @@ class MetaClass:
         self.name = name
         self.attributes: dict[str, AttributeDef] = {}
         self.references: dict[str, ReferenceDef] = {}
+        #: every feature in layout order, and name -> its position (``add`` sets both)
+        self.features, self.slots = (), {}
         for feature in (*attributes, *references):
             self.add(feature)
 
@@ -96,6 +102,8 @@ class MetaClass:
                 f"unknown attribute kind {feature.kind!r} on {self.name}.{feature.name} "
                 f"(use string or int)"
             )
+        self.features = (*self.attributes.values(), *self.references.values())
+        self.slots = {f.name: k for k, f in enumerate(self.features)}
 
     def attribute(self, name) -> AttributeDef:
         try:
@@ -197,36 +205,33 @@ def load_schema(text, name="model") -> MetaModel:
     return schema
 
 
-#: the references of every object whose class, in its model's schema, declares none
-NO_REFERENCES = MappingProxyType({})
-
-
 class DynamicObject:
     """A schema-conforming instance, sealed: the constructor sets its
     fields and nothing rebinds or deletes them, so an object keeps the id
-    and class its model checked.  ``attributes`` and ``references`` are
-    read-only views of the object's own plain dicts; only its model writes
-    them (``NO_REFERENCES`` if the class declares no reference).  Identity
-    hashing lets editors key registries by the object; ``model_equals``
-    compares values."""
+    and class its model checked.  Its values are one exact tuple, which
+    only its model replaces, laid out by its class (``_layout``); a free
+    object, until ``InstanceModel.add`` lays it out, holds its attribute
+    and reference dicts instead, and no layout.  ``attributes`` and
+    ``references`` are read-only views.  Identity hashing lets editors key
+    registries by the object; ``model_equals`` compares values."""
 
-    __slots__ = ("id", "class_name", "_attributes", "_references", "_model")
+    __slots__ = ("id", "class_name", "_values", "_layout", "_model")
 
     def __init__(self, id, class_name, attributes=None, references=None):
-        # name -> str | int (absent = UNSET) and name -> id | tuple of ids,
-        # copied: no caller keeps a mapping it could write past the model
-        _object(id, class_name, dict(attributes) if attributes else {}, {
+        # name -> str | int and name -> id | tuple of ids, copied: no
+        # caller keeps a mapping it could write past the model
+        _object(id, class_name, (dict(attributes) if attributes else {}, {
             name: tuple(value) if isinstance(value, list) else value
             for name, value in references.items()
-        } if references else {}, obj=self)
+        } if references else {}), None, obj=self)
 
     @property
-    def attributes(self) -> MappingProxyType:
-        return MappingProxyType(self._attributes)
+    def attributes(self) -> FeatureView:
+        return FeatureView(self, False)
 
     @property
-    def references(self) -> MappingProxyType:
-        return MappingProxyType(self._references)
+    def references(self) -> FeatureView:
+        return FeatureView(self, True)
 
     def _refuse(self, name, value=None):
         raise AttributeError(f"{self!r} is sealed: {name!r} cannot change")
@@ -235,36 +240,79 @@ class DynamicObject:
 
     def __reduce__(self):
         """A copy belongs to no model until one adds it or copies it along."""
-        return DynamicObject, (self.id, self.class_name, self._attributes, dict(self._references))
+        return DynamicObject, (self.id, self.class_name, _set(self, False), _set(self, True))
 
     def __repr__(self):
         return f"DynamicObject({self.id!r}, {self.class_name!r})"
 
 
-#: the slots' own setters, which only ``_object`` and ``InstanceModel`` use
-_set_id, _set_class_name, _set_attributes, _set_references, _set_model = (
+#: the slots' own setters, which only ``_object``, ``_lay_out`` and the
+#: writers of a model's objects use
+_set_id, _set_class_name, _set_values, _set_layout, _set_model = (
     getattr(DynamicObject, slot).__set__ for slot in DynamicObject.__slots__)
 
 
-def _object(obj_id, class_name, attributes, references, model=None, obj=None) -> DynamicObject:
-    """Set the fields of ``obj``, a new object by default, which takes
-    both dicts as they are, and its ``model``: the one place fields are
-    set.  The constructor copies the dicts first; the decoders, the runners
-    and ``copy_model`` build them and keep no other reference."""
+def _object(obj_id, class_name, values, layout, model=None, obj=None) -> DynamicObject:
+    """Set the fields of ``obj``, a new object by default, and its
+    ``model``: the one place fields are set.  ``values`` is a tuple laid
+    out by ``layout``, or a free object's (attributes, references) dicts
+    with no layout; the constructor copies the dicts first."""
     obj = object.__new__(DynamicObject) if obj is None else obj
     _set_id(obj, obj_id)
     _set_class_name(obj, class_name)
-    _set_attributes(obj, attributes)
-    _set_references(obj, references)
+    _set_values(obj, values)
+    _set_layout(obj, layout)
     _set_model(obj, model)
     return obj
 
 
-def _fit(obj: DynamicObject, cls: MetaClass):
-    """Give ``obj``, valid against ``cls``, the references mapping ``cls``
-    calls for: ``NO_REFERENCES`` if it declares none, else a dict of its own."""
-    if not cls.references or obj._references is NO_REFERENCES:
-        _set_references(obj, {} if cls.references else NO_REFERENCES)
+def _set(obj: DynamicObject, references) -> dict:
+    """Name -> value of each set attribute of ``obj``, or each set reference."""
+    layout, values = obj._layout, obj._values
+    if layout is None:  # a free object reads its own dicts
+        return values[references]
+    return {feature.name: value for feature, value in zip(layout.features, values)
+            if value is not None and isinstance(feature, ReferenceDef) is references}
+
+
+class FeatureView(Mapping):
+    """The set attributes or references of an object, read-only and live:
+    each read goes through the object's current values and layout."""
+
+    __slots__ = ("_obj", "_references")
+
+    def __init__(self, obj: DynamicObject, references: bool):
+        self._obj, self._references = obj, references
+
+    def __getitem__(self, name):
+        return _set(self._obj, self._references)[name]
+
+    def __iter__(self):
+        return iter(_set(self._obj, self._references))
+
+    def __len__(self):
+        return len(_set(self._obj, self._references))
+
+    def __repr__(self):
+        return repr(_set(self._obj, self._references))
+
+
+def _values_in(obj: DynamicObject, cls: MetaClass) -> tuple:
+    """The values of ``obj`` laid out by ``cls``, which must declare each feature ``obj`` sets, of its kind."""
+    if obj._layout is cls:
+        return obj._values
+    values = [None] * len(cls.slots)
+    for references, lookup in ((False, cls.attribute), (True, cls.reference)):
+        for name, value in _set(obj, references).items():
+            lookup(name)  # refuses an undeclared name
+            values[cls.slots[name]] = value
+    return tuple(values)
+
+
+def _lay_out(obj: DynamicObject, cls: MetaClass, values=None):
+    """Lay ``obj`` out by ``cls``, with ``values`` or its own."""
+    _set_values(obj, _values_in(obj, cls) if values is None else values)
+    _set_layout(obj, cls)
 
 
 #: the numbers of kernel file names whose label another kernel holds
@@ -273,13 +321,13 @@ _serials = itertools.count(2)
 
 def compile_kernel(label, source, namespace=None) -> dict:
     """Run generated ``source`` in ``namespace`` plus ``_object`` and
-    ``NO_REFERENCES``, which it returns, as the file ``<evmigrate kernel
+    ``_set_values``, which it returns, as the file ``<evmigrate kernel
     label>``, or ``<evmigrate kernel label #n>`` with a new ``n`` while
     another source holds that name (a fresh import of this module starts
     its count again, so a number may be taken too).  The source is
     registered with ``linecache`` (tracebacks show generated lines) until
     the kernel's functions are freed."""
-    namespace = {"_object": _object, "NO_REFERENCES": NO_REFERENCES, **(namespace or {})}
+    namespace = {"_object": _object, "_set_values": _set_values, **(namespace or {})}
     filename = f"<evmigrate kernel {label}>"
     while filename in linecache.cache:
         filename = f"<evmigrate kernel {label} #{next(_serials)}>"
@@ -297,7 +345,7 @@ class InstanceModel:
     """Objects keyed by id, governed by one schema.  Every check of an
     object against the schema lives here.  Objects enter only through
     ``add`` (``objects`` is a read-only view) and are sealed, and their
-    mappings are read-only, so every write is ``add`` or a setter, and
+    views are read-only, so every write is ``add`` or a setter, and
     each checks what it writes: a model is valid against its own schema
     at all times.  An object belongs to the one model that added it.
 
@@ -341,7 +389,7 @@ class InstanceModel:
         classes = self.schema.classes
         for obj in self._objects.values():
             _set_model(obj, ref)
-            _fit(obj, classes[obj.class_name])
+            _lay_out(obj, classes[obj.class_name])
 
     def __len__(self):
         return len(self._objects)
@@ -355,8 +403,8 @@ class InstanceModel:
         declared class, an id that is new, non-empty and without line
         breaks, declared features, values of their kind and targets in
         the model (the object itself included), each reference then
-        holding its target's own id string.  A model an editor holds
-        records the object in ``added``."""
+        holding its target's own id string.  It lays the object out by its
+        class.  A model an editor holds records the object in ``added``."""
         cls = self.schema.classes.get(obj.class_name) or self.schema.cls(obj.class_name)
         obj_id, objects = obj.id, self._objects
         # printable ids need no split
@@ -366,24 +414,22 @@ class InstanceModel:
             raise ModelError(f"object {obj_id!r} already belongs to a model")
         if obj_id in objects:
             raise ModelError(f"duplicate object id {obj_id!r}")
-        if obj._attributes or obj._references:
-            objects[obj_id] = obj  # it may be its own target
-            try:
-                self._check(obj, cls)
-                references = obj._references  # linked as ``set_reference`` links it
-                for name, value in references.items():
-                    references[name] = (tuple(t.id for t in map(objects.__getitem__, value))
-                                        if type(value) is tuple else objects[value].id)
-            finally:
-                del objects[obj_id]
-        _fit(obj, cls)
+        objects[obj_id] = obj  # it may be its own target
+        try:
+            values = tuple(  # linked as ``set_reference`` links it
+                value if value is None or type(feature) is AttributeDef
+                else tuple(objects[t].id for t in value) if feature.many else objects[value].id
+                for feature, value in zip(cls.features, self._check(obj, cls)))
+        finally:
+            del objects[obj_id]
+        _lay_out(obj, cls, values)
         if self.added is not None:
             self.added[obj] = None
         return self._admit(obj)
 
     def new_object(self, class_name, obj_id) -> DynamicObject:
         """Create an object with all attributes UNSET and add it."""
-        return self.add(_object(obj_id, class_name, {}, NO_REFERENCES))
+        return self.add(_object(obj_id, class_name, ({}, {}), None))
 
     def _admit(self, obj: DynamicObject) -> DynamicObject:
         """Insert, own and mark an object valid by construction (``add``
@@ -401,7 +447,7 @@ class InstanceModel:
         of another model would write it unseen by its own."""
         if obj._model is not self._ref:
             raise ModelError(f"object {obj.id!r} does not belong to this model")
-        return self.schema.classes[obj.class_name]
+        return obj._layout
 
     def mark_all(self):
         """Mark every object changed."""
@@ -423,8 +469,11 @@ class InstanceModel:
         self.readers[reader] = {}
 
     def set_attribute(self, obj: DynamicObject, name, value):
-        _check_value(obj, self._owned(obj).attribute(name), value)
-        obj._attributes[name] = value
+        cls = self._owned(obj)
+        _check_value(obj, cls.attribute(name), value)
+        values = list(obj._values)  # the new tuple, built from a list: faster than slicing
+        values[cls.slots[name]] = value
+        _set_values(obj, tuple(values))
         self.mark(obj)
 
     def set_attribute_text(self, obj: DynamicObject, name, text):
@@ -439,7 +488,9 @@ class InstanceModel:
             except ValueError:
                 pass  # the check below names the expected kind
         _check_value(obj, adef, value)
-        obj._attributes[name] = value
+        values = list(obj._values)
+        values[cls.slots[name]] = value
+        _set_values(obj, tuple(values))
         for unseen in self.readers.values():  # ``mark``, inline: the hot path
             unseen[obj] = None
 
@@ -455,13 +506,14 @@ class InstanceModel:
     def _link(self, obj: DynamicObject, rdef: ReferenceDef, target_id):
         """``set_reference`` with the target left unchecked, for writers
         that made it themselves (the command runners)."""
-        references = obj._references
+        values, k = list(obj._values), obj._layout.slots[rdef.name]
         if rdef.many:
-            targets = references.get(rdef.name, ())
+            targets = values[k] or ()
             if target_id in targets:
                 return
             target_id = (*targets, target_id)
-        references[rdef.name] = target_id
+        values[k] = target_id
+        _set_values(obj, tuple(values))
         self.mark(obj)
 
     def validate(self, schema: MetaModel | None = None):
@@ -475,18 +527,21 @@ class InstanceModel:
             # a plain lookup first: the method call is only for its error
             self._check(obj, classes.get(obj.class_name) or schema.cls(obj.class_name))
 
-    def _check(self, obj: DynamicObject, cls: MetaClass):
-        """Check the values and targets of ``obj`` against ``cls``."""
-        attributes, references, objects = cls.attributes, cls.references, self._objects
-        for name, value in obj._attributes.items():
-            _check_value(obj, attributes.get(name) or cls.attribute(name), value)
-        for name, value in obj._references.items():
-            rdef = references.get(name) or cls.reference(name)
-            if rdef.many is not (type(value) is tuple) or rdef.many and len(set(value)) < len(value):
-                raise ModelError(f"{obj.id}.{name} expects "
-                                 f"{'a tuple of distinct ids' if rdef.many else 'one id'}, got {value!r}")
-            for target_id in value if rdef.many else (value,):
-                _check_target(obj, rdef, target_id, objects.get(target_id))
+    def _check(self, obj: DynamicObject, cls: MetaClass) -> tuple:
+        """Check the values of ``obj`` laid out by ``cls`` and their targets; return the values."""
+        values, objects = _values_in(obj, cls), self._objects
+        for feature, value in zip(cls.features, values):
+            if value is None:
+                continue
+            if type(feature) is AttributeDef:
+                _check_value(obj, feature, value)
+                continue
+            if feature.many is not (type(value) is tuple) or feature.many and len(set(value)) < len(value):
+                raise ModelError(f"{obj.id}.{feature.name} expects "
+                                 f"{'a tuple of distinct ids' if feature.many else 'one id'}, got {value!r}")
+            for target_id in value if feature.many else (value,):
+                _check_target(obj, feature, target_id, objects.get(target_id))
+        return values
 
 
 def _check_target(obj: DynamicObject, rdef: ReferenceDef, target_id, target):
@@ -517,7 +572,7 @@ def _reference_view(obj: DynamicObject):
     # many-references compare as sets; single references as plain ids
     return {
         name: frozenset(value) if type(value) is tuple else value
-        for name, value in obj._references.items()
+        for name, value in _set(obj, True).items()
     }
 
 
@@ -525,27 +580,26 @@ def model_equals(a: InstanceModel, b: InstanceModel) -> bool:
     """Order-independent structural equality.
 
     Same id set, and per id: same class, same attribute map (UNSET stays
-    distinct from any set value), same reference targets.
+    distinct from any set value), same reference targets.  Objects laid
+    out alike with equal values are equal; any others are compared by name.
     """
     if a.objects.keys() != b.objects.keys():
         return False
     for obj_id, oa in a.objects.items():
         ob = b.objects[obj_id]
-        if oa.class_name != ob.class_name:
-            return False
-        if oa._attributes != ob._attributes:
-            return False
-        if _reference_view(oa) != _reference_view(ob):
+        if oa._layout is ob._layout and oa._values == ob._values:
+            continue
+        if (oa.class_name != ob.class_name or _set(oa, False) != _set(ob, False)
+                or _reference_view(oa) != _reference_view(ob)):
             return False
     return True
 
 
 def copy_model(model: InstanceModel) -> InstanceModel:
-    """Deep-copy objects (shares the schema, which is immutable in use)."""
+    """Copy the objects, which share their values: a tuple of atoms (and
+    the schema, which is immutable in use)."""
     out = InstanceModel(model.schema)
     objects, ref = out._objects, out._ref
     for obj_id, obj in model._objects.items():  # a valid model: nothing to check
-        references = obj._references  # tuples of ids are shared, and NO_REFERENCES
-        objects[obj_id] = _object(obj_id, obj.class_name, obj._attributes.copy(), references
-                                  if references is NO_REFERENCES else references.copy(), ref)
+        objects[obj_id] = _object(obj_id, obj.class_name, obj._values, obj._layout, ref)
     return out

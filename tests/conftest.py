@@ -84,10 +84,10 @@ def spy_runs(monkeypatch, editor, record):
     bindings = editor.bindings
 
     def spied(kind):
-        return lambda cmd, ed: record(cmd, ed) or bindings[kind][5](cmd, ed)
+        return lambda cmd, ed: record(cmd, ed) or bindings[kind][-1](cmd, ed)
 
     monkeypatch.setattr(editor, "bindings", {
-        kind: binding and (*binding[:5], spied(kind)) for kind, binding in bindings.items()})
+        kind: binding and (*binding[:-1], spied(kind)) for kind, binding in bindings.items()})
 
 
 def parsed(editor, obj):

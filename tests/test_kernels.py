@@ -195,7 +195,7 @@ class TestGeneratedCode:
             render(None)
         frame = traceback.extract_tb(exc.value.__traceback__)[-1]
         assert frame.filename.startswith("<evmigrate kernel pets.Dog")
-        assert frame.line == "values, references = obj._attributes, obj._references"
+        assert frame.line == "[v0, v1, v2] = obj._values"
 
     def test_a_label_naming_another_source_gets_a_number(self):
         schemas = [MetaModel("same", [MetaClass("A", [AttributeDef(name, "int")])]) for name in "xyy"]

@@ -135,10 +135,12 @@ def test_oracle_catches_an_untracked_write(monkeypatch):
     # the delta law fails when a setter's write goes unseen, and when a
     # write straight into an object's mappings is not refused
     from evmigrate import checks
-    from evmigrate.metamodel import InstanceModel
+    from evmigrate.metamodel import InstanceModel, _set_values
 
     def unmarked_set_attribute(model, obj, name, value):
-        obj._attributes[name] = value
+        values = list(obj._values)
+        values[obj._layout.slots[name]] = value
+        _set_values(obj, tuple(values))
 
     monkeypatch.setattr(InstanceModel, "set_attribute", unmarked_set_attribute)
     assert checks.check_delta(seed=42, cases=200).failures > 0

@@ -1,6 +1,6 @@
 import copy
 import pickle
-from types import MappingProxyType
+from collections.abc import Mapping
 
 import pytest
 from hypothesis import given, strategies as st
@@ -460,7 +460,7 @@ class TestWriteTracking:
         for obj in a.objects.values():
             b.add(DynamicObject(obj.id, obj.class_name, obj.attributes, obj.references))
         assert a.readers and not b.readers
-        assert type(a.get("p1").attributes) is MappingProxyType
+        assert isinstance(a.get("p1").attributes, Mapping) and not isinstance(a.get("p1").attributes, dict)
         assert model_equals(a, b) and model_equals(b, a)
 
 
@@ -560,6 +560,98 @@ class TestSealed:
             dup.id = "d2"
         again = pickle.loads(pickle.dumps(model))
         assert model_equals(again, model) and list(again.objects) == ["p1", "d1"]
+
+
+class TestLayout:
+    """An object in a model holds its values in one exact tuple, in its
+    class's feature order; its mappings are live, read-only views."""
+
+    @staticmethod
+    def _assert_laid_out(model):
+        for obj in model.objects.values():
+            layout = model.schema.classes[obj.class_name]
+            assert obj._layout is layout and type(obj._values) is tuple
+            assert len(obj._values) == len(layout.slots)
+            assert not any(isinstance(value, dict) for value in obj._values)
+
+    def test_every_model_holds_one_exact_tuple_per_object(self, pets_schema):
+        from evmigrate import MigrationSession, decode_model, encode_model, migrate_forward
+
+        text = encode_model(_pets_pair(pets_schema))
+        fast, lines = decode_model(text, pets_schema), decode_model("# c\n" + text, pets_schema)
+        session = MigrationSession.for_scenario("ybirth")
+        merged = migrate_forward(session, decode_model(text, session.m1.schema))
+        for model in (fast, lines, merged, copy_model(fast), copy.deepcopy(fast), pickle.loads(pickle.dumps(lines))):
+            self._assert_laid_out(model)
+            assert len(model) == 2
+
+    def test_a_view_taken_before_a_write_reads_the_new_values(self, base_schema):
+        model = _pets_pair(base_schema)
+        p1, d1 = model.get("p1"), model.get("d1")
+        attributes, references = p1.attributes, d1.references
+        model.set_attribute(p1, "name", "Bob")
+        model.new_object("Person", "p2")
+        model.set_reference(d1, "owner", "p2")
+        assert attributes == {"name": "Bob", "age": 23} and references == {"owner": "p2"}
+        assert list(attributes) == ["name", "age"] and len(references) == 1
+
+    def test_a_view_taken_before_a_cross_schema_adopt_reads_the_new_layout(self, base_schema):
+        from evmigrate import Editor
+
+        other = load_schema("class Person\n  ref pal -> Person one\n  attr age int\n  attr name string\n"
+                            "class Dog\n  ref owner -> Person one\n  attr name string\n", name="other")
+        model = _pets_pair(base_schema)
+        p1, d1 = model.get("p1"), model.get("d1")
+        attributes, references = p1.attributes, d1.references
+        Editor(other).adopt_model(model)
+        self._assert_laid_out(model)
+        assert p1._values == (23, "Alice", None) and d1._values == ("Rex", "p1")
+        assert attributes == {"name": "Alice", "age": 23} and references == {"owner": "p1"}
+        model.set_reference(p1, "pal", "p1")
+        assert p1.references == {"pal": "p1"} and p1.attributes == attributes
+
+    def test_an_unset_many_reference_differs_from_an_empty_one(self, pets_schema):
+        unset, empty = InstanceModel(pets_schema), InstanceModel(pets_schema)
+        unset.new_object("Person", "p1")
+        empty.add(DynamicObject("p1", "Person", references={"dogs": ()}))
+        assert unset.get("p1")._values == (None, None, None) and empty.get("p1")._values == (None, None, ())
+        assert unset.get("p1").references == {} and empty.get("p1").references == {"dogs": ()}
+        assert not model_equals(unset, empty) and not model_equals(empty, unset)
+        assert model_equals(empty, copy_model(empty))
+
+    def test_a_write_to_a_copy_leaves_the_original(self, pets_schema):
+        model = _pets_pair(pets_schema)
+        dup = copy_model(model)
+        assert all(obj._values is model.get(obj_id)._values for obj_id, obj in dup.objects.items())
+        before = {obj_id: obj._values for obj_id, obj in model.objects.items()}
+        dup.set_attribute(dup.get("p1"), "name", "Bob")
+        dup.set_attribute_text(dup.get("d1"), "age", "7")
+        dup.set_reference(dup.get("p1"), "dogs", "d1")
+        assert {obj_id: obj._values for obj_id, obj in model.objects.items()} == before
+        assert model.get("p1").attributes == {"name": "Alice", "age": 23} and model.get("p1").references == {}
+        assert dup.get("p1")._values == ("Bob", 23, ("d1",)) and dup.get("d1")._values == ("Rex", 7, "p1")
+
+    def test_an_object_of_a_dropped_model_joins_a_model_of_another_layout(self, base_schema, pets_schema):
+        d1 = _pets_pair(pets_schema).get("d1")  # its model is gone
+        model = InstanceModel(base_schema)
+        model.new_object("Person", "p1")
+        assert model.add(d1) is d1 and d1._layout is base_schema.classes["Dog"]
+        assert d1.attributes == {"name": "Rex"} and d1.references == {"owner": "p1"}
+        assert d1.references["owner"] is model.get("p1").id
+        model.set_attribute(d1, "age", 3)
+        self._assert_laid_out(model)
+
+    def test_the_views_of_a_free_and_a_laid_out_object_refuse_every_mutator(self, pets_schema):
+        from evmigrate.checks import DICT_MUTATORS, refuses
+
+        free = DynamicObject("p1", "Person", {"name": "Ann"}, {"dogs": ["d1"]})
+        model = InstanceModel(pets_schema)
+        model.new_object("Dog", "d1")
+        for obj in (free, model.add(DynamicObject("p2", "Person", {"name": "Ann"}, {"dogs": ["d1"]}))):
+            for view in (obj.attributes, obj.references):
+                assert all(refuses(view, mutator, *args) for mutator, args in DICT_MUTATORS.items())
+            assert obj.attributes == {"name": "Ann"} and obj.references == {"dogs": ("d1",)}
+        assert free._layout is None and model.add(free) is free and free._values == ("Ann", None, ("d1",))
 
 
 # -- properties ----------------------------------------------------------

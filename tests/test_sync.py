@@ -36,7 +36,6 @@ from evmigrate import cli, codec
 from evmigrate import editor as editor_module
 from evmigrate.checks import random_model
 from evmigrate.commands import have_dog, have_person
-from evmigrate.metamodel import NO_REFERENCES
 from evmigrate.sync import SCENARIOS, TRANSCRIPT_LIMIT
 
 from conftest import count_checked_commands, data_text, spy_runs
@@ -598,7 +597,7 @@ class TestSyncCostsChangedObjectsOnly:
 
         def counting_admit(model, obj):
             admitted.update([(model, obj.id)])
-            if not obj._attributes:
+            if not obj.attributes:
                 stubs.append((model, obj.class_name, obj.id))
             return original_admit(model, obj)
 
@@ -659,9 +658,9 @@ class TestSyncCostsChangedObjectsOnly:
 
 class TestLeanSession:
     """A session keeps each fact once: an editor maps back to its id only
-    an object registered under another id than its model key, objects of a
-    class that declares no reference share one empty mapping, and a store
-    whose every entry is unshipped keeps no second map of them."""
+    an object registered under another id than its model key, each object
+    holds one tuple of values laid out by its class, and a store whose
+    every entry is unshipped keeps no second map of them."""
 
     def test_only_a_renamed_object_is_mapped_back_to_its_id(self):
         s = session_for("dog-no-age")
@@ -684,7 +683,7 @@ class TestLeanSession:
         return persons, dogs
 
     @pytest.mark.parametrize("name", ["dog-no-age", "ybirth"])
-    def test_reference_less_objects_share_one_read_only_mapping(self, name):
+    def test_objects_hold_one_tuple_laid_out_by_their_class(self, name):
         s = session_for(name)
         m1 = decode_model(_bulk_text(2000), s.m1.schema)
         m2 = migrate_forward(s, m1)  # m2's persons are owner stubs: dogs run first
@@ -696,26 +695,28 @@ class TestLeanSession:
         copied = copy_model(m2)
         for model in (m1, m2, lines, copied):
             persons, dogs = self._classes(model)
-            assert persons and all(person._references is NO_REFERENCES for person in persons)
-            assert dogs and all(type(dog._references) is dict for dog in dogs)
-            assert len({id(dog._references) for dog in dogs}) == len(dogs)
-        assert added._references is NO_REFERENCES
-        with pytest.raises(TypeError):
-            NO_REFERENCES["owner"] = "p0"
+            assert persons and dogs
+            for obj in (*persons, *dogs):
+                layout = model.schema.classes[obj.class_name]
+                assert obj._layout is layout and type(obj._values) is tuple
+                assert len(obj._values) == len(layout.slots)
+        assert all(obj._values is m2.get(obj_id)._values for obj_id, obj in copied.objects.items())
+        assert added._layout is s.m1.schema.classes["Person"] and added._values == (None, None)
         with pytest.raises(TypeError):
             m2.get("p0").references["owner"] = "p0"
         with pytest.raises(ModelError, match="no reference 'owner'"):
             m2.set_reference(m2.get("p0"), "owner", "p1")
-        assert NO_REFERENCES == {} and model_equals(copied, m2)
+        assert m2.get("p0").references == {} and model_equals(copied, m2)
 
-    def test_a_copy_and_a_pickle_keep_the_sharing_and_compare_equal(self):
+    def test_a_copy_and_a_pickle_lay_out_their_objects_and_compare_equal(self):
         s = session_for("ybirth")
         m2 = migrate_forward(s, decode_model(_bulk_text(2000), s.m1.schema))
         for clone in (copy.deepcopy(m2), pickle.loads(pickle.dumps(m2))):
             assert model_equals(clone, m2)
             persons, dogs = self._classes(clone)
-            assert all(person._references is NO_REFERENCES for person in persons)
-            assert all(type(dog._references) is dict for dog in dogs)
+            classes = clone.schema.classes
+            assert all(obj._layout is classes[obj.class_name] and type(obj._values) is tuple
+                       for obj in (*persons, *dogs))
             clone.set_reference(dogs[0], "owner", persons[1].id)  # a copy is writable as usual
             assert dogs[0].references == {"owner": persons[1].id}
 

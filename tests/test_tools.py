@@ -69,10 +69,18 @@ def test_a_bulk_forward_counts_the_same_twice(tool, capsys):
     assert first.tracked == second.tracked and 400 <= first.tracked < 600
     assert first.twice == second.twice
     assert tool.report("f", first, 5) == tool.report("f", second, 5)
-    assert [line.split() for line in tool.report("f", first, 0)[-3:]] == [
+    assert [line.split() for line in tool.report("f", first, 0)[-4:]] == [
         ["session", "holds", "id", "strings", "twice", "(count)", str(first.twice)],
         ["session", "tracks", "(objects)", str(first.tracked)],
-        ["session", "retains", "(bytes)", str(first.retained)]]
+        ["session", "retains", "(bytes)", str(first.retained)],
+        ["session", "retains", "per", "input", "object", "(bytes)", str(-(-first.retained // 200))]]
+
+
+def test_a_forward_retains_at_most_1000_bytes_per_input_object(tool):
+    # each object holds its values in one tuple laid out by its class, not
+    # in an attribute dict and a reference dict (1,401 bytes per object)
+    count = tool.count_bulk_forward(seed=1, size=2000)
+    assert count.objects == 2000 and count.retained <= 1000 * count.objects
 
 
 def test_retained_bytes_are_what_the_result_holds(tool):

@@ -29,7 +29,7 @@ target that is not the very string its object holds), and, in a separate
 pass without the bytecode trace, the objects the cyclic collector tracks
 and the bytes ``tracemalloc`` traces while the session is alive, less
 those it still tracks and traces once the session is dropped, each after
-``gc.collect()``.  Each bytecode is charged to
+``gc.collect()``, also per input object (rounded up).  Each bytecode is charged to
 the innermost layer on the call stack (the layers are the functions
 perfbench's ``--trace 1`` times), or to ``bench`` outside every layer, and
 to the function executing it: a generated kernel is listed under its
@@ -106,6 +106,8 @@ class Count:
         self.functions: Counter[str] = Counter()
         #: bytes the session retains after the operation, if measured
         self.retained: int | None = None
+        #: objects in the operation's input, if its retained bytes are measured
+        self.objects: int | None = None
         #: objects of the session the cyclic collector tracks, if measured
         self.tracked: int | None = None
         #: id strings the session holds twice, if measured
@@ -257,6 +259,7 @@ def count_bulk_sync(scenario_name, churn, seed, sync_number, size=20_000) -> Cou
     count.twice = held_twice(counted)
     work = workloads.BulkWorkload(seed, scenario_name, size, churn)
     count.retained, count.tracked = retained(lambda: synced_session(work, scenario_name, sync_number))
+    count.objects = len(work.m1)
     return count
 
 
@@ -297,6 +300,7 @@ def count_bulk_forward(seed, size=2_000) -> Count:
     work.check_forward(count.run(lambda: forward(counted)))
     count.twice = held_twice(counted)
     count.retained, count.tracked = retained(forwarded)
+    count.objects = len(work.m1)
     return count
 
 
@@ -310,6 +314,7 @@ def report(title, count: Count, functions) -> list[str]:
         lines.append(f"  {'session holds id strings twice (count)':<28} {count.twice:>10}")
         lines.append(f"  {'session tracks (objects)':<28} {count.tracked:>10}")
         lines.append(f"  {'session retains (bytes)':<28} {count.retained:>10}")
+        lines.append(f"  {'session retains per input object (bytes)':<28} {-(-count.retained // count.objects):>10}")
     if functions:
         lines.append(f"  {'function (own bytecodes)':<54} {'bytecodes':>10}")
         # ties broken by name, so the listing is the same on every run
