@@ -83,12 +83,20 @@ def _parse_file(path, parse, *args):
     """``parse(text, *args)`` on the text of ``path``; errors name the file."""
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise MigrationError(f"cannot read {path}: {e}") from None
     try:
         return parse(text, *args)
     except MigrationError as e:
         raise MigrationError(f"{path}: {e}") from None
+
+
+def _write_file(path, text):
+    """Write ``text`` to ``path``; an error names the file."""
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as e:
+        raise MigrationError(f"cannot write {path}: {e}") from None
 
 
 def _make_session(args) -> MigrationSession:
@@ -104,11 +112,9 @@ def _load_input(args, session):
 def cmd_migrate(args) -> int:
     session = _make_session(args)
     m2_model = migrate_forward(session, _load_input(args, session))
-    Path(args.out).write_text(encode_model(m2_model), encoding="utf-8")
+    _write_file(args.out, encode_model(m2_model))
     if args.log:
-        Path(args.log).write_text(
-            encode_log(session.m2.store, session.reference_year), encoding="utf-8"
-        )
+        _write_file(args.log, encode_log(session.m2.store, session.reference_year))
     return 0
 
 
@@ -117,7 +123,7 @@ def cmd_roundtrip(args) -> int:
     migrate_forward(session, _load_input(args, session))
     _parse_file(args.mutations, lambda script: apply_mutations(session.m2.model, script))
     m1_model = migrate_backward(session)
-    Path(args.out).write_text(encode_model(m1_model), encoding="utf-8")
+    _write_file(args.out, encode_model(m1_model))
     return 0
 
 

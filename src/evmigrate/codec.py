@@ -14,21 +14,20 @@ full-line ``#`` comments anywhere, any line ending that
 a block, field lines indented four or more spaces, and whitespace around
 keys and values.
 
-Both formats have two readers.  Text in the encoder's layout whose values
-need no trimming is read by one regular expression per command block or
-per object; anything else goes through the line-by-line reader, which
-alone defines what is accepted and what each error says.  An instance
-file is read fast up to its first object outside the layout, and by the
-line reader from there.  Its pattern and a build and a render function
-per class are generated once per schema, on first use (``_kernels``).
+Both formats have two readers.  Text wholly in the encoder's layout, with
+values that need no trimming, is read by one regular expression per
+command block or per object; the fast reader declines any other text
+whole, and the line-by-line reader reads it, which alone defines what is
+accepted and what each error says.  The instance pattern and a build and
+a render function per class are generated once per schema, on first use
+(``_kernels``).
 
-A model keeps its text (``KeptBlocks``) if and only if ``decode_model``
-read it: the canonical reader keeps the text it matched in chunks, with
-the offsets of each object's block, and slices no block; the objects the
-line reader reads are marked, and each encode renders only the objects
-marked since the last, slicing a chunk into its blocks when it first
-re-renders an object in it.  A model built in code is rendered in full at
-every encode.
+A model keeps its text (``KeptBlocks``) if and only if the fast reader
+read all of it: it keeps the text in chunks, with the offsets of each
+object's block, and slices no block.  Each encode renders only the
+objects marked since the last, slicing a chunk into its blocks when it
+first re-renders an object in it.  A model the line reader read, or one
+built in code, is rendered in full at every encode.
 """
 
 from __future__ import annotations
@@ -265,7 +264,7 @@ def encode_model(model: InstanceModel) -> str:
     """Instance file text: objects in model order, features in declaration
     order, one line per many-reference target.
 
-    A model ``decode_model`` read keeps its text (``KeptBlocks``): an
+    A model the fast reader read keeps its text (``KeptBlocks``): an
     encode re-renders only the objects marked since the last and re-joins
     only their chunks, so copying the text out is the one step that grows
     with the model.  A chunk is sliced into its blocks when an encode
@@ -315,8 +314,7 @@ class KeptBlocks:
         #: object -> its block's index in ``blocks``
         self.at = {obj: pos for pos, obj in enumerate(objects)}
         self.size = size = CHUNK
-        #: chunk index -> the chunk's joined blocks, in chunk order; a
-        #: chunk's text ends at its last block, where the fast read ended
+        #: chunk index -> the chunk's joined blocks, in chunk order
         self.texts = {i // size: text[bounds[i]:bounds[min(i + size, n)]] for i in range(0, n, size)}
         #: chunk index -> its blocks' bounds in ``text``, until ``split``
         self.offsets = {i // size: bounds[i:i + size + 1] for i in range(0, n, size)}
@@ -394,49 +392,15 @@ def _kernels(schema: MetaModel):
             alternatives.append(f"{re.escape(cls.name)}\\n{''.join(parts)}()")
             builds[groups[-1]] = kernel["build"]
             group = groups[-1] + 1
-    # an object's text ends where the next starts, or the text does: what
-    # else follows may go on with its features for the line reader
+    # an object's text ends where the next starts, or the text does
     match = re.compile(rf"obj (\S+) (?:{'|'.join(alternatives) or '(?!)'})(?=obj |\Z)").match
     return match, builds, renderers
 
 
-def _read_canonical(text, schema: MetaModel) -> tuple[InstanceModel | None, int, dict | None]:
-    """(The model of the first objects exactly as ``encode_model`` writes
-    them, one match each, keeping their text as ``KeptBlocks`` with the
-    encoder's reader started; the offset after them; (target class,
-    reference name, many, position) -> the objects whose such reference
-    the build left unchecked), or (None, -1, None) if an id repeats.
-    A text with foreign marks gives an empty model at offset 0."""
-    # Marks the encoder never writes, found by a scan before any object is
-    # built: a carriage return, a trailing space, a blank or comment line,
-    # no final line break.
-    foreign = ("\r" in text or " \n" in text or "\n\n" in text or text[-1:] not in ("\n", "")
-               or "#" in text and ("\n#" in text or "\n  #" in text))
-    match_object, builds, _ = _kernels(schema)
-    model = InstanceModel(schema)
-    objects, ref, bounds = model._objects, model._ref, array("q", (0,))
-    get = objects.get
-    targets = {(r.target, r.name, r.many, c.slots[r.name]): []
-               for c in schema.classes.values() for r in c.references.values()}
-    pos, end = 0, 0 if foreign else len(text)
-    try:
-        while pos < end and (match := match_object(text, pos)) is not None:
-            obj = builds[match.lastindex](match, ref, targets, get)
-            objects[obj.id] = obj
-            pos = match.end()
-            bounds.append(pos)
-    except ValueError:  # too many digits or a repeated target: the line reader decides
-        pass
-    if len(objects) < len(bounds) - 1:
-        return None, -1, None
-    model.blocks = KeptBlocks(text, bounds, objects.values())
-    model.seen(ENCODE)
-    return model, pos, targets
-
-
 def _targets_hold(model: InstanceModel, targets) -> bool:
-    """Whether each reference the build left unchecked (``_read_canonical``'s
-    ``targets``) names an object of its class, as ``InstanceModel.add``
+    """Whether each reference the build left unchecked (``targets``: (target
+    class, reference name, many, position) -> the objects holding such a
+    reference) names an object of its class, as ``InstanceModel.add``
     checks it, each then linked to its target's own id string."""
     get, own_id = model._objects.get, attrgetter("id")
     try:
@@ -456,40 +420,53 @@ def _targets_hold(model: InstanceModel, targets) -> bool:
 
 
 def _decode_model_canonical(text, schema: MetaModel) -> InstanceModel | None:
-    """Decode text exactly as ``encode_model`` writes it, which it then
-    gives back unchanged; None for anything else."""
-    model, pos, targets = _read_canonical(text, schema)
-    return model if pos == len(text) and _targets_hold(model, targets) else None
+    """Decode text exactly as ``encode_model`` writes it, one match per
+    object, keeping the text as ``KeptBlocks`` with the encoder's reader
+    started, so an encode gives it back unchanged.  None at the first
+    object it cannot read, and for a repeated id or a target that
+    ``_targets_hold`` refuses: the line reader decides those."""
+    match_object, builds, _ = _kernels(schema)
+    model = InstanceModel(schema)
+    objects, ref, bounds = model._objects, model._ref, array("q", (0,))
+    get = objects.get
+    targets = {(r.target, r.name, r.many, c.slots[r.name]): []
+               for c in schema.classes.values() for r in c.references.values()}
+    pos, end = 0, len(text)
+    try:
+        while pos < end:
+            if (match := match_object(text, pos)) is None:
+                return None
+            obj = builds[match.lastindex](match, ref, targets, get)
+            objects[obj.id] = obj
+            pos = match.end()
+            bounds.append(pos)
+    except ValueError:  # too many digits or a repeated target
+        return None
+    if len(objects) < len(bounds) - 1 or not _targets_hold(model, targets):
+        return None
+    model.blocks = KeptBlocks(text, bounds, objects.values())
+    model.seen(ENCODE)
+    return model
 
 
 def decode_model(text, schema: MetaModel) -> InstanceModel:
     """Parse an instance file.  Objects may forward-reference; targets are
-    checked once the whole file is read.  Objects in the encoder's layout
-    are read by one regular expression each, the rest by the line reader,
-    which alone defines what is accepted, and turns each error of the
-    model layer into a ``FormatError`` naming the line."""
-    model, pos, targets = _read_canonical(text, schema)
-    if model is None:
-        return _decode_model_lines(text, schema)
-    if pos < len(text):
-        try:
-            _decode_model_lines(text[pos:], schema, model, text.count("\n", 0, pos))
-        except FormatError:  # the first error, unless a target read fast fails first
-            if _targets_hold(model, targets):
-                raise
-            return _decode_model_lines(text, schema)
-    return model if _targets_hold(model, targets) else _decode_model_lines(text, schema)
+    checked once the whole file is read.  Text exactly in the encoder's
+    layout is read by one regular expression per object; any other text
+    by the line reader, which alone defines what is accepted, and turns
+    each error of the model layer into a ``FormatError`` naming the line."""
+    model = _decode_model_canonical(text, schema)
+    return model if model is not None else _decode_model_lines(text, schema)
 
 
-def _decode_model_lines(text, schema: MetaModel, model=None, lines_before=0) -> InstanceModel:
-    """The general instance reader, with a line number on every error.  It
-    may go on into ``model`` from ``lines_before`` lines into a file."""
-    model = InstanceModel(schema) if model is None else model
+def _decode_model_lines(text, schema: MetaModel) -> InstanceModel:
+    """The general instance reader, with a line number on every error."""
+    model = InstanceModel(schema)
     obj = None
     pending_refs = []  # (lineno, obj, reference name, target id), set once every object is in
     lineno = 0
     try:
-        for lineno, line in significant_lines(text, lines_before + 1):
+        for lineno, line in significant_lines(text):
             if not line.startswith(" "):
                 tokens = line.split()
                 if len(tokens) != 3 or tokens[0] != "obj":

@@ -155,10 +155,10 @@ class MetaModel:
         return f"MetaModel({self.name!r}, classes={list(self.classes)})"
 
 
-def significant_lines(text, start=1):
+def significant_lines(text):
     """Yield (lineno, line) skipping blanks and full-line # comments; each
-    line loses its trailing whitespace.  The first line is number ``start``."""
-    for lineno, raw in enumerate(text.splitlines(), start):
+    line loses its trailing whitespace.  Lines are numbered from 1."""
+    for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.rstrip()
         if line and line.lstrip()[0] != "#":
             yield lineno, line
@@ -358,7 +358,7 @@ class InstanceModel:
     once some reader has called ``seen``; each reader decides when
     tracking pays."""
 
-    #: the instance-file text, if ``codec.decode_model`` read the model:
+    #: the instance-file text, if ``codec``'s fast reader read all of it:
     #: joined per chunk of objects, split into one block per object where
     #: an encode re-rendered one; ``codec.encode_model`` keeps it up to date
     blocks: KeptBlocks | None = None

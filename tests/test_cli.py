@@ -130,6 +130,20 @@ class TestRoundtrip:
         assert "nobody" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag", ["out", "log", "input", "mutations", "m1-schema"])
+def test_a_file_error_is_reported_without_a_traceback(tmp_path, flag):
+    # an output in a directory that does not exist; an input that is not UTF-8
+    writes = flag in ("out", "log")
+    path = tmp_path / "missing" / "f" if writes else tmp_path / "latin1"
+    if not writes:
+        path.write_bytes("caf\xe9\n".encode("latin-1"))
+    argv = roundtrip_args(tmp_path, DATA / "empty.mut") if flag == "mutations" else migrate_args(tmp_path)
+    result = run_cli(*argv, f"--{flag}", str(path))
+    verb = "write" if writes else "read"
+    assert result.returncode == 1
+    assert result.stderr.startswith(f"error: cannot {verb} {path}: ") and result.stderr.count("\n") == 1
+
+
 class TestCheck:
     def test_zero_cases_vacuously_pass(self, capsys):
         rc = main(["check", "--cases", "0", "--seed", "1"])

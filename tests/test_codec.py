@@ -37,7 +37,7 @@ from evmigrate.metamodel import KIND_INT, LINE_BREAKS
 from evmigrate.sync import SCENARIOS
 
 from conftest import PETS_SCHEMA_TEXT, data_text
-from conftest import count_checked_commands, patch_builds
+from conftest import count_checked_commands
 
 PETS_INSTANCE = """\
 obj p1 Person
@@ -412,14 +412,15 @@ class TestEncodeModel:
         assert encode_model(model) == PETS_INSTANCE.replace("Rex", "Odie") and rendered == ["d1"]
 
     def test_a_line_read_model_renders_each_object_once_then_only_its_edits(self, monkeypatch, pets_schema):
-        # a carriage return sends the whole text to the line reader, which
-        # marks every object it reads for the first encode
+        # a carriage return sends the whole text to the line reader; its
+        # model keeps no text, so every encode renders every object
         rendered = self._rendered(monkeypatch, pets_schema)
         model = decode_model(PETS_INSTANCE.replace("\n", "\r\n"), pets_schema)
         assert encode_model(model) == PETS_INSTANCE and rendered == list(model.objects)
         rendered.clear()
         model.set_attribute(model.get("d1"), "name", "Odie")
-        assert encode_model(model) == PETS_INSTANCE.replace("Rex", "Odie") and rendered == ["d1"]
+        assert encode_model(model) == PETS_INSTANCE.replace("Rex", "Odie") and rendered == list(model.objects)
+        assert model.blocks is None
         assert encode_model(copy_model(model)) == PETS_INSTANCE.replace("Rex", "Odie")
 
     def test_writes_past_the_setter_reach_the_next_encode(self, pets_schema):
@@ -555,23 +556,22 @@ class TestKeptBlocks:
         assert encode_model(model).endswith(f"obj x{CHUNK - 1} Person\n")
 
     def test_a_decode_whose_tail_the_line_reader_read(self, pets_schema):
-        # a value with two spaces before it stops the fast read; the line
-        # reader reads the rest, and the first encode appends what it read
+        # a value with two spaces before it makes the fast reader decline
+        # the whole text; the line reader's model keeps none of it
         tail = "obj x0 Dog\n  name  Spaced\nobj x1 Person\n  name X1\n  dogs x0\n"
         model = decode_model(_pairs_text(CHUNK + 4) + tail, pets_schema)
-        assert len(model.blocks.at) == CHUNK + 4 and _split(model) == set()
-        assert _encode_rejoining(model) == [1] and _split(model) == {1}
-        assert encode_model(model) == _pairs_text(CHUNK + 4) + tail.replace("  Spaced", " Spaced")
+        assert model.blocks is None
+        assert encode_model(model) == encode_model(copy_model(model)) == (
+            _pairs_text(CHUNK + 4) + tail.replace("  Spaced", " Spaced"))
         model.set_attribute(model.get("x0"), "name", "Rex")
-        assert _encode_rejoining(model) == [1]
+        assert encode_model(model) == encode_model(copy_model(model)) and model.blocks is None
 
     @pytest.mark.parametrize("text", ["# c\n", "\n", "obj p1 Person\n\n", PETS_INSTANCE.replace("\n", "\r\n")],
                              ids=["comment", "blank", "blank-after-object", "crlf"])
     def test_foreign_marks_with_no_fast_read_object_encode_the_full_render(self, pets_schema, text):
         # a model keeps no text the fast reader did not match
         model = decode_model(text, pets_schema)
-        assert encode_model(model) == encode_model(copy_model(model))
-        assert encode_model(model) == encode_model(copy_model(model))  # once its objects are kept too
+        assert encode_model(model) == encode_model(copy_model(model)) and model.blocks is None
 
     def test_many_reference_edits_re_join_their_chunk(self, pets_schema):
         model = _kept_chunks(pets_schema, 3)
@@ -784,20 +784,23 @@ class TestCanonicalModelFastPath:
         lambda line: "# a comment\n" + line, lambda line: "  # a comment\n" + line,
         lambda line: "\n" + line, lambda line: line + " ", lambda line: line + "\r",
     ], ids=["comment", "indented-comment", "blank-line", "trailing-space", "carriage-return"])
-    def test_plainly_edited_text_builds_no_object_before_the_line_reader(self, pets_schema,
-                                                                         monkeypatch, edit):
+    def test_plainly_edited_text_builds_no_object_before_the_line_reader(self, pets_schema, edit):
         lines = [line for k in range(1000) for line in
                  (f"obj p{k} Person", f"  name P {k}", f"obj d{k} Dog", f"  owner p{k}")]
         lines[-1] = edit(lines[-1])
         text = "\n".join(lines) + "\n"
         expected = model_view(_decode_model_lines(text, pets_schema))
-
-        def refuse(*args):
-            raise AssertionError("the fast reader built an object")
-
-        patch_builds(monkeypatch, pets_schema, refuse)
         assert model_view(decode_model(text, pets_schema)) == expected
         assert model_view(decode_model(text.rstrip("\n"), pets_schema)) == expected
+
+    def test_text_canonical_but_for_its_last_object_keeps_no_text(self, pets_schema):
+        # the fast reader reads every object but the last, then declines
+        # the whole text: the model is the line reader's and keeps no text
+        text = _pairs_text(2 * CHUNK) + "obj x Dog\n  owner p0\n  name X\n"
+        assert _decode_model_canonical(text, pets_schema) is None
+        model = decode_model(text, pets_schema)
+        assert model_view(model) == model_view(_decode_model_lines(text, pets_schema))
+        assert model.blocks is None
 
     def test_canonical_text_never_reaches_the_line_reader(self, base_schema, pets_schema,
                                                           monkeypatch):

@@ -243,47 +243,43 @@ def _outcome(decode, text, schema):
 
 
 class TestResume:
-    """The line reader goes on from the first object the canonical reader
-    cannot read, with the objects read so far."""
+    """The fast reader reads the whole text or declines it, and the line
+    reader then reads it all from the start: every error and line number
+    is the line reader's."""
 
     SWAPPED = "  owner p999\n  name D999\n  age 9\n"
 
     def test_fields_out_of_order_in_the_last_object_build_each_object_once(self, pets_schema,
                                                                           monkeypatch):
+        # the fast reader declines the text at its last object; the line
+        # reader builds every object once, and the model keeps no text
         text = _text(2000)
         last = text.rindex("obj d999 Dog\n")
         text = text[:last] + "obj d999 Dog\n" + self.SWAPPED
         expected = _outcome(_decode_model_lines, text, pets_schema)
         built = Counter()
-
-        def counting(obj_id, *rest):
-            built[obj_id] += 1
-            return _object(obj_id, *rest)
-
-        patch_builds(monkeypatch, pets_schema, counting)
         original_new = InstanceModel.new_object
         monkeypatch.setattr(InstanceModel, "new_object", lambda model, class_name, obj_id:
-                            built.update(["line:" + obj_id]) or original_new(model, class_name, obj_id))
+                            built.update([obj_id]) or original_new(model, class_name, obj_id))
         model = decode_model(text, pets_schema)
         assert _outcome(lambda *_: model, text, pets_schema) == expected
         assert len(built) == 2000 and set(built.values()) == {1}
-        assert [key for key in built if key.startswith("line:")] == ["line:d999"]
+        assert model.blocks is None
         assert encode_model(model) == encode_model(copy_model(model)) == _text(2000)
-        # the decode kept the blocks read fast and marked the one read by
-        # lines; a forward leaves both as they are
         migrate_forward(MigrationSession.create(pets_schema, pets_schema), model)
         assert encode_model(model) == _text(2000)
 
-    def test_a_repeated_target_resumes_at_its_object(self, pets_schema, monkeypatch):
-        # a build refuses a many-reference that repeats a target; the line
-        # reader reads that object and the rest, and adds the target once
+    def test_a_repeated_target_declines_the_whole_text(self, pets_schema, monkeypatch):
+        # a build refuses a many-reference that repeats a target, and the
+        # fast reader stops there; the line reader reads the whole text and
+        # adds the target once
         text = _text(400).replace("  dogs d150\n", "  dogs d150\n  dogs d150\n", 1)
         built = Counter()
         patch_builds(monkeypatch, pets_schema, lambda obj_id, *rest: built.update([obj_id]) or _object(obj_id, *rest))
         model = decode_model(text, pets_schema)
         assert len(built) == 150 and "p149" in built and "p150" not in built
         assert _outcome(lambda *_: model, text, pets_schema) == _outcome(_decode_model_lines, text, pets_schema)
-        assert model.get("p150").references == {"dogs": ("d150",)}
+        assert model.get("p150").references == {"dogs": ("d150",)} and model.blocks is None
         assert _decode_model_canonical(text, pets_schema) is None
 
     @pytest.mark.parametrize("edit", [

@@ -83,6 +83,20 @@ def test_a_forward_retains_at_most_1000_bytes_per_input_object(tool):
     assert count.objects == 2000 and count.retained <= 1000 * count.objects
 
 
+def test_a_forward_costs_the_same_per_object_at_1000_and_4000_objects(tool):
+    # each layer's work grows linearly with the model: per object, its
+    # bytecodes agree within 1 % and the bytes the session retains within 2 %
+    small, large = (tool.count_bulk_forward(seed=1, size=size) for size in (1000, 4000))
+    assert (small.objects, large.objects) == (1000, 4000)
+    per_object = [(small.total / 1000, large.total / 4000)] + [
+        (small.layers[name] / 1000, large.layers[name] / 4000)
+        for name in small.layers if small.layers[name] >= 1000]
+    assert len(per_object) > 5
+    for at_small, at_large in per_object:
+        assert at_large == pytest.approx(at_small, rel=0.01)
+    assert large.retained / 4000 == pytest.approx(small.retained / 1000, rel=0.02)
+
+
 def test_retained_bytes_are_what_the_result_holds(tool):
     # 1,000 bare objects of 16 bytes each, and a list of 1,000 pointers
     assert 1000 * (16 + 8) <= tool.retained(lambda: [object() for _ in range(1000)])[0] < 1000 * 64
