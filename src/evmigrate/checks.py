@@ -17,17 +17,21 @@ Law boundaries honoured by the generators:
     then setter writes, each after the same write tried straight into the
     object's read-only mappings (it must be refused), and a command that
     writes nothing, merged on both sides as if the peers had exchanged it.
+
+The roundtrip and delta laws take their reference from a twin session,
+which receives the same input and the same edits but derives every
+object and ships its whole store: it runs the same code on the same
+edits, so it needs no copy of the session under test.
 """
 
 from __future__ import annotations
 
-import copy
 import itertools
 import random
 from dataclasses import dataclass
 
 from .codec import decode_log, decode_model, encode_log, encode_model
-from .commands import HAVE_DOG, HAVE_PERSON, KIND_OF_CLASS, SPECS, Command, have_dog, have_person
+from .commands import HAVE_DOG, HAVE_PERSON, KIND_OF_CLASS, SPECS, Command
 from .editor import Editor
 from .errors import MigrationError
 from .metamodel import InstanceModel, KIND_INT, ReferenceDef, copy_model, model_equals
@@ -41,8 +45,6 @@ from .sync import (
 
 _NAME_ALPHABET = "abcdefghijklmnopqrstuvwxyzABCDEFGH 0123456789-_:"
 
-LAWS = ("overwrite", "commutativity", "roundtrip", "delta")
-
 
 @dataclass
 class LawReport:
@@ -50,14 +52,6 @@ class LawReport:
     cases: int
     failures: int
     first_failure: str | None = None
-
-    @property
-    def passed(self) -> bool:
-        return self.failures == 0
-
-
-def _case_rng(law, seed, index) -> random.Random:
-    return random.Random(f"{law}:{seed + index}")
 
 
 def random_name(rng) -> str:
@@ -93,8 +87,9 @@ def random_model(rng, schema, max_objects=8) -> InstanceModel:
     return model
 
 
-_PERSON_POOL = ["p1", "p2", "px1", "px2", "px3", "px4"]
-_DOG_POOL = ["d1", "d2", "dx1", "dx2", "dx3", "dx4"]
+#: kind -> target ids: two the seed population holds, then four it does not
+_POOLS = {HAVE_PERSON: ["p1", "p2", "px1", "px2", "px3", "px4"],
+          HAVE_DOG: ["d1", "d2", "dx1", "dx2", "dx3", "dx4"]}
 
 
 def _variant_schemas():
@@ -105,31 +100,22 @@ def _variant_schemas():
     ]
 
 
+def random_command(rng, kind, target_id, owners, chance=1.0) -> Command:
+    """A ``kind`` command on ``target_id`` that draws each field
+    ``SPECS[kind]`` carries, in ``Command`` order (name, age, then an
+    ownerId from ``owners``), each present with probability ``chance``."""
+    carried = SPECS[kind][1]
+    draws = {"name": random_name, "age": lambda rng: rng.randint(0, 150),
+             "ownerId": lambda rng: rng.choice(owners)}
+    return Command(kind, target_id, *(
+        draw(rng) if field in carried and (chance >= 1 or rng.random() < chance) else None
+        for field, draw in draws.items()))
+
+
 def seed_commands(rng, owners=("p1", "p2"), dogs=("d1", "d2")):
     """Base population: 2 persons + 2 dogs, every field present."""
-    cmds = [have_person(p, name=random_name(rng), age=rng.randint(0, 150)) for p in owners]
-    cmds += [
-        have_dog(d, owner_id=rng.choice(owners), name=random_name(rng), age=rng.randint(0, 150))
-        for d in dogs
-    ]
-    return cmds
-
-
-def _full_command(rng, kind, target_id, owners):
-    name = random_name(rng)
-    age = rng.randint(0, 150)
-    if kind == HAVE_PERSON:
-        return have_person(target_id, name=name, age=age)
-    return have_dog(target_id, owner_id=rng.choice(owners), name=name, age=age)
-
-
-def _partial_command(rng, kind, target_id, owner_pool):
-    name = random_name(rng) if rng.random() < 0.7 else None
-    age = rng.randint(0, 150) if rng.random() < 0.7 else None
-    if kind == HAVE_PERSON:
-        return have_person(target_id, name=name, age=age)
-    owner = rng.choice(owner_pool) if rng.random() < 0.7 else None
-    return have_dog(target_id, owner_id=owner, name=name, age=age)
+    return [random_command(rng, kind, obj_id, owners)
+            for kind, ids in zip(SPECS, (owners, dogs)) for obj_id in ids]
 
 
 def _seeded_editor(schema, seed_cmds) -> Editor:
@@ -144,11 +130,9 @@ def overwrite_case(rng, schema=None) -> bool:
     if schema is None:
         schema = rng.choice(_variant_schemas())
     seeds = seed_commands(rng)
-    kind = rng.choice((HAVE_PERSON, HAVE_DOG))
-    pool = _PERSON_POOL if kind == HAVE_PERSON else _DOG_POOL
-    target_id = rng.choice(pool)
-    c1 = _full_command(rng, kind, target_id, owners=("p1", "p2"))
-    c2 = _full_command(rng, kind, target_id, owners=("p1", "p2"))
+    kind = rng.choice(list(SPECS))
+    target_id = rng.choice(_POOLS[kind])
+    c1, c2 = (random_command(rng, kind, target_id, owners=("p1", "p2")) for _ in range(2))
     both = _seeded_editor(schema, seeds)
     both.execute(c1)
     both.execute(c2)
@@ -158,18 +142,18 @@ def overwrite_case(rng, schema=None) -> bool:
 
 
 def random_distinct_commands(rng, size):
-    """Commands with pairwise-distinct target ids, partial fields allowed."""
-    persons = _PERSON_POOL + [f"py{i}" for i in range(len(_PERSON_POOL), size)]
-    dogs = _DOG_POOL + [f"dy{i}" for i in range(len(_DOG_POOL), size)]
-    owner_pool = list(persons)
-    rng.shuffle(persons)
-    rng.shuffle(dogs)
-    cmds = []
+    """Commands with pairwise-distinct target ids, partial fields allowed:
+    ``size`` picks of a kind, each of an id its pool (grown to ``size``
+    ids) still holds; a dog's ownerId is any person id of the pools."""
+    ids = {kind: pool + [f"{pool[0][0]}y{i}" for i in range(len(pool), size)]
+           for kind, pool in _POOLS.items()}
+    owners = list(ids[HAVE_PERSON])
+    for pool in ids.values():
+        rng.shuffle(pool)
+    kinds, cmds = list(ids), []
     for _ in range(size):
-        if persons and (not dogs or rng.random() < 0.5):
-            cmds.append(_partial_command(rng, HAVE_PERSON, persons.pop(), owner_pool))
-        else:
-            cmds.append(_partial_command(rng, HAVE_DOG, dogs.pop(), owner_pool))
+        kind = kinds[int(rng.random() * len(kinds))]
+        cmds.append(random_command(rng, kind, ids[kind].pop(), owners, chance=0.7))
     return cmds
 
 
@@ -203,17 +187,19 @@ def commutativity_case(rng, size, n_orders=None, schema=None) -> bool:
 def roundtrip_case(rng, scenario=None) -> bool:
     """Forward then backward with no modification reproduces the input.
     The backward may parse none of m2's objects, so m2 is checked too:
-    each object the forward's merge built derives its stored command."""
+    each object the forward's merge built derives its stored command, as
+    a twin session shows that forwards a copy of the input and then
+    derives every object of its m2."""
     if scenario is None:
         scenario = SCENARIOS[rng.choice(sorted(SCENARIOS))]
     model = random_model(rng, scenario.m1_schema)
     snapshot = copy_model(model)
-    session = MigrationSession.create(scenario.m1_schema, scenario.m2_schema)
+    session, twin = (MigrationSession.create(scenario.m1_schema, scenario.m2_schema) for _ in range(2))
+    migrate_forward(twin, copy_model(model))
     migrate_forward(session, model)
-    full = _copy_session(session)
-    _parse_every_object(full.m2)
+    _parse_every_object(twin.m2)
     result = migrate_backward(session)
-    return full.m2.store == session.m2.store and model_equals(result, snapshot)
+    return twin.m2.store == session.m2.store and model_equals(result, snapshot)
 
 
 def random_mutations(rng, model, max_lines=6) -> str:
@@ -267,11 +253,12 @@ def refuses(target, mutator, *args) -> bool:
     return False
 
 
-def _setter_writes(rng, model, max_writes=3) -> bool:
-    """Writes through the setters, with values the schema accepts, each
-    after a write straight into the object's mappings or its
-    many-reference, through a mutator drawn from all of a dict's (a
-    list's); True when every such write was refused."""
+def _setter_writes(rng, model, twin, max_writes=3) -> bool:
+    """Writes through the setters, with values the schema accepts, to
+    ``model`` and the same to the same objects of ``twin``, each after a
+    write straight into the object's mappings or its many-reference,
+    through a mutator drawn from all of a dict's (a list's); True when
+    every such write was refused."""
     objects = list(model.objects.values())
     for _ in range(rng.randint(0, max_writes) if objects else 0):
         obj = rng.choice(objects)
@@ -290,33 +277,28 @@ def _setter_writes(rng, model, max_writes=3) -> bool:
         if isinstance(feature, ReferenceDef):
             pool = [o.id for o in objects if o.class_name == feature.target]
             if pool:
-                model.set_reference(obj, feature.name, rng.choice(pool))
+                target = rng.choice(pool)
+                for m in (model, twin):
+                    m.set_reference(m.get(obj.id), feature.name, target)
         elif feature is not None:
             value = rng.randint(0, 150) if feature.kind == KIND_INT else random_name(rng)
-            model.set_attribute(obj, feature.name, value)
+            for m in (model, twin):
+                m.set_attribute(m.get(obj.id), feature.name, value)
     return True
 
 
-def _merge_no_op(rng, session):
+def _merge_no_op(rng, session, twin):
     """Merge a command with every field UNSET onto an object both sides
-    hold, on both sides, as if the peers had exchanged it: it writes
-    nothing, but its store entry replaces the old one."""
+    hold, on both sides of ``session`` and of ``twin``, as if the peers
+    had exchanged it: it writes nothing, but its store entry replaces the
+    old one."""
     targets = [(obj_id, obj) for obj_id, obj in session.m2.registered()
                if obj.class_name in KIND_OF_CLASS]
     if targets:
         obj_id, obj = rng.choice(targets)
         cmd = Command(KIND_OF_CLASS[obj.class_name], obj_id)
-        session.m1.merge_all([cmd])
-        session.m2.merge_all([cmd])
-
-
-def _copy_session(session) -> MigrationSession:
-    """A deep copy that shares the (immutable) schemas and bindings."""
-    shared = {}
-    for editor in (session.m1, session.m2):
-        shared[id(editor.schema)] = editor.schema
-        shared[id(editor.bindings)] = editor.bindings
-    return copy.deepcopy(session, shared)
+        for editor in (session.m1, session.m2, twin.m1, twin.m2):
+            editor.merge_all([cmd])
 
 
 def _parse_every_object(editor):
@@ -346,81 +328,69 @@ def _parse_every_object(editor):
 
 def delta_case(rng, scenario=None) -> bool:
     """A backward that ships only the changed entries leaves m1 as a full
-    ship would: m2's whole store, derived afresh for every object, then
-    encoded, decoded and merged into a copy of m1 taken before the
-    backward.  Both m1 model and m1 store must match, and m1's encode must
-    match a full render of the reference, after each of three edits and
-    backwards.  The forward readies m2: each backward parses only the
-    objects m2 marked changed; the third edits objects m2 added while it
-    kept marks.  Half the sessions forward a model decoded from its text,
-    which keeps its blocks, so m1 re-renders only the objects merges
-    marked; the other half one built in code, rendered in full."""
+    ship would.  A twin session kept in lockstep gets the same input and
+    the same edits, and in place of each backward derives every object of
+    its m2 afresh and merges m2's whole store, encoded and decoded, into
+    its m1.  Both m1 model and m1 store must match the twin's, and m1's
+    encode must match a full render of the twin's, after each of three
+    edits and backwards.  The forward readies m2: each backward parses
+    only the objects m2 marked changed; the third edits objects m2 added
+    while it kept marks.  Half the sessions forward a model decoded from
+    its text, which keeps its blocks, so m1 re-renders only the objects
+    merges marked; the other half one built in code, rendered in full."""
     if scenario is None:
         scenario = SCENARIOS[rng.choice(sorted(SCENARIOS))]
-    session = MigrationSession.create(scenario.m1_schema, scenario.m2_schema)
+    session, twin = (MigrationSession.create(scenario.m1_schema, scenario.m2_schema) for _ in range(2))
     model = random_model(rng, scenario.m1_schema)
     if rng.random() < 0.5:
         model = decode_model(encode_model(model), scenario.m1_schema)
+    migrate_forward(twin, copy_model(model))
     migrate_forward(session, model)
     for _ in range(3):
-        apply_mutations(session.m2.model, random_mutations(rng, session.m2.model))
-        if not _setter_writes(rng, session.m2.model):
+        script = random_mutations(rng, session.m2.model)
+        apply_mutations(session.m2.model, script)
+        apply_mutations(twin.m2.model, script)
+        if not _setter_writes(rng, session.m2.model, twin.m2.model):
             return False
         if rng.random() < 0.3:
-            _merge_no_op(rng, session)
-        full = _copy_session(session)
+            _merge_no_op(rng, session, twin)
         migrate_backward(session)
-        _parse_every_object(full.m2)
-        text = encode_log(full.m2.store, full.reference_year)
-        full.m1.merge_all(decode_log(text).commands)
+        _parse_every_object(twin.m2)
+        text = encode_log(twin.m2.store, twin.reference_year)
+        twin.m1.merge_all(decode_log(text).commands)
         if not (
-            model_equals(session.m1.model, full.m1.model)
-            and session.m1.store == full.m1.store
-            and encode_model(session.m1.model) == encode_model(copy_model(full.m1.model))
+            model_equals(session.m1.model, twin.m1.model)
+            and session.m1.store == twin.m1.store
+            and encode_model(session.m1.model) == encode_model(copy_model(twin.m1.model))
         ):
             return False
     return True
 
 
-def _run_law(law, case_fn, seed, cases) -> LawReport:
-    failures = 0
-    first = None
+#: law -> its case: (an RNG, the most commands a case may draw) -> whether it holds
+LAWS = {
+    "overwrite": lambda rng, max_commands: overwrite_case(rng),
+    "commutativity": lambda rng, max_commands: commutativity_case(
+        rng, rng.randint(1, max_commands), n_orders=6),
+    "roundtrip": lambda rng, max_commands: roundtrip_case(rng),
+    "delta": lambda rng, max_commands: delta_case(rng),
+}
+
+
+def check(law, seed, cases, max_commands=5) -> LawReport:
+    """Run ``cases`` cases of ``law``, case i on its own RNG seeded from
+    ``seed + i``."""
+    failures, first = 0, None
     for i in range(cases):
-        rng = _case_rng(law, seed, i)
         try:
-            ok = case_fn(rng)
+            ok = LAWS[law](random.Random(f"{law}:{seed + i}"), max_commands)
         except MigrationError:
             ok = False
         if not ok:
             failures += 1
-            if first is None:
-                first = f"case {i} (replay: --cases 1 --seed {seed + i})"
+            first = first or f"case {i} (replay: --cases 1 --seed {seed + i})"
     return LawReport(law, cases, failures, first)
 
 
-def check_overwrite(seed, cases) -> LawReport:
-    return _run_law("overwrite", overwrite_case, seed, cases)
-
-
-def check_commutativity(seed, cases, max_commands=5, n_orders=6) -> LawReport:
-    def case(rng):
-        return commutativity_case(rng, rng.randint(1, max_commands), n_orders=n_orders)
-
-    return _run_law("commutativity", case, seed, cases)
-
-
-def check_roundtrip(seed, cases) -> LawReport:
-    return _run_law("roundtrip", roundtrip_case, seed, cases)
-
-
-def check_delta(seed, cases) -> LawReport:
-    return _run_law("delta", delta_case, seed, cases)
-
-
 def run_all(seed, cases, max_commands=5) -> list[LawReport]:
-    return [
-        check_overwrite(seed, cases),
-        check_commutativity(seed, cases, max_commands=max_commands),
-        check_roundtrip(seed, cases),
-        check_delta(seed, cases),
-    ]
+    return [check(law, seed, cases, max_commands) for law in LAWS]

@@ -328,10 +328,6 @@ class KeptBlocks:
             text[start - base:end - base] for start, end in zip(offsets, offsets[1:])]
 
 
-#: a feature or class name the canonical reader reads: one token, no comment
-_READABLE = re.compile(r"[^#\s]\S*")
-
-
 @lru_cache(maxsize=64)
 def _kernels(schema: MetaModel):
     """The instance format's per-object kernels, generated at first use
@@ -342,8 +338,8 @@ def _kernels(schema: MetaModel):
     position.  ``build`` links a single reference to a target of its class
     it already read (``get``), adds the object to ``targets[(target class,
     reference name, many, position)]`` for each other reference, and
-    refuses a repeated target.  A name ``_READABLE`` refuses is left to
-    the line reader.  Names reach the source as ``repr`` literals."""
+    refuses a repeated target.  Names reach the source as ``repr``
+    literals."""
     alternatives, builds, renderers, group = [], {}, {}, 2  # group 1 is the id
     for cls in schema.classes.values():
         fields, parts, build = ["obj_id"], [], []
@@ -371,13 +367,12 @@ def _kernels(schema: MetaModel):
                            f"            {v} = t.id", "        else:",
                            f"            late += ({(feature.target, name, False, k)!r},)"]
             render.append(piece)
-            if _READABLE.fullmatch(name) is not None:
-                parts.append(part)
-                fields.append(v)
-                build += [f"    if {v} is not None:", f"        {value}", *collect]
+            parts.append(part)
+            fields.append(v)
+            build += [f"    if {v} is not None:", f"        {value}", *collect]
         fields.append("_")  # the closing group: ``group`` then gives a tuple
         groups = (1, *range(group, group + len(fields) - 1))
-        values = "".join(f"v{k}, " if f"v{k}" in fields else "None, " for k in range(len(cls.features)))
+        values = "".join(f"v{k}, " for k in range(len(cls.features)))
         made = f"_object(obj_id, {cls.name!r}, ({values}), LAYOUT, ref)"
         source = "\n".join([
             "def build(match, ref, targets, get):", f"    {', '.join(fields)} = match.group{groups}",
@@ -388,10 +383,9 @@ def _kernels(schema: MetaModel):
             "    return f'obj {obj.id}{H}" + "".join(f"{{p{k}}}" for k in range(len(cls.features))) + "'", ""])
         kernel = compile_kernel(f"{schema.name}.{cls.name}", source, {"LAYOUT": cls})
         renderers[cls.name] = kernel["render"]
-        if _READABLE.fullmatch(cls.name) is not None:
-            alternatives.append(f"{re.escape(cls.name)}\\n{''.join(parts)}()")
-            builds[groups[-1]] = kernel["build"]
-            group = groups[-1] + 1
+        alternatives.append(f"{re.escape(cls.name)}\\n{''.join(parts)}()")
+        builds[groups[-1]] = kernel["build"]
+        group = groups[-1] + 1
     # an object's text ends where the next starts, or the text does
     match = re.compile(rf"obj (\S+) (?:{'|'.join(alternatives) or '(?!)'})(?=obj |\Z)").match
     return match, builds, renderers

@@ -27,7 +27,7 @@ from .commands import (
     DEFAULT_REFERENCE_YEAR,
 )
 from .errors import MergeError, MigrationError, ModelError
-from .metamodel import DynamicObject, InstanceModel, MetaModel, _lay_out, has_line_break
+from .metamodel import DynamicObject, InstanceModel, MetaModel, _lay_out
 
 #: the model reader ``Editor.parse_model`` keeps its place under
 PARSE = "parse"
@@ -219,8 +219,6 @@ class Editor:
         while fresh in self._minted or fresh in model._objects:
             counter += 1
             fresh = f"{prefix}{counter}"
-        if has_line_break(fresh):  # a class built in code may have any name
-            raise ModelError(f"a minted id may hold no line break, got {fresh!r}")
         self._id_counters[obj.class_name] = counter + 1
         self._minted[fresh] = obj
         self._id_of_object[obj] = fresh

@@ -68,6 +68,13 @@ class ReferenceDef:
     many: bool
 
 
+def _check_name(name, what):
+    """A schema name is one token: the instance file writes it as one, so
+    whitespace in it would start fields or lines of its own."""
+    if name.split() != [name]:
+        raise SchemaError(f"{what} must be one token without whitespace, got {name!r}")
+
+
 class MetaClass:
     """A declared class: named attribute and reference slots, and the
     layout of its objects' values: its attributes, then its references,
@@ -91,6 +98,7 @@ class MetaClass:
         """Declare one attribute or reference; a name starting ``#`` would read as a comment."""
         if feature.name in self.attributes or feature.name in self.references:
             raise SchemaError(f"duplicate feature {feature.name!r} in class {self.name}")
+        _check_name(feature.name, f"a feature name of class {self.name}")
         if feature.name.startswith("#"):
             raise SchemaError(f"feature {feature.name!r} of class {self.name} may not start with '#'")
         if isinstance(feature, ReferenceDef):
@@ -137,6 +145,7 @@ class MetaModel:
         """Declare a class; its reference targets are left to ``check_target``."""
         if cls.name in self.classes:
             raise SchemaError(f"duplicate class {cls.name!r}")
+        _check_name(cls.name, "a class name")
         self.classes[cls.name] = cls
 
     def check_target(self, cls: MetaClass, ref: ReferenceDef):

@@ -6,7 +6,7 @@ import pytest
 
 from evmigrate import Editor, EventStore, commands as commands_mod
 from evmigrate.commands import KIND_OF_CLASS, Command
-from evmigrate.checks import check_delta, check_overwrite, check_roundtrip
+from evmigrate.checks import check
 from evmigrate.cli import BenchReport, main, run_bench
 
 from conftest import DATA
@@ -193,11 +193,11 @@ class TestLawOracleCatchesBrokenImplementations:
             return cmd.id
 
         monkeypatch.setattr(commands_mod, "run", appending_run)
-        report = check_overwrite(seed=3, cases=60)
+        report = check("overwrite", seed=3, cases=60)
         assert report.failures > 0
         assert "replay" in report.first_failure
         monkeypatch.setattr(commands_mod, "run", original)
-        assert check_overwrite(seed=3, cases=60).failures == 0
+        assert check("overwrite", seed=3, cases=60).failures == 0
 
     def test_duplicate_creating_dog_run_detected(self, monkeypatch):
         original = commands_mod.run
@@ -211,7 +211,7 @@ class TestLawOracleCatchesBrokenImplementations:
             return cmd.id
 
         monkeypatch.setattr(commands_mod, "run", duplicating_run)
-        assert check_overwrite(seed=5, cases=60).failures > 0
+        assert check("overwrite", seed=5, cases=60).failures > 0
 
     def test_lossy_conversion_detected_by_roundtrip(self, monkeypatch):
         # a merge calls the generated runners itself, so the person runner
@@ -233,7 +233,7 @@ class TestLawOracleCatchesBrokenImplementations:
         monkeypatch.setattr(commands_mod, "_runner", truncating_runner)
         commands_mod.bind.cache_clear()
         try:
-            assert check_roundtrip(seed=11, cases=60).failures > 0
+            assert check("roundtrip", seed=11, cases=60).failures > 0
         finally:
             commands_mod.bind.cache_clear()  # no later editor gets a truncating runner
 
@@ -248,10 +248,10 @@ class TestLawOracleCatchesBrokenImplementations:
                 store.put_received(fields)
 
         monkeypatch.setattr(EventStore, "_put", put_marking_only_new_ids)
-        assert check_roundtrip(seed=13, cases=60).failures == 0
-        assert check_delta(seed=13, cases=60).failures > 0
+        assert check("roundtrip", seed=13, cases=60).failures == 0
+        assert check("delta", seed=13, cases=60).failures > 0
         monkeypatch.setattr(EventStore, "_put", original)
-        assert check_delta(seed=13, cases=60).failures == 0
+        assert check("delta", seed=13, cases=60).failures == 0
 
     def test_parse_skipping_changed_commands_detected_by_delta(self, monkeypatch):
         def stale_parse_model(editor):
@@ -262,8 +262,8 @@ class TestLawOracleCatchesBrokenImplementations:
             return editor.store
 
         monkeypatch.setattr(Editor, "parse_model", stale_parse_model)
-        assert check_roundtrip(seed=17, cases=60).failures == 0
-        assert check_delta(seed=17, cases=60).failures > 0
+        assert check("roundtrip", seed=17, cases=60).failures == 0
+        assert check("delta", seed=17, cases=60).failures > 0
 
     def test_parse_ignoring_age_change_detected_by_delta(self, monkeypatch):
         original = Editor._parse
@@ -281,10 +281,10 @@ class TestLawOracleCatchesBrokenImplementations:
             return fields, changed
 
         monkeypatch.setattr(Editor, "_parse", parse_ignoring_age)
-        assert check_roundtrip(seed=19, cases=60).failures == 0
-        assert check_delta(seed=19, cases=60).failures > 0
+        assert check("roundtrip", seed=19, cases=60).failures == 0
+        assert check("delta", seed=19, cases=60).failures > 0
         monkeypatch.setattr(Editor, "_parse", original)
-        assert check_delta(seed=19, cases=60).failures == 0
+        assert check("delta", seed=19, cases=60).failures == 0
 
 
 class TestBench:

@@ -120,6 +120,20 @@ class TestHostileNames:
         with pytest.raises(SchemaError, match="feature '#x' of class A may not start with '#'"):
             MetaClass("A").add(feature)
 
+    @pytest.mark.parametrize("name", ["a b", "", "name\nobj evil Person\n  age", "a\u2028b"],
+                             ids=["space", "empty", "line-break", "line-separator"])
+    def test_a_feature_name_of_more_or_less_than_one_token_is_refused(self, name):
+        # ``encode_model`` would write it as fields or lines of its own
+        for feature in (AttributeDef(name, "int"), ReferenceDef(name, "A", False)):
+            with pytest.raises(SchemaError, match="must be one token"):
+                MetaClass("A").add(feature)
+
+    @pytest.mark.parametrize("name", ["a b", "", "Dog\nobj x Dog", "Dog x"],
+                             ids=["space", "empty", "line-break", "trailing-token"])
+    def test_a_class_name_of_more_or_less_than_one_token_is_refused(self, name):
+        with pytest.raises(SchemaError, match="must be one token"):
+            MetaModel("s", [MetaClass(name)])
+
     @pytest.mark.parametrize("ybirth", [False, True], ids=["age", "ybirth"])
     def test_every_model_reads_back_and_its_text_unchanged(self, ybirth):
         schema = hostile_schema(f"hostile-{ybirth}", ybirth)
