@@ -143,8 +143,8 @@ def overwrite_case(rng, schema=None) -> bool:
 
 def random_distinct_commands(rng, size):
     """Commands with pairwise-distinct target ids, partial fields allowed:
-    ``size`` picks of a kind, each of an id its pool (grown to ``size``
-    ids) still holds; a dog's ownerId is any person id of the pools."""
+    each pick draws a kind, then an id not yet drawn from that kind's pool
+    (grown to ``size`` ids); ownerIds come from the persons' pool."""
     ids = {kind: pool + [f"{pool[0][0]}y{i}" for i in range(len(pool), size)]
            for kind, pool in _POOLS.items()}
     owners = list(ids[HAVE_PERSON])
