@@ -4,9 +4,9 @@ The command log is a pinned, YAML-compatible subset with two-space
 indentation; no YAML library is involved so the bytes stay canonical.
 Encoding is deterministic: commands sorted by (kind, id) with persons
 before dogs, optional fields omitted when UNSET.  String values run
-verbatim to end of line (trimmed).  No id or value may hold a character
-at which ``str.splitlines`` breaks a line: ``Command`` and the model
-layer refuse one, so no value can forge a line of its own.
+verbatim to end of line (trimmed).  An id is one token, and no value may
+hold a character at which ``str.splitlines`` breaks a line: ``Command``
+and the model layer refuse any other, so no value can forge a line.
 
 The decoder accepts more than the encoder writes: blank lines and
 full-line ``#`` comments anywhere, any line ending that
@@ -23,11 +23,10 @@ a render function per class are generated once per schema, on first use
 (``_kernels``).
 
 A model keeps its text (``KeptBlocks``) if and only if the fast reader
-read all of it: it keeps the text in chunks, with the offsets of each
-object's block, and slices no block.  Each encode renders only the
-objects marked since the last, slicing a chunk into its blocks when it
-first re-renders an object in it.  A model the line reader read, or one
-built in code, is rendered in full at every encode.
+read all of it, in chunks, with the length of each object's block.  Each
+encode renders only the objects marked since the last and splices them
+into their chunks' texts.  A model the line reader read, or one built in
+code, is rendered in full at every encode.
 """
 
 from __future__ import annotations
@@ -35,8 +34,8 @@ from __future__ import annotations
 import re
 from array import array
 from functools import cached_property, lru_cache
-from itertools import chain, islice
-from operator import attrgetter
+from itertools import accumulate, chain, islice
+from operator import attrgetter, sub
 
 from .commands import _OWNED_KINDS, SPECS, Command, _Checked, _id_of, _trusted, check_reference_year
 from .editor import EventStore
@@ -130,8 +129,8 @@ _CANONICAL_HEAD = re.compile(rf"format: {FORMAT_VERSION}\nreferenceYear: ([1-9][
 _CANONICAL_BLOCK = re.compile(
     rf"  - command: ({'|'.join(kind for kind in SPECS if kind not in _OWNED_KINDS)}"
     rf"|(?:{'|'.join(kind for kind in SPECS if kind in _OWNED_KINDS)})())\n"
-    rf"    id: ({_VALUE})\n"
-    rf"(?(2)(?:    ownerId: ({_VALUE})\n)?)"
+    rf"    id: (\S+)\n"
+    rf"(?(2)(?:    ownerId: (\S+)\n)?)"
     rf"(?:    name:(?: ({_VALUE})|())\n)?"
     rf"(?:    age: (-?[0-9]+)\n)?"
 )
@@ -144,8 +143,8 @@ def _decode_canonical(text) -> CommandLogDocument | None:
     valid layouts, values the line reader would trim, and every input it
     would reject.
 
-    The pattern admits only what ``Command`` checks (a known kind, a
-    non-empty id, no line break, ownerId only where allowed), so the
+    The pattern admits only what ``Command`` checks (a known kind, an id
+    and ownerId of one token, ownerId only where allowed), so the
     commands are kept as the exact tuples of their fields, a ``_Checked``
     batch, and no ``Command`` is built."""
     head = _CANONICAL_HEAD.match(text)
@@ -246,10 +245,10 @@ def _decode_lines(text) -> CommandLogDocument:
         age = fields.get("age")
         if age is not None:
             age = _parse_int(age, field_lines["age"], "age")
-        cmds.append(
-            Command(kind, obj_id, name=fields.get("name"), age=age,
-                    owner_id=fields.get("ownerId"))
-        )
+        try:
+            cmds.append(Command(kind, obj_id, name=fields.get("name"), age=age, owner_id=fields.get("ownerId")))
+        except ValueError as e:  # an id or ownerId that is not one token
+            raise FormatError(str(e), line=lineno) from None
     return CommandLogDocument(FORMAT_VERSION, headers["referenceYear"], cmds)
 
 
@@ -265,67 +264,59 @@ def encode_model(model: InstanceModel) -> str:
     order, one line per many-reference target.
 
     A model the fast reader read keeps its text (``KeptBlocks``): an
-    encode re-renders only the objects marked since the last and re-joins
-    only their chunks, so copying the text out is the one step that grows
-    with the model.  A chunk is sliced into its blocks when an encode
-    first re-renders an object in it.  Any other model is rendered in
-    full, object by object."""
+    encode re-renders only the objects marked since the last and splices
+    them into their chunks, so copying the text out is the one step that
+    grows with the model.  Any other model is rendered object by object."""
     kept = model.blocks
     render = _kernels(model.schema)[2]
     if kept is None:
         return "".join([render[obj.class_name](obj) for obj in model.objects.values()])
-    blocks, at, size, texts = kept.blocks, kept.at, kept.size, kept.texts
-    stale = set()
+    at, lengths, texts = kept.at, kept.lengths, kept.texts
+    stale = {}  # chunk index -> {position: its new block}
     for obj in model.unseen(ENCODE):
         pos = at.get(obj)
         if pos is None:  # a new object: ``add`` put it last in the model
-            pos = at[obj] = len(blocks)
-            blocks.append(None)
-        if (i := pos // size) not in stale:  # the first object of its chunk in this encode
-            stale.add(i)
-            if i in kept.offsets:  # the chunk is not split yet
-                kept.split(i)
-        blocks[pos] = render[obj.class_name](obj)
-    for i in sorted(stale):  # a new chunk is inserted after every older one
-        texts[i] = "".join(blocks[i * size:(i + 1) * size])
+            pos = at[obj] = len(lengths)
+            lengths.append(0)
+            if not pos % CHUNK:
+                texts.append("")
+        stale.setdefault(pos // CHUNK, {})[pos] = render[obj.class_name](obj)
+    for i, blocks in stale.items():
+        lo = i * CHUNK
+        # offsets[k]: where the chunk's k-th block starts in its text
+        offsets = list(accumulate(lengths[lo:lo + CHUNK], initial=0))
+        text, start, pieces = texts[i], 0, []
+        for pos in sorted(blocks):  # the unchanged text before each new block
+            block = blocks[pos]
+            pieces += text[start:offsets[pos - lo]], block
+            start = offsets[pos - lo + 1]
+            lengths[pos] = len(block)
+        pieces.append(text[start:])
+        texts[i] = "".join(pieces)
     model.seen(ENCODE)
-    return "".join(texts.values())
+    return "".join(texts)
 
 
-#: objects per chunk of kept blocks
+#: objects per chunk of kept text
 CHUNK = 256
 
 
 class KeptBlocks:
-    """A model's instance-file text, kept for ``encode_model``: the joined
-    text of every chunk of ``size`` objects in model order, each object's
-    position, and one block per object of each chunk an encode has
-    re-rendered an object in, so an edit re-joins only its own chunk (a
-    rope of one level whose leaves split at their first edit: Boehm,
-    Atkinson and Plass, "Ropes: an Alternative to Strings", 1995)."""
+    """A model's instance-file text, kept for ``encode_model`` as a piece
+    table (Crowley, "Data Structures for Text Sequences", 1998): ``texts``,
+    the text of each chunk of ``CHUNK`` objects in model order; ``at``,
+    object -> its position in model order; and ``lengths``, each object's
+    block length in model order.  An edit is spliced into its own chunk's
+    text, and no string is kept per object."""
 
-    __slots__ = ("blocks", "at", "size", "texts", "offsets")
+    __slots__ = ("at", "lengths", "texts")
 
     def __init__(self, text, bounds, objects):
         """The chunks of ``objects``, the k-th read as ``text[bounds[k]:bounds[k + 1]]``."""
         n = len(bounds) - 1
-        #: each object's block, in model order; None in a chunk not yet split
-        self.blocks = [None] * n
-        #: object -> its block's index in ``blocks``
         self.at = {obj: pos for pos, obj in enumerate(objects)}
-        self.size = size = CHUNK
-        #: chunk index -> the chunk's joined blocks, in chunk order
-        self.texts = {i // size: text[bounds[i]:bounds[min(i + size, n)]] for i in range(0, n, size)}
-        #: chunk index -> its blocks' bounds in ``text``, until ``split``
-        self.offsets = {i // size: bounds[i:i + size + 1] for i in range(0, n, size)}
-
-    def split(self, i):
-        """Slice chunk ``i``'s text into its blocks, once: no block is
-        tested or rendered."""
-        offsets, text = self.offsets.pop(i), self.texts[i]
-        base, lo = offsets[0], i * self.size
-        self.blocks[lo:lo + len(offsets) - 1] = [
-            text[start - base:end - base] for start, end in zip(offsets, offsets[1:])]
+        self.lengths = array("q", map(sub, bounds[1:], bounds))
+        self.texts = [text[bounds[i]:bounds[min(i + CHUNK, n)]] for i in range(0, n, CHUNK)]
 
 
 @lru_cache(maxsize=64)

@@ -67,8 +67,6 @@ class Command(namedtuple("Command", ("kind", "id", "name", "age", "owner_id"))):
     def __new__(cls, kind, id, name=None, age=None, owner_id=None):
         if kind not in SPECS:
             raise ValueError(f"unknown command kind {kind!r}")
-        if not id:
-            raise ValueError("command id must be non-empty")
         if owner_id is not None and kind not in _OWNED_KINDS:
             raise ValueError(f"ownerId is not valid on {kind}")
         # a runner writes what it is given: each field must be of its kind
@@ -77,9 +75,11 @@ class Command(namedtuple("Command", ("kind", "id", "name", "age", "owner_id"))):
                 or owner_id is not None and type(owner_id) is not str):
             raise ValueError(f"ids and name must be strings and age an integer, got "
                              f"id {id!r}, name {name!r}, age {age!r}, ownerId {owner_id!r}")
-        text = f"{id}{name or ''}{owner_id or ''}"
-        if not text.isprintable() and has_line_break(text):  # printable text needs no split
-            raise ValueError(f"no line break may be in id {id!r}, name {name!r} or ownerId {owner_id!r}")
+        if id.split() != [id] or owner_id is not None and owner_id.split() != [owner_id]:
+            raise ValueError(f"id and ownerId must be one token, non-empty and with no line break or other "
+                             f"whitespace, got id {id!r}, ownerId {owner_id!r}")
+        if name and has_line_break(name):
+            raise ValueError(f"no line break may be in name {name!r}")
         return tuple.__new__(cls, (kind, id, name, age, owner_id))
 
     _make = classmethod(lambda cls, fields: cls(*fields))  # ``_replace`` builds through it
@@ -196,9 +196,9 @@ def _runner(schema, class_name, name_at, age_at, ybirth_at, owner_ref, owner_at)
     objects (see ``Editor``).
     Then the owner, made a stub if need be, so dogs may run before their
     owner's HavePerson: admitted as the runner admits a new object while
-    the model took in no object through ``add`` and the ownerId is not
-    empty, else through ``Editor.get_or_create``, which refuses what it
-    refuses.  Names reach the source as ``repr`` literals."""
+    the model took in no object through ``add``, else through
+    ``Editor.get_or_create``, which refuses what it refuses.  Names
+    reach the source as ``repr`` literals."""
     cls = schema.classes[class_name]
     new, old = ["None"] * len(cls.slots), [f"v[{k}]" for k in range(len(cls.slots))]
     for at, arg, value in ((name_at, "name", "name"), (age_at, "age", "age"),
@@ -210,7 +210,7 @@ def _runner(schema, class_name, name_at, age_at, ybirth_at, owner_ref, owner_at)
         "    if owner_id is not None:",
         "        owner = editor._lookup(owner_id) if model.added else model._objects.get(owner_id)",
         f"        if owner is None or owner.class_name != {owner_ref.target!r}:",
-        "            if owner is None and owner_id and not model.added:  # a stub as get_or_create makes it",
+        "            if owner is None and not model.added:  # a stub as get_or_create makes it",
         f"                owner = model._admit(_object(owner_id, {owner_ref.target!r}, "
         f"({'None, ' * len(schema.classes[owner_ref.target].slots)}), TARGET))",
         "            else:",

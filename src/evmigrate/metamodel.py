@@ -368,8 +368,8 @@ class InstanceModel:
     tracking pays."""
 
     #: the instance-file text, if ``codec``'s fast reader read all of it:
-    #: joined per chunk of objects, split into one block per object where
-    #: an encode re-rendered one; ``codec.encode_model`` keeps it up to date
+    #: one text per chunk of objects, and each object's block length;
+    #: ``codec.encode_model`` splices each edit into it
     blocks: KeptBlocks | None = None
     #: the objects ``add`` took in since an editor adopted the model, to be
     #: registered under ids it mints (a dict as an ordered set); else None
@@ -409,16 +409,16 @@ class InstanceModel:
     def add(self, obj: DynamicObject) -> DynamicObject:
         """Add an object that no model holds, checked as ``validate``
         checks it, and its id once (an object's id never changes): a
-        declared class, an id that is new, non-empty and without line
-        breaks, declared features, values of their kind and targets in
+        declared class, an id that is new and one token (so no line
+        break), declared features, values of their kind and targets in
         the model (the object itself included), each reference then
         holding its target's own id string.  It lays the object out by its
         class.  A model an editor holds records the object in ``added``."""
         cls = self.schema.classes.get(obj.class_name) or self.schema.cls(obj.class_name)
         obj_id, objects = obj.id, self._objects
-        # printable ids need no split
-        if not obj_id or not obj_id.isprintable() and has_line_break(obj_id):
-            raise ModelError(f"object id must be non-empty and hold no line break, got {obj_id!r}")
+        if obj_id.split() != [obj_id]:  # whitespace includes every line break
+            raise ModelError(f"object id must be one token, non-empty and hold no line break or other "
+                             f"whitespace, got {obj_id!r}")
         if obj._model is not None and obj._model() is not None:
             raise ModelError(f"object {obj_id!r} already belongs to a model")
         if obj_id in objects:

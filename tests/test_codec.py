@@ -189,6 +189,16 @@ class TestDecodeLog:
         with pytest.raises(FormatError, match="non-empty id"):
             decode_log(text)
 
+    @pytest.mark.parametrize("fields", ["    id: a b", "    id: d2\n    ownerId: p 1", "    id: d2\n    ownerId:"],
+                             ids=["id", "owner-id", "empty-owner-id"])
+    def test_an_id_that_is_not_one_token_names_its_block(self, fields):
+        # the fast reader declines it; the line reader names the block's line
+        text = GOLDEN_SINGLE + f"  - command: HaveDog\n{fields}\n    name: Rex\n"
+        with pytest.raises(FormatError, match="line 8: .*one token") as exc:
+            decode_log(text)
+        assert exc.value.line == 8
+        assert codec._decode_canonical(text) is None
+
     def test_duplicate_field(self):
         text = GOLDEN_SINGLE + "  - command: HavePerson\n    id: p2\n    id: p3\n"
         with pytest.raises(FormatError, match="duplicate field"):
@@ -492,21 +502,21 @@ def _kept_chunks(schema, chunks):
     return decode_model(_pairs_text(chunks * CHUNK), schema)
 
 
-def _split(model):
-    """The chunks of a kept model held as blocks: those an encode sliced,
-    and those new objects opened."""
-    kept = model.blocks
-    assert set(kept.offsets).isdisjoint({pos // CHUNK for pos, block in enumerate(kept.blocks) if block is not None})
-    return set(kept.texts) - set(kept.offsets)
-
-
 def _encode_rejoining(model):
-    """Encode a kept model, check the text against a full render, and
-    return the chunks whose text was joined again."""
-    before = dict(model.blocks.texts)
+    """Encode a kept model, check the text against a full render and the
+    kept lengths against each object's block and each chunk's text, and
+    return the chunks whose text was spliced again or opened."""
+    kept = model.blocks
+    before = list(kept.texts)
     text = encode_model(model)
     assert text == encode_model(copy_model(model))
-    return [i for i, joined in model.blocks.texts.items() if before.get(i) is not joined]
+    render = codec._kernels(model.schema)[2]
+    assert list(kept.lengths) == [len(render[obj.class_name](obj)) for obj in model.objects.values()]
+    assert list(kept.at.items()) == list(zip(model.objects.values(), range(len(model))))
+    assert len(kept.texts) == -(-len(model) // CHUNK)
+    for i, chunk in enumerate(kept.texts):
+        assert sum(kept.lengths[i * CHUNK:(i + 1) * CHUNK]) == len(chunk)
+    return [i for i, chunk in enumerate(kept.texts) if i >= len(before) or chunk is not before[i]]
 
 
 class TestKeptBlocks:
@@ -516,43 +526,43 @@ class TestKeptBlocks:
     def test_a_decode_slices_no_block_and_an_edit_slices_only_its_chunk(self, pets_schema):
         model = decode_model(_pairs_text(2000), pets_schema)
         kept = model.blocks
-        assert len(kept.texts) == 8 and _split(model) == set() and set(kept.blocks) == {None}
-        assert _encode_rejoining(model) == [] and _split(model) == set()
+        assert len(kept.texts) == 8 and sum(kept.lengths) == len(_pairs_text(2000))
+        assert _encode_rejoining(model) == []
         model.set_attribute(model.get("d1007"), "name", "Odie")
-        assert _encode_rejoining(model) == [1007 // CHUNK] and _split(model) == {1007 // CHUNK}
-        assert [pos // CHUNK for pos, block in enumerate(kept.blocks) if block is not None] == [3] * CHUNK
+        assert _encode_rejoining(model) == [1007 // CHUNK]
+        assert kept.lengths[1007] == len("obj d1007 Dog\n  name Odie\n  owner p1006\n")
         assert encode_model(model) == _pairs_text(2000).replace("name D1007", "name Odie")
 
     def test_edits_at_chunk_edges_re_join_their_own_chunk(self, pets_schema):
         model = _kept_chunks(pets_schema, 3)
         assert len(model.blocks.texts) == 3 and _encode_rejoining(model) == []
-        model.set_attribute(model.get(f"p{CHUNK}"), "name", "First")  # unsplit chunk 1's first object
-        assert _encode_rejoining(model) == [1] and _split(model) == {1}
+        model.set_attribute(model.get(f"p{CHUNK}"), "name", "First")  # chunk 1's first object
+        assert _encode_rejoining(model) == [1]
         model.set_attribute(model.get(f"d{2 * CHUNK - 1}"), "age", 7)  # chunk 1's last object
         assert _encode_rejoining(model) == [1]
-        model.set_attribute(model.get(f"d{3 * CHUNK - 1}"), "age", 3)  # unsplit last chunk's last object
-        assert _encode_rejoining(model) == [2] and _split(model) == {1, 2}
+        model.set_attribute(model.get(f"d{3 * CHUNK - 1}"), "age", 3)  # the last chunk's last object
+        assert _encode_rejoining(model) == [2]
         model.set_attribute(model.get("p0"), "name", "Zero")
         model.set_attribute(model.get(f"d{3 * CHUNK - 1}"), "name", "Last")
-        assert _encode_rejoining(model) == [0, 2] and _split(model) == {0, 1, 2}
+        assert _encode_rejoining(model) == [0, 2]
 
     def test_an_edit_at_the_end_of_an_unsplit_chunk_keeps_the_next(self, pets_schema):
         model = _kept_chunks(pets_schema, 3)
         model.set_attribute(model.get(f"d{CHUNK - 1}"), "name", "End")  # chunk 0's last object
         model.set_attribute(model.get(f"p{2 * CHUNK}"), "name", "Start")  # chunk 2's first object
-        assert _encode_rejoining(model) == [0, 2] and _split(model) == {0, 2}
+        assert _encode_rejoining(model) == [0, 2]
         assert f"owner p{CHUNK - 2}\nobj p{CHUNK} Person\n  name P{CHUNK}\n" in encode_model(model)
 
     def test_objects_appended_to_an_unsplit_last_chunk(self, pets_schema):
         # the last decoded chunk is not full: a new object goes into it
         model = decode_model(_pairs_text(2 * CHUNK + 10), pets_schema)
         model.new_object("Dog", "x0")
-        assert _encode_rejoining(model) == [2] and _split(model) == {2}
+        assert _encode_rejoining(model) == [2]
         assert encode_model(model).endswith(f"owner p{2 * CHUNK + 8}\nobj x0 Dog\n")
         for k in range(1, CHUNK):  # fill chunk 2 and open chunk 3
             model.new_object("Person", f"x{k}")
         model.set_attribute(model.get("p0"), "name", "Zero")
-        assert _encode_rejoining(model) == [0, 2, 3] and _split(model) == {0, 2, 3}
+        assert _encode_rejoining(model) == [0, 2, 3]
         assert encode_model(model).endswith(f"obj x{CHUNK - 1} Person\n")
 
     def test_a_decode_whose_tail_the_line_reader_read(self, pets_schema):
@@ -592,7 +602,7 @@ class TestKeptBlocks:
             model.new_object("Person", f"x{k}")
         model.set_attribute(model.get("d1"), "name", "Rex")
         assert _encode_rejoining(model) == [0, 2, 3, 4]
-        assert list(model.blocks.texts) == [0, 1, 2, 3, 4]
+        assert len(model.blocks.texts) == 5
         assert encode_model(model).endswith(f"obj x{2 * CHUNK} Person\n")
 
     def test_a_refused_write_loses_no_edit(self, pets_schema):

@@ -37,6 +37,16 @@ class TestCommandInvariants:
                 have_dog("d1", owner_id=f"p1{brk}")
         assert have_person("p1", name="a\tb").name == "a\tb"
 
+    @pytest.mark.parametrize("bad", ["a b", " a", "a\t", "a\xa0b", "a\x1fb", ""],
+                             ids=["space", "leading", "tab", "nbsp", "unit-separator", "empty"])
+    def test_an_id_or_owner_id_of_more_or_less_than_one_token_is_refused(self, bad):
+        # an instance file reads an id as one whitespace-separated token
+        with pytest.raises(ValueError, match="non-empty"):
+            Command("HavePerson", bad)
+        with pytest.raises(ValueError, match="non-empty"):
+            have_dog("d1", owner_id=bad)
+        assert have_dog("d1", owner_id="p1", name="a b").name == "a b"
+
     def test_owner_only_on_have_dog(self):
         with pytest.raises(ValueError, match="ownerId"):
             Command("HavePerson", "p1", owner_id="x")

@@ -8,6 +8,7 @@ from evmigrate import (
     DynamicObject,
     Editor,
     EventStore,
+    FormatError,
     InstanceModel,
     MergeError,
     ModelError,
@@ -146,13 +147,14 @@ class TestMergeAll:
         assert exc.value.command == bad
 
 
-    def test_an_empty_owner_id_makes_no_stub(self, base_editor):
-        # the line reader reads "    ownerId:" as an empty id
+    def test_an_empty_owner_id_makes_no_stub(self):
+        # an empty ownerId is refused where its command is built, so no
+        # merge can see one; the line reader reads "    ownerId:" as empty
         text = "format: 1\nreferenceYear: 2020\ncommands:\n  - command: HaveDog\n    id: d1\n    ownerId:\n"
-        for cmds in ([have_dog("d1", "")], decode_log(text).entries):
-            with pytest.raises(MergeError, match="object id must be non-empty"):
-                base_editor.merge_all(cmds)
-            assert "" not in base_editor.model.objects and not base_editor.store
+        with pytest.raises(ValueError, match="non-empty"):
+            have_dog("d1", "")
+        with pytest.raises(FormatError, match="line 4: .*non-empty"):
+            decode_log(text)
 
 
 class TestIdFor:

@@ -160,9 +160,10 @@ class TestAttributes:
         model.set_attribute(p, "name", "tab\tand \x00 are kept")
         model.validate()
 
-    @pytest.mark.parametrize("obj_id", ["", "a\nb", "a\u2028b"])
+    @pytest.mark.parametrize("obj_id", ["", "a\nb", "a\u2028b", "a b", " a", "a\t", "a\xa0b", "a\x1fb"])
     def test_add_refuses_the_id(self, base_schema, obj_id):
-        # the one check of an id: no object can enter past it, or change id
+        # the one check of an id: no object can enter past it, or change
+        # id; it is one token, as the instance file reads it
         model = InstanceModel(base_schema)
         with pytest.raises(ModelError, match="non-empty and hold no line break"):
             model.add(DynamicObject(obj_id, "Person"))

@@ -51,6 +51,13 @@ def session_for(name, year=2020):
 
 
 class TestMigrateForward:
+    def test_a_receiver_of_another_reference_year_refuses_the_log(self):
+        scenario = SCENARIOS["ybirth"]
+        s = MigrationSession(Editor(scenario.m1_schema, 2020), Editor(scenario.m2_schema, 2000), 2020)
+        with pytest.raises(FormatError, match="reference year 2020, receiver expects 2000"):
+            migrate_forward(s, pets_model(s.m1.schema))
+        assert len(s.m2.model) == 0 and not s.m2.store
+
     def test_age_becomes_ybirth(self):
         s = session_for("ybirth")
         m2 = migrate_forward(s, pets_model(s.m1.schema))
@@ -498,29 +505,19 @@ class TestSyncCostsChangedObjectsOnly:
 
     def test_one_rename_re_joins_one_chunk(self, monkeypatch):
         # m1 keeps its text in chunks of codec.CHUNK blocks: the edited
-        # object's chunk is joined again, the other chunks' texts are kept
+        # object's chunk is spliced again, the other chunks' texts are kept
         s = session_for("dog-no-age")
         migrate_forward(s, decode_model(_bulk_text(2000), s.m1.schema))
         kept = s.m1.model.blocks
         assert len(kept.texts) == 8
-        before = dict(kept.texts)
-        sliced = []
-
-        class CountingList(list):
-            def __getitem__(self, index):
-                item = super().__getitem__(index)
-                if isinstance(index, slice):
-                    sliced.append(len(item))
-                return item
-
-        kept.blocks = CountingList(kept.blocks)
+        before = list(kept.texts)
         apply_mutations(s.m2.model, "set d7 name Odie\n")
         _, rendered = self._count(monkeypatch)
         text = encode_model(migrate_backward(s))
         assert rendered == ["d7"]
-        assert sliced == [codec.CHUNK]
-        assert [i for i in kept.texts if kept.texts[i] is not before[i]] == [1007 // codec.CHUNK]
-        assert set(kept.offsets) == set(range(8)) - {1007 // codec.CHUNK}  # the rest stay unsplit
+        # exactly one chunk text is replaced, and no chunk is added
+        assert [i for i, chunk in enumerate(kept.texts) if chunk is not before[i]] == [1007 // codec.CHUNK]
+        assert len(kept.texts) == 8
         assert text == encode_model(copy_model(s.m1.model))
 
     def test_one_rename_sorts_only_the_shipped_delta(self, monkeypatch):

@@ -113,3 +113,23 @@ def test_the_report_lists_layers_then_functions(tool):
     lines = tool.report("tiny", count, functions=3)
     assert lines[0] == "tiny" and lines[-5].split() == ["total", str(count.total)]
     assert len(lines[-3:]) == 3
+
+
+def test_every_one_edit_sync_counts_the_same_at_2000_and_20000_objects(tool):
+    # m1 keeps its text as a piece table: after one untraced sync (a
+    # process's first backward also generates m1's runner), what a one-edit
+    # sync costs depends neither on the model's size nor on the sync number
+    counts = [count for size in (2000, 20000) for count in tool.count_1edit_syncs(seed=1, syncs=20, size=size)]
+    assert len(counts) == 38 and counts[0].layers["codec.encode_model"] > 0
+    assert all(count.layers == counts[0].layers for count in counts)
+
+
+def test_the_size_sweep_reports_each_operation_per_object(tool):
+    lines = tool.sweep([200, 400], seed=1, sync_number=2, functions=0)
+    titles = [line for line in lines if not line.startswith(" ")]
+    assert titles == [f"{what} at {size} objects, seed 1" for size in (200, 400) for what in (
+        "bulk-1edit: one forward", "bulk-1edit: sync 10", "bulk-churn: sync 2")]
+    totals = [line.split() for line in lines if line.split()[0] == "total"]
+    # per input object, then per edited object: a tenth of them, plus ten new dogs
+    per = [200, 200, 30, 400, 400, 50]
+    assert [float(row[2]) for row in totals] == [round(int(row[1]) / n, 2) for row, n in zip(totals, per)]

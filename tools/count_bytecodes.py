@@ -4,6 +4,7 @@ Run from the repository root:
 
     python3 tools/count_bytecodes.py
     python3 tools/count_bytecodes.py --seed 1 --sync 4 --functions 15
+    python3 tools/count_bytecodes.py --sizes 1000,10000,100000
 
 Five operations are counted, each after untraced warm-up: one cycle of
 ``evmigrate bench --scenario ybirth`` (acceptance criterion 8's cycle:
@@ -17,8 +18,11 @@ mutation stream, each an apply, a backward and an encode of m1), one
 forward of perfbench's ``bulk-1edit`` workload at 2,000 objects (dog-no-age;
 decode, forward and encode of m2, as perfbench times a forward), and one
 sync of ``bulk-1edit`` at 20,000 objects (the 10th one-rename backward
-after a forward, on the same seed: by then it has split some of m1's
-chunks and left the rest whole).
+after a forward, on the same seed; after the process's first backward,
+which also generates m1's runner, every such sync counts the same).
+With ``--sizes``, the forward, the 10th ``bulk-1edit`` sync and the
+``--sync``-th ``bulk-churn`` sync are counted at each size instead, each
+layer also per input object (per edited object for the churn sync).
 
 A count is the number of ``opcode`` trace events (``sys.settrace`` with
 ``frame.f_trace_opcodes``), so it does not depend on the machine's speed:
@@ -225,11 +229,11 @@ def held_twice(session) -> int:
     return twice
 
 
-def synced_session(work, scenario_name, sync_number, count=None):
+def synced_session(work, scenario_name, sync_number, counts=None):
     """A session after one forward and ``sync_number`` syncs of ``work``
-    through ``scenario_name``, as perfbench's bulk workloads run them, the
-    last counted into ``count`` if given; every output is checked,
-    untraced."""
+    through ``scenario_name``, as perfbench's bulk workloads run them, each
+    sync whose number ``counts`` maps to a ``Count`` counted into it; every
+    output is checked, untraced."""
     scenario = evmigrate.SCENARIOS[scenario_name]
     session = evmigrate.MigrationSession.create(
         scenario.m1_schema, scenario.m2_schema, workloads.REFERENCE_YEAR
@@ -243,8 +247,8 @@ def synced_session(work, scenario_name, sync_number, count=None):
             evmigrate.apply_mutations(session.m2.model, script)
             return evmigrate.encode_model(evmigrate.migrate_backward(session))
 
-        counted = count is not None and number == sync_number
-        work.check_backward(count.run(backward) if counted else backward())
+        count = counts and counts.get(number)
+        work.check_backward(count.run(backward) if count else backward())
     return session
 
 
@@ -255,7 +259,7 @@ def count_bulk_sync(scenario_name, churn, seed, sync_number, size=20_000) -> Cou
     equal workload (the first's mutation stream is spent)."""
     count = Count()
     work = workloads.BulkWorkload(seed, scenario_name, size, churn)
-    counted = synced_session(work, scenario_name, sync_number, count)
+    counted = synced_session(work, scenario_name, sync_number, {sync_number: count})
     count.twice = held_twice(counted)
     work = workloads.BulkWorkload(seed, scenario_name, size, churn)
     count.retained, count.tracked = retained(lambda: synced_session(work, scenario_name, sync_number))
@@ -272,6 +276,14 @@ def count_bulk_1edit(seed, sync_number=10, size=20_000) -> Count:
     """One sync of ``bulk-1edit``: 20,000 objects through dog-no-age, one
     dog renamed per sync."""
     return count_bulk_sync("dog-no-age", False, seed, sync_number, size)
+
+
+def count_1edit_syncs(seed, syncs, size) -> list[Count]:
+    """Count syncs 2 to ``syncs`` of ``bulk-1edit`` at ``size`` objects,
+    each on its own, in one session, after an untraced first sync."""
+    counts = {number: Count() for number in range(2, syncs + 1)}
+    synced_session(workloads.BulkWorkload(seed, "dog-no-age", size, False), "dog-no-age", syncs, counts)
+    return list(counts.values())
 
 
 def count_bulk_forward(seed, size=2_000) -> Count:
@@ -304,12 +316,14 @@ def count_bulk_forward(seed, size=2_000) -> Count:
     return count
 
 
-def report(title, count: Count, functions) -> list[str]:
-    lines = [title, f"  {'layer':<28} {'bytecodes':>10}"]
-    for name in (*LAYERS, BENCH):
-        if count.layers[name]:
-            lines.append(f"  {name:<28} {count.layers[name]:>10}")
-    lines.append(f"  {'total':<28} {count.total:>10}")
+def report(title, count: Count, functions, per=None) -> list[str]:
+    """The lines of ``count``'s report; with ``per``, (what, how many),
+    each layer's bytecodes also per one of them."""
+    column = "" if per is None else f" {f'per {per[0]}':>20}"
+    lines = [title, f"  {'layer':<28} {'bytecodes':>10}{column}"]
+    rows = [(name, count.layers[name]) for name in (*LAYERS, BENCH) if count.layers[name]]
+    for name, n in [*rows, ("total", count.total)]:
+        lines.append(f"  {name:<28} {n:>10}" + ("" if per is None else f" {n / per[1]:>20.2f}"))
     if count.retained is not None:
         lines.append(f"  {'session holds id strings twice (count)':<28} {count.twice:>10}")
         lines.append(f"  {'session tracks (objects)':<28} {count.tracked:>10}")
@@ -324,6 +338,21 @@ def report(title, count: Count, functions) -> list[str]:
     return lines
 
 
+def sweep(sizes, seed, sync_number, functions) -> list[str]:
+    """The reports, at each size, of a ``bulk-1edit`` forward, its 10th
+    sync and the ``sync_number``-th ``bulk-churn`` sync."""
+    lines = []
+    for size in sizes:
+        edited = int(size * workloads.CHURN_SHARE) + workloads.CHURN_NEW_DOGS
+        lines += report(f"bulk-1edit: one forward at {size:,} objects, seed {seed}",
+                        count_bulk_forward(seed, size), functions, ("input object", size))
+        lines += report(f"bulk-1edit: sync 10 at {size:,} objects, seed {seed}",
+                        count_bulk_1edit(seed, size=size), functions, ("input object", size))
+        lines += report(f"bulk-churn: sync {sync_number} at {size:,} objects, seed {seed}",
+                        count_bulk_churn(seed, sync_number, size), functions, ("edited object", edited))
+    return lines
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, default=1, help="seed of the bulk workloads (default 1)")
@@ -331,9 +360,16 @@ def main(argv=None):
                         help="which bulk-churn sync to count (default 4)")
     parser.add_argument("--functions", type=int, default=10,
                         help="how many of the busiest functions to list (default 10)")
+    parser.add_argument("--sizes", type=lambda text: [int(size) for size in text.split(",")],
+                        help="count at each of these comma-separated model sizes instead")
     args = parser.parse_args(argv)
     if args.sync < 1:
         parser.error("--sync must be >= 1")
+    if args.sizes and min(args.sizes) < 2:
+        parser.error("each of --sizes must be >= 2")
+    if args.sizes:
+        print("\n".join(sweep(args.sizes, args.seed, args.sync, args.functions)))
+        return 0
     lines = report("evmigrate bench: one cycle", count_bench_cycle(), args.functions)
     lines += report("tiny-cycles: one cycle", count_tiny(), args.functions)
     lines += report(f"bulk-churn: sync {args.sync}, seed {args.seed}",
