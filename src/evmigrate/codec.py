@@ -41,6 +41,7 @@ from .commands import _OWNED_KINDS, SPECS, Command, _Checked, _id_of, _trusted, 
 from .editor import EventStore
 from .errors import FormatError, MigrationError
 from .metamodel import (
+    INT_DIGITS,
     KIND_INT,
     AttributeDef,
     LINE_BREAKS,
@@ -121,9 +122,11 @@ def _split_entry(line, lineno):
 # The canonical layout, as ``encode_log`` writes it.  A value is
 # non-empty, has no whitespace at either end and no character at which
 # ``str.splitlines`` would break, so the line reader would see the same
-# lines, keys and values.
+# lines, keys and values.  An int has at most ``INT_DIGITS`` digits, which
+# ``int`` reads in any process.
 _VALUE = rf"\S(?:[^{LINE_BREAKS}]*\S)?"
-_CANONICAL_HEAD = re.compile(rf"format: {FORMAT_VERSION}\nreferenceYear: ([1-9][0-9]*)\ncommands:\n")
+_CANONICAL_HEAD = re.compile(
+    rf"format: {FORMAT_VERSION}\nreferenceYear: ([1-9][0-9]{{0,{INT_DIGITS - 1}}})\ncommands:\n")
 # Group 2 matches, empty, after a kind that carries an ownerId, and only
 # then may an ownerId line follow; an empty name ("    name:") is group 6.
 _CANONICAL_BLOCK = re.compile(
@@ -132,7 +135,7 @@ _CANONICAL_BLOCK = re.compile(
     rf"    id: (\S+)\n"
     rf"(?(2)(?:    ownerId: (\S+)\n)?)"
     rf"(?:    name:(?: ({_VALUE})|())\n)?"
-    rf"(?:    age: (-?[0-9]+)\n)?"
+    rf"(?:    age: (-?[0-9]{{1,{INT_DIGITS}}})\n)?"
 )
 #: each kind's own string, so that stored commands share it
 _KIND = {kind: kind for kind in SPECS}
@@ -144,9 +147,9 @@ def _decode_canonical(text) -> CommandLogDocument | None:
     would reject.
 
     The pattern admits only what ``Command`` checks (a known kind, an id
-    and ownerId of one token, ownerId only where allowed), so the
-    commands are kept as the exact tuples of their fields, a ``_Checked``
-    batch, and no ``Command`` is built."""
+    and ownerId of one token, ownerId only where allowed, an age in the
+    bound), so the commands are kept as the exact tuples of their fields,
+    a ``_Checked`` batch, and no ``Command`` is built."""
     head = _CANONICAL_HEAD.match(text)
     if head is None:
         return None
@@ -154,20 +157,17 @@ def _decode_canonical(text) -> CommandLogDocument | None:
     end = len(text)
     match_block = _CANONICAL_BLOCK.match
     cmds: list[tuple] = []
-    try:
-        while pos < end:
-            block = match_block(text, pos)
-            if block is None:
-                return None
-            pos = block.end()
-            kind, _, obj_id, owner_id, name, empty, age = block.groups()
-            cmds.append((_KIND[kind], obj_id, empty if name is None else name,
-                         None if age is None else int(age, 10), owner_id))
-        if len(set(map(_id_of, cmds))) != len(cmds):
+    while pos < end:
+        block = match_block(text, pos)
+        if block is None:
             return None
-        return CommandLogDocument(FORMAT_VERSION, int(head[1], 10), _Checked(cmds))
-    except ValueError:  # int() refuses too many digits
+        pos = block.end()
+        kind, _, obj_id, owner_id, name, empty, age = block.groups()
+        cmds.append((_KIND[kind], obj_id, empty if name is None else name,
+                     None if age is None else int(age, 10), owner_id))
+    if len(set(map(_id_of, cmds))) != len(cmds):
         return None
+    return CommandLogDocument(FORMAT_VERSION, int(head[1], 10), _Checked(cmds))
 
 
 def decode_log(text) -> CommandLogDocument:
@@ -345,7 +345,7 @@ def _kernels(schema: MetaModel):
                 part, value = rf"(?:{line}( {_VALUE}|)\n)?", f"{v} = {v}[1:]"
                 piece = f"    p{k} = '' if {v} is None else f'{{F{k}}}{{{v}}}'.rstrip() + '\\n'"
             elif isinstance(feature, AttributeDef):  # as ``str(int)`` writes it
-                part, value = rf"(?:{line} (0|-?[1-9][0-9]*)\n)?", f"{v} = int({v}, 10)"
+                part, value = rf"(?:{line} (0|-?[1-9][0-9]{{0,{INT_DIGITS - 1}}})\n)?", f"{v} = int({v}, 10)"
             elif feature.many:
                 part, value = rf"((?:{line} \S+\n)+)?", f"{v} = tuple({v}[{len(prefix)}:-1].split({_NL + prefix!r}))"
                 defaults.append(f"J{k}={_NL + prefix!r}")
@@ -425,7 +425,7 @@ def _decode_model_canonical(text, schema: MetaModel) -> InstanceModel | None:
             objects[obj.id] = obj
             pos = match.end()
             bounds.append(pos)
-    except ValueError:  # too many digits or a repeated target
+    except ValueError:  # a repeated target
         return None
     if len(objects) < len(bounds) - 1 or not _targets_hold(model, targets):
         return None

@@ -22,7 +22,7 @@ from types import MappingProxyType
 from typing import TYPE_CHECKING
 
 from .errors import ModelError, SchemaError
-from .metamodel import KIND_INT, KIND_STRING, compile_kernel, has_line_break
+from .metamodel import INT_DIGITS, KIND_INT, KIND_STRING, compile_kernel, has_line_break, int_in_bound
 
 if TYPE_CHECKING:
     from .editor import Editor
@@ -51,6 +51,8 @@ _id_of = itemgetter(1)  # sort key of commands within one kind: the id
 def check_reference_year(year):
     if not isinstance(year, int) or isinstance(year, bool) or year <= 0:
         raise ValueError(f"reference year must be a positive integer, got {year!r}")
+    if not int_in_bound(year):
+        raise ValueError(f"reference year must have at most {INT_DIGITS} digits")
     return year
 
 
@@ -75,6 +77,8 @@ class Command(namedtuple("Command", ("kind", "id", "name", "age", "owner_id"))):
                 or owner_id is not None and type(owner_id) is not str):
             raise ValueError(f"ids and name must be strings and age an integer, got "
                              f"id {id!r}, name {name!r}, age {age!r}, ownerId {owner_id!r}")
+        if age is not None and not int_in_bound(age):
+            raise ValueError(f"age must have at most {INT_DIGITS} digits")
         if id.split() != [id] or owner_id is not None and owner_id.split() != [owner_id]:
             raise ValueError(f"id and ownerId must be one token, non-empty and with no line break or other "
                              f"whitespace, got id {id!r}, ownerId {owner_id!r}")
@@ -188,14 +192,15 @@ def _first_run(schema, bindings, kind, cmd, editor):
 def _runner(schema, class_name, name_at, age_at, ybirth_at, owner_ref, owner_at):
     """The generated runner of one kind on one schema.  It writes each set
     field the class declares, ybirth as referenceYear - age, at its
-    position: into a new object, built complete and admitted under its id
-    (a checked or trusted command holds values of the declared kinds), or
-    into a new tuple of the object's values, marking the object even if
-    nothing changed (its next store entry changes what a parse derives).
+    position: into a new object, built complete and owned by the model
+    (``_object`` with its ``_ref``) and admitted under its id (a checked
+    or trusted command holds values of the declared kinds), or into a new
+    tuple of the object's values, marking the object even if nothing
+    changed (its next store entry changes what a parse derives).
     Ids are looked up in the model while ``add`` took in none of its
     objects (see ``Editor``).
     Then the owner, made a stub if need be, so dogs may run before their
-    owner's HavePerson: admitted as the runner admits a new object while
+    owner's HavePerson: built and admitted as a new object is while
     the model took in no object through ``add``, else through
     ``Editor.get_or_create``, which refuses what it refuses.  Names
     reach the source as ``repr`` literals."""
@@ -212,7 +217,7 @@ def _runner(schema, class_name, name_at, age_at, ybirth_at, owner_ref, owner_at)
         f"        if owner is None or owner.class_name != {owner_ref.target!r}:",
         "            if owner is None and not model.added:  # a stub as get_or_create makes it",
         f"                owner = model._admit(_object(owner_id, {owner_ref.target!r}, "
-        f"({'None, ' * len(schema.classes[owner_ref.target].slots)}), TARGET))",
+        f"({'None, ' * len(schema.classes[owner_ref.target].slots)}), TARGET, model._ref))",
         "            else:",
         f"                owner = editor.get_or_create({owner_ref.target!r}, owner_id)",
         "        model._link(obj, OWNER, owner.id)" if owner_ref.many else
@@ -226,7 +231,7 @@ def _runner(schema, class_name, name_at, age_at, ybirth_at, owner_ref, owner_at)
         f"    if obj is not None and obj.class_name != {class_name!r}:",
         f"        editor.get_or_create({class_name!r}, obj_id)  # refuses the class",
         "    if obj is None:",
-        f"        obj = model._admit(_object(obj_id, {class_name!r}, ({''.join(f'{v}, ' for v in new)}), LAYOUT))",
+        f"        obj = model._admit(_object(obj_id, {class_name!r}, ({''.join(f'{v}, ' for v in new)}), LAYOUT, model._ref))",
         "    else:",
         f"        v = obj._values\n        _set_values(obj, ({''.join(f'{v}, ' for v in old)}))",
         "        for unseen in model.readers.values():\n            unseen[obj] = None", *owner,

@@ -48,6 +48,20 @@ MULT_MANY = "many"
 LINE_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
 
 
+#: the most decimal digits an int may have: an attribute value, a
+#: command's age or a reference year.  A conversion (``reference_year -
+#: age``, ``reference_year - ybirth``) then has at most one digit more, and
+#: every process turns ints of that many digits into text and back: fewer
+#: than 640, the lowest limit ``sys.set_int_max_str_digits`` can set
+INT_DIGITS = 600
+_INT_BOUND = 10**INT_DIGITS
+
+
+def int_in_bound(value) -> bool:
+    """Whether the int ``value`` has at most ``INT_DIGITS`` digits."""
+    return -_INT_BOUND < value < _INT_BOUND
+
+
 def has_line_break(text) -> bool:
     """Every file format here is line-based, so no id or string value may
     hold a line break.  All of them are unprintable: printable text needs
@@ -215,8 +229,8 @@ def load_schema(text, name="model") -> MetaModel:
 
 
 class DynamicObject:
-    """A schema-conforming instance, sealed: the constructor sets its
-    fields and nothing rebinds or deletes them, so an object keeps the id
+    """A schema-conforming instance, sealed: ``_object`` builds it whole
+    and nothing rebinds or deletes its fields, so an object keeps the id
     and class its model checked.  Its values are one exact tuple, which
     only its model replaces, laid out by its class (``_layout``); a free
     object, until ``InstanceModel.add`` lays it out, holds its attribute
@@ -226,13 +240,13 @@ class DynamicObject:
 
     __slots__ = ("id", "class_name", "_values", "_layout", "_model")
 
-    def __init__(self, id, class_name, attributes=None, references=None):
+    def __new__(cls, id, class_name, attributes=None, references=None):
         # name -> str | int and name -> id | tuple of ids, copied: no
         # caller keeps a mapping it could write past the model
-        _object(id, class_name, (dict(attributes) if attributes else {}, {
+        return _object(id, class_name, (dict(attributes) if attributes else {}, {
             name: tuple(value) if isinstance(value, list) else value
             for name, value in references.items()
-        } if references else {}), None, obj=self)
+        } if references else {}), None)
 
     @property
     def attributes(self) -> FeatureView:
@@ -255,23 +269,31 @@ class DynamicObject:
         return f"DynamicObject({self.id!r}, {self.class_name!r})"
 
 
-#: the slots' own setters, which only ``_object``, ``_lay_out`` and the
-#: writers of a model's objects use
-_set_id, _set_class_name, _set_values, _set_layout, _set_model = (
-    getattr(DynamicObject, slot).__set__ for slot in DynamicObject.__slots__)
+class _Open:
+    """A ``DynamicObject`` under construction: its slots, without the seal."""
+
+    __slots__ = DynamicObject.__slots__
 
 
-def _object(obj_id, class_name, values, layout, model=None, obj=None) -> DynamicObject:
-    """Set the fields of ``obj``, a new object by default, and its
-    ``model``: the one place fields are set.  ``values`` is a tuple laid
-    out by ``layout``, or a free object's (attributes, references) dicts
-    with no layout; the constructor copies the dicts first."""
-    obj = object.__new__(DynamicObject) if obj is None else obj
-    _set_id(obj, obj_id)
-    _set_class_name(obj, class_name)
-    _set_values(obj, values)
-    _set_layout(obj, layout)
-    _set_model(obj, model)
+#: the setters of the slots a model writes once an object is built, which
+#: only ``_lay_out`` and the writers of a model's objects use
+_set_values, _set_layout, _set_model = (
+    getattr(DynamicObject, slot).__set__ for slot in DynamicObject.__slots__[2:])
+
+
+def _object(obj_id, class_name, values, layout, model=None) -> DynamicObject:
+    """A new object of ``model`` (a model's ``_ref``), or of none: the one
+    place objects are built.  ``values`` is a tuple laid out by ``layout``,
+    or a free object's (attributes, references) dicts with no layout.  The
+    fields are stored on an unsealed object, which then becomes a sealed
+    one: plain stores, not a slot setter's call per field."""
+    obj = _Open()
+    obj.id = obj_id
+    obj.class_name = class_name
+    obj._values = values
+    obj._layout = layout
+    obj._model = model
+    obj.__class__ = DynamicObject
     return obj
 
 
@@ -329,13 +351,13 @@ _serials = itertools.count(2)
 
 
 def compile_kernel(label, source, namespace=None) -> dict:
-    """Run generated ``source`` in ``namespace`` plus ``_object`` and
-    ``_set_values``, which it returns, as the file ``<evmigrate kernel
-    label>``, or ``<evmigrate kernel label #n>`` with a new ``n`` while
-    another source holds that name (a fresh import of this module starts
-    its count again, so a number may be taken too).  The source is
-    registered with ``linecache`` (tracebacks show generated lines) until
-    the kernel's functions are freed."""
+    """Run generated ``source`` in ``namespace`` plus ``_object`` (it builds
+    an object owned by the model whose ``_ref`` it is given) and ``_set_values``,
+    which it returns, as the file ``<evmigrate kernel label>``, or ``<evmigrate
+    kernel label #n>`` with a new ``n`` while another source holds that name (a
+    fresh import of this module starts its count again, so a number may be
+    taken too).  The source is registered with ``linecache`` (tracebacks show
+    generated lines) until the kernel's functions are freed."""
     namespace = {"_object": _object, "_set_values": _set_values, **(namespace or {})}
     filename = f"<evmigrate kernel {label}>"
     while filename in linecache.cache:
@@ -432,6 +454,7 @@ class InstanceModel:
         finally:
             del objects[obj_id]
         _lay_out(obj, cls, values)
+        _set_model(obj, self._ref)
         if self.added is not None:
             self.added[obj] = None
         return self._admit(obj)
@@ -441,12 +464,11 @@ class InstanceModel:
         return self.add(_object(obj_id, class_name, ({}, {}), None))
 
     def _admit(self, obj: DynamicObject) -> DynamicObject:
-        """Insert, own and mark an object valid by construction (``add``
-        checked it, or a runner built it from a command) if its id is new."""
+        """Insert and mark an object valid by construction and owned (``add``
+        checked and owned it, or a runner built it from a command) if its id is new."""
         if obj.id in self._objects:
             raise ModelError(f"duplicate object id {obj.id!r}")
         self._objects[obj.id] = obj
-        _set_model(obj, self._ref)
         for unseen in self.readers.values():  # ``mark``, inline: the hot path
             unseen[obj] = None
         return obj
@@ -568,7 +590,9 @@ def _check_value(obj: DynamicObject, adef: AttributeDef, value):
     """The one check of an attribute value against its declared kind."""
     if adef.kind == KIND_INT:
         if isinstance(value, int) and not isinstance(value, bool):
-            return
+            if int_in_bound(value):
+                return
+            raise ModelError(f"{obj.id}.{adef.name} expects an integer of at most {INT_DIGITS} digits")
         expected = "an integer"
     elif isinstance(value, str) and (value.isprintable() or not has_line_break(value)):
         return  # printable text is the common case, and holds no line break

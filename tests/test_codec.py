@@ -28,6 +28,7 @@ from evmigrate.checks import delta_case, random_model
 from evmigrate.codec import (
     CHUNK,
     ENCODE,
+    CommandLogDocument,
     _decode_canonical,
     _decode_lines,
     _decode_model_canonical,
@@ -61,6 +62,33 @@ commands:
     name: Alice
     age: 23
 """
+
+
+class TestIntBound:
+    """Both readers of each format refuse an int past the bound, as the
+    model and ``Command`` do, and read one inside it."""
+
+    @pytest.mark.parametrize("digits", [601, 1000, 5000])
+    def test_a_log_or_an_instance_file_with_an_int_past_the_bound_is_refused(self, pets_schema, digits):
+        age = "9" * digits
+        log = f"format: 1\nreferenceYear: 2020\ncommands:\n  - command: HavePerson\n    id: p1\n    age: {age}\n"
+        with pytest.raises(FormatError, match="line [46]: age must"):  # its block's line, or its own
+            decode_log(log)
+        with pytest.raises(FormatError, match="reference ?[yY]ear must"):
+            decode_log(log.replace("2020", age))
+        with pytest.raises(FormatError, match="line 2"):
+            decode_model(f"obj p1 Person\n  age -{age}\n", pets_schema)
+
+    def test_an_int_inside_the_bound_reads_back_as_written(self, pets_schema):
+        age = 10**600 - 1
+        store = store_of(have_person("p1", age=-age))
+        log = encode_log(store, age)
+        assert _decode_canonical(log) is not None
+        assert decode_log(log) == decode_log("# c\n" + log) == CommandLogDocument(1, age, list(store))
+        text = f"obj p1 Person\n  age {age}\n"
+        assert decode_model(text, pets_schema).blocks is not None
+        assert encode_model(decode_model(text, pets_schema)) == text
+        assert encode_model(decode_model("# c\n" + text, pets_schema)) == text
 
 
 def store_of(*cmds) -> EventStore:

@@ -60,6 +60,29 @@ class TestCommandInvariants:
         assert have_dog("d1", name="Rex").owner_id is None
 
 
+class TestIntBound:
+    @pytest.mark.parametrize("age", [10**4300, -10**4300, 10**600, -10**600],
+                             ids=["1e4300", "-1e4300", "1e600", "-1e600"])
+    def test_a_command_refuses_an_age_past_the_bound(self, age):
+        with pytest.raises(ValueError):
+            have_person("p1", age=age)
+        with pytest.raises(ValueError):
+            have_dog("d1", age=age)
+        with pytest.raises(ValueError):
+            Command("HavePerson", "p1", None, age, None)
+
+    @pytest.mark.parametrize("year", [10**4300, 10**600], ids=["1e4300", "1e600"])
+    def test_a_reference_year_past_the_bound_is_refused(self, year):
+        with pytest.raises(ValueError):
+            check_reference_year(year)
+        with pytest.raises(ValueError):
+            Editor(load_schema("class Person\n  attr age int\n"), year)
+
+    def test_an_age_inside_the_bound_is_a_command(self):
+        assert have_person("p1", age=10**600 - 1).age == 10**600 - 1
+        assert have_dog("d1", age=1 - 10**600).age == 1 - 10**600
+
+
 class TestCommandEquals:
     def test_equal_to_itself(self):
         a = have_person("p1", name="Alice", age=23)

@@ -1,5 +1,7 @@
 import copy
+import gc
 import pickle
+import sys
 from collections.abc import Mapping
 
 import pytest
@@ -14,9 +16,11 @@ from evmigrate import (
     load_schema,
     model_equals,
 )
+from evmigrate import decode_model, metamodel
+from evmigrate.commands import have_dog
 from evmigrate.metamodel import LINE_BREAKS
 
-from conftest import PETS_SCHEMA_TEXT
+from conftest import PETS_SCHEMA_TEXT, patch_builds
 
 
 class TestLoadSchema:
@@ -561,6 +565,116 @@ class TestSealed:
             dup.id = "d2"
         again = pickle.loads(pickle.dumps(model))
         assert model_equals(again, model) and list(again.objects) == ["p1", "d1"]
+
+
+class TestIntBound:
+    """A model holds no int of more than ``INT_DIGITS`` digits, so what a
+    conversion computes from it still converts to text in any process."""
+
+    @pytest.mark.parametrize("value", [10**4300, -10**4300, 10**600, -10**600],
+                             ids=["1e4300", "-1e4300", "1e600", "-1e600"])
+    def test_a_model_refuses_an_int_past_the_bound(self, base_schema, value):
+        model = _pets_pair(base_schema)
+        with pytest.raises((ModelError, ValueError)):
+            model.set_attribute(model.get("p1"), "age", value)
+        with pytest.raises((ModelError, ValueError)):
+            model.add(DynamicObject("p2", "Person", {"age": value}))
+        assert model.get("p1").attributes["age"] == 23 and "p2" not in model.objects
+
+    def test_the_bound_leaves_a_digit_for_a_conversion(self, base_schema):
+        from evmigrate.metamodel import INT_DIGITS, int_in_bound
+
+        assert int_in_bound(10**INT_DIGITS - 1) and int_in_bound(1 - 10**INT_DIGITS)
+        assert not int_in_bound(10**INT_DIGITS) and not int_in_bound(-10**INT_DIGITS)
+        # a sum of two ints in the bound has at most one digit more, and every
+        # process converts ints of this many digits
+        assert INT_DIGITS + 1 <= sys.int_info.str_digits_check_threshold
+        model = _pets_pair(base_schema)
+        for text in ("9" * (INT_DIGITS + 1), "-" + "9" * (INT_DIGITS + 1)):
+            with pytest.raises(ModelError, match=f"at most {INT_DIGITS} digits"):
+                model.set_attribute_text(model.get("p1"), "age", text)
+        model.set_attribute(model.get("p1"), "age", 1 - 10**INT_DIGITS)
+        assert model.get("p1").attributes["age"] == 1 - 10**INT_DIGITS
+
+
+#: every field of an object; none can be set or deleted, however it was built
+FIELDS = ("id", "class_name", "_values", "_layout", "_model")
+
+#: a pets model as ``encode_model`` writes it: the fast reader reads it
+PETS_TEXT = "obj p1 Person\n  name Alice\n  dogs d1\nobj d1 Dog\n  name Rex\n  owner p1\n"
+
+
+class TestOneConstructionPath:
+    """``metamodel._object`` builds every object, from each way in: it
+    stores the fields on an unsealed ``_Open`` and makes it a sealed
+    ``DynamicObject``, already its model's own where a model makes it."""
+
+    @staticmethod
+    def _assert_sealed(objects):
+        objects = list(objects)
+        assert objects and all(type(obj) is DynamicObject for obj in objects)
+        assert not [obj for obj in gc.get_objects() if type(obj) is metamodel._Open]
+        for obj in objects:
+            for field in FIELDS:
+                before = getattr(obj, field)
+                with pytest.raises(AttributeError, match="sealed"):
+                    setattr(obj, field, before)
+                with pytest.raises(AttributeError, match="sealed"):
+                    delattr(obj, field)
+                assert getattr(obj, field) is before
+
+    @staticmethod
+    def _assert_owned(model):
+        assert all(obj._model is model._ref for obj in model.objects.values())
+
+    @pytest.mark.parametrize("text", [PETS_TEXT, "# not the encoder's layout\n" + PETS_TEXT],
+                             ids=["fast", "lines"])
+    def test_the_fast_and_the_line_decoder(self, pets_schema, text):
+        model = decode_model(text, pets_schema)
+        assert (model.blocks is None) is text.startswith("#")  # each reader read one of them
+        self._assert_sealed(model.objects.values())
+        self._assert_owned(model)
+
+    def test_a_runner_builds_a_new_object_and_an_owner_stub(self, base_editor):
+        base_editor.execute(have_dog("d9", owner_id="p9", name="Rex"))
+        model = base_editor.model
+        assert model.get("p9").attributes == {} and model.get("d9").references == {"owner": "p9"}
+        self._assert_sealed(model.objects.values())
+        self._assert_owned(model)
+
+    def test_copy_model_and_new_object(self, base_schema):
+        model = _pets_pair(base_schema)
+        copied = copy_model(model)
+        self._assert_sealed([*model.objects.values(), *copied.objects.values()])
+        self._assert_owned(model)
+        self._assert_owned(copied)
+
+    def test_the_public_constructor_copies_its_callers_dicts(self):
+        attributes, dogs = {"name": "Ann"}, ["d1"]
+        references = {"dogs": dogs}
+        obj = DynamicObject("p1", "Person", attributes, references)
+        attributes["name"], references["dogs"] = "Eve", ["d2"]
+        dogs.append("d3")
+        assert obj.attributes == {"name": "Ann"} and obj.references == {"dogs": ("d1",)}
+        assert obj._model is None and obj._layout is None
+        self._assert_sealed([obj])
+
+    def test_pickle_and_deep_copy(self, base_schema):
+        model = _pets_pair(base_schema)
+        for dup in (pickle.loads(pickle.dumps(model)), copy.deepcopy(model)):
+            self._assert_sealed(dup.objects.values())
+            self._assert_owned(dup)
+        free = [pickle.loads(pickle.dumps(model.get("d1"))), copy.deepcopy(model.get("p1")), copy.copy(model.get("p1"))]
+        self._assert_sealed(free)
+        assert all(obj._model is None for obj in free)
+
+    def test_patch_builds_sees_each_object_made_for_the_decoding_model(self, pets_schema, monkeypatch):
+        calls = []
+        patch_builds(monkeypatch, pets_schema, lambda *args: calls.append(args) or metamodel._object(*args))
+        model = decode_model(PETS_TEXT, pets_schema)
+        assert [args[0] for args in calls] == list(model.objects)
+        assert all(len(args) == 5 and args[4] is model._ref for args in calls)
+        self._assert_owned(model)
 
 
 class TestLayout:

@@ -133,3 +133,31 @@ def test_the_size_sweep_reports_each_operation_per_object(tool):
     # per input object, then per edited object: a tenth of them, plus ten new dogs
     per = [200, 200, 30, 400, 400, 50]
     assert [float(row[2]) for row in totals] == [round(int(row[1]) / n, 2) for row, n in zip(totals, per)]
+    # beside each total, the least wall time of five untraced runs, in ms;
+    # a layer's row has no such column
+    assert [line.split()[-4:] for line in lines if line.split()[0] == "layer"] == [["wall", "ms", "of", "5"]] * 6
+    assert all(len(row) == 4 and 0 < float(row[3]) < 60_000 for row in totals)
+    assert all(len(line.split()) == 3 for line in lines if line.split()[0] in tool.LAYERS)
+    forward, one_edit = float(totals[3][3]), float(totals[4][3])
+    assert one_edit < forward  # a one-rename sync is a small part of a forward
+
+
+def test_every_churn_sync_costs_the_same_per_edited_object_at_1000_and_4000_objects(tool, monkeypatch):
+    # a churn script edits a tenth of the objects and mints dogs; with one
+    # minted dog per ten edits at both sizes, a sync's bytecodes per edited
+    # object agree within 2 %, in total and in each layer; 1,000 and 4,000
+    # objects fill the model's dicts alike
+    counts = {}
+    for size in (1000, 4000):
+        edits = int(size * tool.workloads.CHURN_SHARE)
+        monkeypatch.setattr(tool.workloads, "CHURN_NEW_DOGS", edits // 10)
+        count = tool.Count()
+        tool.synced_session(tool.workloads.BulkWorkload(1, "ybirth", size, True), "ybirth", 2, {2: count})
+        counts[size] = count, edits + edits // 10
+    (small, at_small), (large, at_large) = counts.values()
+    assert at_small == 110 and at_large == 440 and small.layers["sync.apply_mutations"] > 0
+    busy = [name for name in small.layers if small.layers[name] >= 1000]
+    assert len(busy) > 5
+    for name in busy:
+        assert large.layers[name] / at_large == pytest.approx(small.layers[name] / at_small, rel=0.02), name
+    assert large.total / at_large == pytest.approx(small.total / at_small, rel=0.02)

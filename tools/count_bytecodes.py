@@ -22,7 +22,11 @@ after a forward, on the same seed; after the process's first backward,
 which also generates m1's runner, every such sync counts the same).
 With ``--sizes``, the forward, the 10th ``bulk-1edit`` sync and the
 ``--sync``-th ``bulk-churn`` sync are counted at each size instead, each
-layer also per input object (per edited object for the churn sync).
+layer also per input object (per edited object for the churn sync), and
+beside each operation's total the least wall time of five untraced runs,
+each in a session of its own (bytecodes weigh every bytecode alike, so a
+change in what one costs, such as a C call that a plain store replaces,
+shows only in time).
 
 A count is the number of ``opcode`` trace events (``sys.settrace`` with
 ``frame.f_trace_opcodes``), so it does not depend on the machine's speed:
@@ -50,6 +54,7 @@ import argparse
 import gc
 import re
 import sys
+import time
 import tracemalloc
 from collections import Counter
 from pathlib import Path
@@ -101,6 +106,9 @@ def _module(frame) -> str:
 #: untraced tiny cycles before the counted one
 TINY_WARMUP = 20
 
+#: untraced runs of an operation whose least wall time the sweep reports
+TIMED_RUNS = 5
+
 
 class Count:
     """Bytecodes executed per layer and per function."""
@@ -116,6 +124,8 @@ class Count:
         self.tracked: int | None = None
         #: id strings the session holds twice, if measured
         self.twice: int | None = None
+        #: the least wall time of ``TIMED_RUNS`` untraced runs (seconds), if measured
+        self.wall: float | None = None
 
     @property
     def total(self):
@@ -154,6 +164,20 @@ class Count:
             sys.settrace(None)
             if collecting:
                 gc.enable()
+
+
+class Clock:
+    """Wall times of untraced runs: ``run`` is ``Count.run`` without the trace."""
+
+    def __init__(self):
+        self.times: list[float] = []
+
+    def run(self, body):
+        """Run ``body()``, keep its wall time and return its result."""
+        start = time.perf_counter()
+        result = body()
+        self.times.append(time.perf_counter() - start)
+        return result
 
 
 def tiny_cycle():
@@ -232,8 +256,8 @@ def held_twice(session) -> int:
 def synced_session(work, scenario_name, sync_number, counts=None):
     """A session after one forward and ``sync_number`` syncs of ``work``
     through ``scenario_name``, as perfbench's bulk workloads run them, each
-    sync whose number ``counts`` maps to a ``Count`` counted into it; every
-    output is checked, untraced."""
+    sync whose number ``counts`` maps to a ``Count`` (or a ``Clock``) run
+    through it; every output is checked, untraced."""
     scenario = evmigrate.SCENARIOS[scenario_name]
     session = evmigrate.MigrationSession.create(
         scenario.m1_schema, scenario.m2_schema, workloads.REFERENCE_YEAR
@@ -252,11 +276,12 @@ def synced_session(work, scenario_name, sync_number, counts=None):
     return session
 
 
-def count_bulk_sync(scenario_name, churn, seed, sync_number, size=20_000) -> Count:
+def count_bulk_sync(scenario_name, churn, seed, sync_number, size=20_000, timed=False) -> Count:
     """Count the ``sync_number``-th sync after one forward of perfbench's
     ``bulk-churn`` (``churn``) or ``bulk-1edit`` workload, then measure
     what the session retains after it, in a second session of a second,
-    equal workload (the first's mutation stream is spent)."""
+    equal workload (the first's mutation stream is spent); if ``timed``,
+    also time the sync untraced in ``TIMED_RUNS`` sessions more."""
     count = Count()
     work = workloads.BulkWorkload(seed, scenario_name, size, churn)
     counted = synced_session(work, scenario_name, sync_number, {sync_number: count})
@@ -264,18 +289,24 @@ def count_bulk_sync(scenario_name, churn, seed, sync_number, size=20_000) -> Cou
     work = workloads.BulkWorkload(seed, scenario_name, size, churn)
     count.retained, count.tracked = retained(lambda: synced_session(work, scenario_name, sync_number))
     count.objects = len(work.m1)
+    if timed:
+        clock = Clock()
+        for _ in range(TIMED_RUNS):
+            work = workloads.BulkWorkload(seed, scenario_name, size, churn)
+            synced_session(work, scenario_name, sync_number, {sync_number: clock})
+        count.wall = min(clock.times)
     return count
 
 
-def count_bulk_churn(seed, sync_number, size=20_000) -> Count:
+def count_bulk_churn(seed, sync_number, size=20_000, timed=False) -> Count:
     """One sync of ``bulk-churn``: 20,000 objects through ybirth."""
-    return count_bulk_sync("ybirth", True, seed, sync_number, size)
+    return count_bulk_sync("ybirth", True, seed, sync_number, size, timed)
 
 
-def count_bulk_1edit(seed, sync_number=10, size=20_000) -> Count:
+def count_bulk_1edit(seed, sync_number=10, size=20_000, timed=False) -> Count:
     """One sync of ``bulk-1edit``: 20,000 objects through dog-no-age, one
     dog renamed per sync."""
-    return count_bulk_sync("dog-no-age", False, seed, sync_number, size)
+    return count_bulk_sync("dog-no-age", False, seed, sync_number, size, timed)
 
 
 def count_1edit_syncs(seed, syncs, size) -> list[Count]:
@@ -286,10 +317,11 @@ def count_1edit_syncs(seed, syncs, size) -> list[Count]:
     return list(counts.values())
 
 
-def count_bulk_forward(seed, size=2_000) -> Count:
+def count_bulk_forward(seed, size=2_000, timed=False) -> Count:
     """Count one forward of perfbench's ``bulk-1edit`` workload in a fresh
     session, after one untraced forward, then measure what a third such
-    session retains; every output is checked."""
+    session retains; if ``timed``, also time ``TIMED_RUNS`` untraced
+    forwards, each in a fresh session; every output is checked."""
     work = workloads.BulkWorkload(seed, "dog-no-age", size, churn=False)
     scenario = evmigrate.SCENARIOS["dog-no-age"]
 
@@ -313,17 +345,25 @@ def count_bulk_forward(seed, size=2_000) -> Count:
     count.twice = held_twice(counted)
     count.retained, count.tracked = retained(forwarded)
     count.objects = len(work.m1)
+    if timed:
+        clock = Clock()
+        for fresh in (session() for _ in range(TIMED_RUNS)):
+            work.check_forward(clock.run(lambda: forward(fresh)))
+        count.wall = min(clock.times)
     return count
 
 
 def report(title, count: Count, functions, per=None) -> list[str]:
     """The lines of ``count``'s report; with ``per``, (what, how many),
-    each layer's bytecodes also per one of them."""
+    each layer's bytecodes also per one of them; with a measured wall
+    time, the total's row also gives it, in milliseconds."""
     column = "" if per is None else f" {f'per {per[0]}':>20}"
-    lines = [title, f"  {'layer':<28} {'bytecodes':>10}{column}"]
+    wall = "" if count.wall is None else f" {f'least wall ms of {TIMED_RUNS}':>20}"
+    lines = [title, f"  {'layer':<28} {'bytecodes':>10}{column}{wall}"]
     rows = [(name, count.layers[name]) for name in (*LAYERS, BENCH) if count.layers[name]]
     for name, n in [*rows, ("total", count.total)]:
-        lines.append(f"  {name:<28} {n:>10}" + ("" if per is None else f" {n / per[1]:>20.2f}"))
+        lines.append(f"  {name:<28} {n:>10}" + ("" if per is None else f" {n / per[1]:>20.2f}")
+                     + (f" {count.wall * 1000:>20.2f}" if wall and name == "total" else ""))
     if count.retained is not None:
         lines.append(f"  {'session holds id strings twice (count)':<28} {count.twice:>10}")
         lines.append(f"  {'session tracks (objects)':<28} {count.tracked:>10}")
@@ -340,16 +380,17 @@ def report(title, count: Count, functions, per=None) -> list[str]:
 
 def sweep(sizes, seed, sync_number, functions) -> list[str]:
     """The reports, at each size, of a ``bulk-1edit`` forward, its 10th
-    sync and the ``sync_number``-th ``bulk-churn`` sync."""
+    sync and the ``sync_number``-th ``bulk-churn`` sync, each also timed."""
     lines = []
     for size in sizes:
         edited = int(size * workloads.CHURN_SHARE) + workloads.CHURN_NEW_DOGS
         lines += report(f"bulk-1edit: one forward at {size:,} objects, seed {seed}",
-                        count_bulk_forward(seed, size), functions, ("input object", size))
+                        count_bulk_forward(seed, size, timed=True), functions, ("input object", size))
         lines += report(f"bulk-1edit: sync 10 at {size:,} objects, seed {seed}",
-                        count_bulk_1edit(seed, size=size), functions, ("input object", size))
+                        count_bulk_1edit(seed, size=size, timed=True), functions, ("input object", size))
         lines += report(f"bulk-churn: sync {sync_number} at {size:,} objects, seed {seed}",
-                        count_bulk_churn(seed, sync_number, size), functions, ("edited object", edited))
+                        count_bulk_churn(seed, sync_number, size, timed=True), functions,
+                        ("edited object", edited))
     return lines
 
 
