@@ -191,7 +191,8 @@ def _first_run(schema, bindings, kind, cmd, editor):
 
 def _runner(schema, class_name, name_at, age_at, ybirth_at, owner_ref, owner_at):
     """The generated runner of one kind on one schema.  It writes each set
-    field the class declares, ybirth as referenceYear - age, at its
+    field the class declares, ybirth as referenceYear - age (refused if
+    it would leave the int bound, before anything is written), at its
     position: into a new object, built complete and owned by the model
     (``_object`` with its ``_ref``) and admitted under its id (a checked
     or trusted command holds values of the declared kinds), or into a new
@@ -223,9 +224,12 @@ def _runner(schema, class_name, name_at, age_at, ybirth_at, owner_ref, owner_at)
         "        model._link(obj, OWNER, owner.id)" if owner_ref.many else
         f"        v = obj._values\n        _set_values(obj, ("
         f"{''.join('owner.id, ' if k == owner_at else f'v[{k}], ' for k in range(len(cls.slots)))}))"]
+    bound = [] if ybirth_at is None else [
+        "    if age is not None and not int_in_bound(editor.reference_year - age):",
+        f"        raise ModelError(f'{{obj_id}}.ybirth = referenceYear - age would have more than {INT_DIGITS} digits')"]
     source = "\n".join([
         "def run(cmd, editor):",
-        "    _, obj_id, name, age, owner_id = cmd",
+        "    _, obj_id, name, age, owner_id = cmd", *bound,
         "    model = editor.model",
         "    obj = editor._lookup(obj_id) if model.added else model._objects.get(obj_id)",
         f"    if obj is not None and obj.class_name != {class_name!r}:",
@@ -237,4 +241,5 @@ def _runner(schema, class_name, name_at, age_at, ybirth_at, owner_ref, owner_at)
         "        for unseen in model.readers.values():\n            unseen[obj] = None", *owner,
         "    return obj_id", ""])
     return compile_kernel(f"{schema.name}.{class_name} run", source, {
+        "ModelError": ModelError, "int_in_bound": int_in_bound,
         "OWNER": owner_ref, "LAYOUT": cls, "TARGET": owner_ref and schema.classes[owner_ref.target]})["run"]

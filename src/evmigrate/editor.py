@@ -27,7 +27,7 @@ from .commands import (
     DEFAULT_REFERENCE_YEAR,
 )
 from .errors import MergeError, MigrationError, ModelError
-from .metamodel import DynamicObject, InstanceModel, MetaModel, _lay_out
+from .metamodel import INT_DIGITS, DynamicObject, InstanceModel, MetaModel, _lay_out, int_in_bound
 
 #: the model reader ``Editor.parse_model`` keeps its place under
 PARSE = "parse"
@@ -344,9 +344,9 @@ class Editor:
         when both are set and disagree, from ``ybirth`` if only it differs
         from the stored command.  When the schema declares neither, the
         age is recovered from the command that produced this object, if
-        there is one.  The fields are not checked: the model checked every
-        value and target it holds, and its ids come from the model or from
-        ``id_for``."""
+        there is one.  An age worked out from ybirth must be inside the int
+        bound; no other field is checked: the model checked every value and
+        target it holds, and its ids come from the model or from ``id_for``."""
         _, name_at, age_at, ybirth_at, owner_ref, owner_at, _ = self.bindings[kind]
         added = self.model.added  # every other object is registered under its key
         obj_id = self.id_for(obj) if obj in added else obj.id
@@ -361,6 +361,8 @@ class Editor:
             # with both set, ybirth wins only if age is as stored: it was not edited
             if ybirth is not None and (age is None or old is not None and age == old[3]):
                 age = self.reference_year - ybirth
+                if not int_in_bound(age):
+                    raise ModelError(f"{obj.id}.age = referenceYear - ybirth would have more than {INT_DIGITS} digits")
         else:
             # The schema variant cannot hold an age; recover the value
             # from the command that produced this object, if there is one.

@@ -50,9 +50,10 @@ LINE_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
 
 #: the most decimal digits an int may have: an attribute value, a
 #: command's age or a reference year.  A conversion (``reference_year -
-#: age``, ``reference_year - ybirth``) then has at most one digit more, and
-#: every process turns ints of that many digits into text and back: fewer
-#: than 640, the lowest limit ``sys.set_int_max_str_digits`` can set
+#: age`` in a runner, ``reference_year - ybirth`` in a parse) that would
+#: have more is refused where it is worked out.  Every process turns ints
+#: of that many digits into text and back: fewer than 640, the lowest
+#: limit ``sys.set_int_max_str_digits`` can set
 INT_DIGITS = 600
 _INT_BOUND = 10**INT_DIGITS
 
@@ -466,6 +467,7 @@ class InstanceModel:
     def _admit(self, obj: DynamicObject) -> DynamicObject:
         """Insert and mark an object valid by construction and owned (``add``
         checked and owned it, or a runner built it from a command) if its id is new."""
+        assert obj._model is self._ref, f"{obj!r} must be built owned: _object(..., model._ref)"
         if obj.id in self._objects:
             raise ModelError(f"duplicate object id {obj.id!r}")
         self._objects[obj.id] = obj

@@ -676,6 +676,14 @@ class TestOneConstructionPath:
         assert all(len(args) == 5 and args[4] is model._ref for args in calls)
         self._assert_owned(model)
 
+    def test_a_model_admits_only_an_object_built_its_own(self, pets_schema):
+        model, other = InstanceModel(pets_schema), InstanceModel(pets_schema)
+        layout = pets_schema.classes["Person"]
+        for owner in (None, other._ref):
+            with pytest.raises(AssertionError, match="must be built owned"):
+                model._admit(metamodel._object("p1", "Person", (None,) * len(layout.slots), layout, owner))
+        assert not model.objects
+
 
 class TestLayout:
     """An object in a model holds its values in one exact tuple, in its

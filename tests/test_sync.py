@@ -50,15 +50,32 @@ def session_for(name, year=2020):
     return MigrationSession.for_scenario(name, reference_year=year)
 
 
-@pytest.mark.parametrize("age", [10**600 - 1, 1 - 10**600], ids=["1e600-1", "1-1e600"])
+@pytest.mark.parametrize("age", [10**600 - 1, 2021 - 10**600], ids=["1e600-1", "2021-1e600"])
 def test_an_age_near_the_int_bound_survives_a_forward_and_a_backward(age):
+    # the most positive age, and the most negative one whose ybirth
+    # (2020 - age = 10**600 - 1) is inside the bound too
     s = session_for("ybirth")
     text = f"obj p1 Person\n  name Ann\n  age {age}\n"
     m2 = migrate_forward(s, decode_model(text, s.m1.schema))
     assert m2.get("p1").attributes == {"name": "Ann", "ybirth": 2020 - age}
+    assert encode_model(decode_model(encode_model(m2), s.m2.schema)) == encode_model(m2)
     assert encode_model(migrate_backward(s)) == text
-    if 2020 - age < 10**600:  # ybirth too is inside the bound: m2's text reads back
-        assert encode_model(decode_model(encode_model(m2), s.m2.schema)) == encode_model(m2)
+
+
+def test_a_conversion_past_the_int_bound_is_refused():
+    # age 1 - 10**600 is inside the bound, but its ybirth, 10**600 + 2019,
+    # is not: the forward refuses it before m2 holds anything
+    s = session_for("ybirth")
+    m1 = decode_model(f"obj p1 Person\n  name Ann\n  age {1 - 10**600}\n", s.m1.schema)
+    with pytest.raises(MergeError, match=r"p1\.ybirth = referenceYear - age would have more than 600 digits"):
+        migrate_forward(s, m1)
+    assert len(s.m2.model) == 0 and not s.m2.store
+    # and a ybirth of 1 - 10**600 in m2 would give an age of 10**600 + 2019
+    s = session_for("ybirth")
+    m2 = migrate_forward(s, decode_model("obj p1 Person\n  name Ann\n  age 3\n", s.m1.schema))
+    m2.set_attribute(m2.get("p1"), "ybirth", 1 - 10**600)
+    with pytest.raises(ModelError, match=r"p1\.age = referenceYear - ybirth would have more than 600 digits"):
+        migrate_backward(s)
 
 
 class TestMigrateForward:

@@ -180,6 +180,17 @@ class Clock:
         return result
 
 
+def least_wall(scenario_name, churn, seed, size, number) -> float:
+    """The least wall time of ``TIMED_RUNS`` untraced runs of a bulk
+    workload's forward (``number`` 0) or its ``number``-th sync, each in a
+    session of its own."""
+    clock = Clock()
+    for _ in range(TIMED_RUNS):
+        work = workloads.BulkWorkload(seed, scenario_name, size, churn)
+        synced_session(work, scenario_name, number, {number: clock})
+    return min(clock.times)
+
+
 def tiny_cycle():
     """One tiny cycle as a body to run and the check of its output."""
     work = workloads.TinyWorkload(cli.BENCH_INPUT, cli.BENCH_MUTATION)
@@ -257,13 +268,18 @@ def synced_session(work, scenario_name, sync_number, counts=None):
     """A session after one forward and ``sync_number`` syncs of ``work``
     through ``scenario_name``, as perfbench's bulk workloads run them, each
     sync whose number ``counts`` maps to a ``Count`` (or a ``Clock``) run
-    through it; every output is checked, untraced."""
+    through it, the forward too if it maps 0; every output is checked."""
     scenario = evmigrate.SCENARIOS[scenario_name]
     session = evmigrate.MigrationSession.create(
         scenario.m1_schema, scenario.m2_schema, workloads.REFERENCE_YEAR
     )
-    model = evmigrate.decode_model(work.input_text, scenario.m1_schema)
-    work.check_forward(evmigrate.encode_model(evmigrate.migrate_forward(session, model)))
+
+    def forward():
+        model = evmigrate.decode_model(work.input_text, scenario.m1_schema)
+        return evmigrate.encode_model(evmigrate.migrate_forward(session, model))
+
+    count = counts and counts.get(0)
+    work.check_forward(count.run(forward) if count else forward())
     for number in range(1, sync_number + 1):
         script = work.next_script()
 
@@ -276,12 +292,11 @@ def synced_session(work, scenario_name, sync_number, counts=None):
     return session
 
 
-def count_bulk_sync(scenario_name, churn, seed, sync_number, size=20_000, timed=False) -> Count:
+def count_bulk_sync(scenario_name, churn, seed, sync_number, size=20_000) -> Count:
     """Count the ``sync_number``-th sync after one forward of perfbench's
     ``bulk-churn`` (``churn``) or ``bulk-1edit`` workload, then measure
     what the session retains after it, in a second session of a second,
-    equal workload (the first's mutation stream is spent); if ``timed``,
-    also time the sync untraced in ``TIMED_RUNS`` sessions more."""
+    equal workload (the first's mutation stream is spent)."""
     count = Count()
     work = workloads.BulkWorkload(seed, scenario_name, size, churn)
     counted = synced_session(work, scenario_name, sync_number, {sync_number: count})
@@ -289,24 +304,18 @@ def count_bulk_sync(scenario_name, churn, seed, sync_number, size=20_000, timed=
     work = workloads.BulkWorkload(seed, scenario_name, size, churn)
     count.retained, count.tracked = retained(lambda: synced_session(work, scenario_name, sync_number))
     count.objects = len(work.m1)
-    if timed:
-        clock = Clock()
-        for _ in range(TIMED_RUNS):
-            work = workloads.BulkWorkload(seed, scenario_name, size, churn)
-            synced_session(work, scenario_name, sync_number, {sync_number: clock})
-        count.wall = min(clock.times)
     return count
 
 
-def count_bulk_churn(seed, sync_number, size=20_000, timed=False) -> Count:
+def count_bulk_churn(seed, sync_number, size=20_000) -> Count:
     """One sync of ``bulk-churn``: 20,000 objects through ybirth."""
-    return count_bulk_sync("ybirth", True, seed, sync_number, size, timed)
+    return count_bulk_sync("ybirth", True, seed, sync_number, size)
 
 
-def count_bulk_1edit(seed, sync_number=10, size=20_000, timed=False) -> Count:
+def count_bulk_1edit(seed, sync_number=10, size=20_000) -> Count:
     """One sync of ``bulk-1edit``: 20,000 objects through dog-no-age, one
     dog renamed per sync."""
-    return count_bulk_sync("dog-no-age", False, seed, sync_number, size, timed)
+    return count_bulk_sync("dog-no-age", False, seed, sync_number, size)
 
 
 def count_1edit_syncs(seed, syncs, size) -> list[Count]:
@@ -317,11 +326,10 @@ def count_1edit_syncs(seed, syncs, size) -> list[Count]:
     return list(counts.values())
 
 
-def count_bulk_forward(seed, size=2_000, timed=False) -> Count:
+def count_bulk_forward(seed, size=2_000) -> Count:
     """Count one forward of perfbench's ``bulk-1edit`` workload in a fresh
     session, after one untraced forward, then measure what a third such
-    session retains; if ``timed``, also time ``TIMED_RUNS`` untraced
-    forwards, each in a fresh session; every output is checked."""
+    session retains; every output is checked."""
     work = workloads.BulkWorkload(seed, "dog-no-age", size, churn=False)
     scenario = evmigrate.SCENARIOS["dog-no-age"]
 
@@ -345,11 +353,6 @@ def count_bulk_forward(seed, size=2_000, timed=False) -> Count:
     count.twice = held_twice(counted)
     count.retained, count.tracked = retained(forwarded)
     count.objects = len(work.m1)
-    if timed:
-        clock = Clock()
-        for fresh in (session() for _ in range(TIMED_RUNS)):
-            work.check_forward(clock.run(lambda: forward(fresh)))
-        count.wall = min(clock.times)
     return count
 
 
@@ -384,13 +387,15 @@ def sweep(sizes, seed, sync_number, functions) -> list[str]:
     lines = []
     for size in sizes:
         edited = int(size * workloads.CHURN_SHARE) + workloads.CHURN_NEW_DOGS
-        lines += report(f"bulk-1edit: one forward at {size:,} objects, seed {seed}",
-                        count_bulk_forward(seed, size, timed=True), functions, ("input object", size))
-        lines += report(f"bulk-1edit: sync 10 at {size:,} objects, seed {seed}",
-                        count_bulk_1edit(seed, size=size, timed=True), functions, ("input object", size))
-        lines += report(f"bulk-churn: sync {sync_number} at {size:,} objects, seed {seed}",
-                        count_bulk_churn(seed, sync_number, size, timed=True), functions,
-                        ("edited object", edited))
+        for title, count, per, scenario_name, churn, number in (
+                ("bulk-1edit: one forward", count_bulk_forward(seed, size), ("input object", size),
+                 "dog-no-age", False, 0),
+                ("bulk-1edit: sync 10", count_bulk_1edit(seed, size=size), ("input object", size),
+                 "dog-no-age", False, 10),
+                (f"bulk-churn: sync {sync_number}", count_bulk_churn(seed, sync_number, size),
+                 ("edited object", edited), "ybirth", True, sync_number)):
+            count.wall = least_wall(scenario_name, churn, seed, size, number)
+            lines += report(f"{title} at {size:,} objects, seed {seed}", count, functions, per)
     return lines
 
 
